@@ -31,13 +31,15 @@ pub enum EngineError {
         /// The second member of the pair that failed to resolve.
         second: String,
     },
-    /// A pair registration named an attribute that is already registered
-    /// standalone with a *different* configuration. Serving the same
-    /// attribute under two silently diverging configs would let the
-    /// marginal and joint estimates disagree about basics (thresholding
-    /// rule, expected scale), so the conflict is refused instead.
+    /// A registration would give one attribute two *different*
+    /// configurations: a pair naming an attribute already registered
+    /// standalone with another config, or a standalone attribute already
+    /// a member of a pair with another config. Serving the same attribute
+    /// under two silently diverging configs would let the marginal and
+    /// joint estimates disagree about basics (thresholding rule, expected
+    /// scale), so the conflict is refused instead.
     ConflictingConfig {
-        /// The attribute whose standalone config differs from the pair's.
+        /// The attribute whose registered config differs from the new one.
         attribute: String,
     },
     /// Building a synopsis (or its sketch) failed.
@@ -68,8 +70,8 @@ impl std::fmt::Display for EngineError {
             EngineError::ConflictingConfig { attribute } => {
                 write!(
                     f,
-                    "attribute {attribute:?} is already registered standalone with a \
-                     different configuration"
+                    "attribute {attribute:?} is already registered (standalone or in a \
+                     pair) with a different configuration"
                 )
             }
             EngineError::Estimator(err) => write!(f, "estimator error: {err}"),
@@ -95,6 +97,50 @@ impl From<EstimatorError> for EngineError {
     }
 }
 
+/// A registry map from keys to shared synopses.
+type Registry<K, V> = RwLock<BTreeMap<K, Arc<V>>>;
+
+/// Acquires a registry read lock, recovering from poisoning.
+///
+/// A registry map is only mutated by [`get_or_insert`], whose
+/// `BTreeMap::insert` either completed or never ran when a writer
+/// panicked — readers cannot observe a torn entry, so read paths keep
+/// answering. The poison flag is deliberately *not* cleared: the mutating
+/// path keeps refusing with [`EngineError::Poisoned`] until the catalog is
+/// rebuilt.
+fn read<K, V>(registry: &Registry<K, V>) -> RwLockReadGuard<'_, BTreeMap<K, Arc<V>>> {
+    registry.read().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Returns the entry under `key`, or builds one with `build` and inserts
+/// it. Double-checked: the common already-registered case takes only the
+/// read lock, and the write lock re-checks because another writer may
+/// have registered the key in between. `build` runs under the write lock,
+/// so a check inside it cannot race another registration of this map.
+///
+/// Fails with [`EngineError::Poisoned`] (naming `context`) if an earlier
+/// registration panicked while holding the write lock: adding entries on
+/// top of a possibly half-completed mutation is refused.
+fn get_or_insert<K: Ord, V>(
+    registry: &Registry<K, V>,
+    key: K,
+    context: &str,
+    build: impl FnOnce() -> Result<V, EngineError>,
+) -> Result<Arc<V>, EngineError> {
+    if let Some(existing) = read(registry).get(&key) {
+        return Ok(Arc::clone(existing));
+    }
+    let mut map = registry.write().map_err(|_| EngineError::Poisoned {
+        context: context.to_string(),
+    })?;
+    if let Some(existing) = map.get(&key) {
+        return Ok(Arc::clone(existing));
+    }
+    let value = Arc::new(build()?);
+    map.insert(key, Arc::clone(&value));
+    Ok(value)
+}
+
 /// A named multi-attribute registry of synopses.
 ///
 /// All methods take `&self`: the catalog is designed to be shared across
@@ -102,15 +148,19 @@ impl From<EstimatorError> for EngineError {
 /// into different attributes (or different shards of one attribute) and
 /// readers querying concurrently — including while an attribute's
 /// synopsis is being rebuilt.
+///
+/// Registrations take the two registry locks in one fixed order —
+/// attributes, then pairs — so a concurrent [`register`](Self::register)
+/// and [`register_pair`](Self::register_pair) can neither deadlock nor
+/// both pass the config-conflict check.
 #[derive(Debug, Default)]
 pub struct SynopsisCatalog {
-    attributes: RwLock<BTreeMap<String, Arc<AttributeSynopsis>>>,
+    attributes: Registry<String, AttributeSynopsis>,
     /// Joint synopses keyed by attribute pair, registered via
     /// [`register_pair`](Self::register_pair). Separate lock from the
-    /// marginal registry: pair registration must read the marginal map
-    /// (for the config-conflict check) without holding its own write
-    /// lock against readers.
-    pairs: RwLock<BTreeMap<(String, String), Arc<JointSynopsis>>>,
+    /// marginal registry, so pair queries never contend with marginal
+    /// registrations.
+    pairs: Registry<(String, String), JointSynopsis>,
 }
 
 impl SynopsisCatalog {
@@ -119,58 +169,43 @@ impl SynopsisCatalog {
         Self::default()
     }
 
-    /// Acquires the registry read lock, recovering from poisoning.
-    ///
-    /// The registry map is only mutated by [`Self::register`], whose
-    /// `BTreeMap::insert` either completed or never ran when a writer
-    /// panicked — readers cannot observe a torn entry, so read paths keep
-    /// answering. The poison flag is deliberately *not* cleared: the
-    /// mutating path in `register` keeps refusing with
-    /// [`EngineError::Poisoned`] until the catalog is rebuilt.
-    fn read_registry(&self) -> RwLockReadGuard<'_, BTreeMap<String, Arc<AttributeSynopsis>>> {
-        self.attributes
-            .read()
-            .unwrap_or_else(PoisonError::into_inner)
-    }
-
     /// Registers an attribute with the given configuration, returning its
     /// synopsis. Registering an existing name is idempotent: the existing
     /// synopsis is returned untouched (and keeps its data).
     ///
     /// # Errors
     ///
-    /// Returns [`EngineError::Poisoned`] if a previous registration
-    /// panicked mid-insert: unlike the read paths (which recover), adding
-    /// attributes on top of a possibly half-completed mutation is refused.
+    /// * [`EngineError::ConflictingConfig`] if the attribute is already a
+    ///   member of a registered pair with a configuration different from
+    ///   `config`.
+    /// * [`EngineError::Estimator`] if building the synopsis fails.
+    /// * [`EngineError::Poisoned`] if a previous registration panicked
+    ///   mid-insert: unlike the read paths (which recover), adding
+    ///   attributes on top of a possibly half-completed mutation is
+    ///   refused.
     pub fn register(
         &self,
         name: &str,
         config: SynopsisConfig,
     ) -> Result<Arc<AttributeSynopsis>, EngineError> {
-        {
-            let attributes = self.read_registry();
-            if let Some(existing) = attributes.get(name) {
-                return Ok(Arc::clone(existing));
-            }
-        }
-        let mut attributes = self.attributes.write().map_err(|_| EngineError::Poisoned {
-            context: "catalog registry".to_string(),
-        })?;
-        // Double-checked: another writer may have registered the name
-        // between the read and write locks.
-        if let Some(existing) = attributes.get(name) {
-            return Ok(Arc::clone(existing));
-        }
-        let synopsis = Arc::new(AttributeSynopsis::new(&config)?);
-        attributes.insert(name.to_string(), Arc::clone(&synopsis));
-        Ok(synopsis)
-    }
-
-    /// Acquires the pair-registry read lock, recovering from poisoning
-    /// with the same wholesale-insert argument as
-    /// [`read_registry`](Self::read_registry).
-    fn read_pairs(&self) -> RwLockReadGuard<'_, BTreeMap<(String, String), Arc<JointSynopsis>>> {
-        self.pairs.read().unwrap_or_else(PoisonError::into_inner)
+        get_or_insert(
+            &self.attributes,
+            name.to_string(),
+            "catalog registry",
+            || {
+                // Pairs are read under the attribute write lock (lock order:
+                // attributes, then pairs).
+                let conflict = read(&self.pairs).iter().any(|((first, second), joint)| {
+                    (first == name || second == name) && joint.config() != &config
+                });
+                if conflict {
+                    return Err(EngineError::ConflictingConfig {
+                        attribute: name.to_string(),
+                    });
+                }
+                Ok(AttributeSynopsis::new(&config)?)
+            },
+        )
     }
 
     /// Registers a joint synopsis for the ordered attribute pair
@@ -203,44 +238,27 @@ impl SynopsisCatalog {
             }
             .into());
         }
+        // Held across the pair insert (lock order: attributes, then
+        // pairs), so no conflicting standalone registration can land
+        // between the check and the insert.
+        let attributes = read(&self.attributes);
         let key = (first.to_string(), second.to_string());
-        {
-            let pairs = self.read_pairs();
-            if let Some(existing) = pairs.get(&key) {
-                return Ok(Arc::clone(existing));
-            }
-        }
-        // A member already registered standalone must carry the same
-        // configuration, or the marginal and joint paths for that
-        // attribute would silently disagree.
-        {
-            let attributes = self.read_registry();
+        get_or_insert(&self.pairs, key, "catalog pair registry", || {
             for name in [first, second] {
-                if let Some(standalone) = attributes.get(name) {
-                    if standalone.config() != &config {
-                        return Err(EngineError::ConflictingConfig {
-                            attribute: name.to_string(),
-                        });
-                    }
+                let standalone = attributes.get(name);
+                if standalone.is_some_and(|standalone| standalone.config() != &config) {
+                    return Err(EngineError::ConflictingConfig {
+                        attribute: name.to_string(),
+                    });
                 }
             }
-        }
-        let mut pairs = self.pairs.write().map_err(|_| EngineError::Poisoned {
-            context: "catalog pair registry".to_string(),
-        })?;
-        // Double-checked: another writer may have registered the pair
-        // between the read and write locks.
-        if let Some(existing) = pairs.get(&key) {
-            return Ok(Arc::clone(existing));
-        }
-        let joint = Arc::new(JointSynopsis::new(&config)?);
-        pairs.insert(key, Arc::clone(&joint));
-        Ok(joint)
+            Ok(JointSynopsis::new(&config)?)
+        })
     }
 
     /// The joint synopsis of a registered attribute pair.
     pub fn pair(&self, first: &str, second: &str) -> Option<Arc<JointSynopsis>> {
-        self.read_pairs()
+        read(&self.pairs)
             .get(&(first.to_string(), second.to_string()))
             .map(Arc::clone)
     }
@@ -307,17 +325,17 @@ impl SynopsisCatalog {
 
     /// Names of all registered attribute pairs (sorted).
     pub fn pair_names(&self) -> Vec<(String, String)> {
-        self.read_pairs().keys().cloned().collect()
+        read(&self.pairs).keys().cloned().collect()
     }
 
     /// Number of registered attribute pairs.
     pub fn pair_count(&self) -> usize {
-        self.read_pairs().len()
+        read(&self.pairs).len()
     }
 
     /// The synopsis of a registered attribute.
     pub fn attribute(&self, name: &str) -> Option<Arc<AttributeSynopsis>> {
-        self.read_registry().get(name).map(Arc::clone)
+        read(&self.attributes).get(name).map(Arc::clone)
     }
 
     /// Resolves an attribute or errors with
@@ -403,12 +421,12 @@ impl SynopsisCatalog {
 
     /// Names of all registered attributes (sorted).
     pub fn names(&self) -> Vec<String> {
-        self.read_registry().keys().cloned().collect()
+        read(&self.attributes).keys().cloned().collect()
     }
 
     /// Number of registered attributes.
     pub fn len(&self) -> usize {
-        self.read_registry().len()
+        read(&self.attributes).len()
     }
 
     /// Whether no attribute is registered.
@@ -418,12 +436,8 @@ impl SynopsisCatalog {
 
     /// Total rows ingested across all attributes and attribute pairs.
     pub fn total_rows(&self) -> usize {
-        let marginal: usize = self
-            .read_registry()
-            .values()
-            .map(|synopsis| synopsis.rows())
-            .sum();
-        let joint: usize = self.read_pairs().values().map(|joint| joint.rows()).sum();
+        let marginal: usize = read(&self.attributes).values().map(|a| a.rows()).sum();
+        let joint: usize = read(&self.pairs).values().map(|j| j.rows()).sum();
         marginal + joint
     }
 }
@@ -649,6 +663,16 @@ mod tests {
                 .unwrap_err(),
             EngineError::ConflictingConfig { attribute } if attribute == "discount"
         ));
+        // …and so is the reverse order: a pair member registered
+        // standalone under a different config.
+        catalog.register_pair("x", "y", small_config()).unwrap();
+        let hard = small_config().with_rule(wavedens_core::ThresholdRule::Hard);
+        assert!(matches!(
+            catalog.register("x", hard).unwrap_err(),
+            EngineError::ConflictingConfig { attribute } if attribute == "x"
+        ));
+        assert!(catalog.attribute("x").is_none(), "x must not register");
+        catalog.register("x", small_config()).unwrap();
     }
 
     #[test]

@@ -1,27 +1,21 @@
-//! An attribute *pair*'s synopsis: a sharded 2-D tensor sketch plus an
-//! atomically swapped cache of the refreshed joint estimate.
+//! The 2-D sketch kind of [`Synopsis`]: an attribute *pair*'s synopsis
+//! over a sharded tensor sketch.
 //!
 //! A query optimiser that multiplies two marginal selectivities assumes
 //! the attributes are independent; on correlated columns (`y ≈ x`, say)
 //! that product can be off by an order of magnitude. A [`JointSynopsis`]
-//! accumulates `(x, y)` row pairs into a sharded
-//! [`TensorSketch`] — the dimension-generic
-//! sibling of the 1-D coefficient sketch — and answers
+//! accumulates `(x, y)` row pairs into a sharded [`TensorSketch`] — the
+//! dimension-generic sibling of the 1-D coefficient sketch — and answers
 //! `joint_selectivity((a₁, b₁), (a₂, b₂))` from a precomputed joint CDF
 //! grid by inclusion–exclusion of four corner lookups, capturing exactly
 //! the correlation the independence assumption throws away.
 //!
-//! The concurrency machinery is the same as
-//! [`AttributeSynopsis`](crate::AttributeSynopsis): writers touch one
-//! shard and bump an epoch, readers clone an `Arc` snapshot under a
-//! briefly held read lock, and a stale cache is rebuilt by exactly one
-//! thread while concurrent readers keep answering from the previous
-//! snapshot.
+//! Everything but the snapshot and the rectangle query is the generic
+//! [`Synopsis`] machinery, shared with the 1-D
+//! [`AttributeSynopsis`](crate::AttributeSynopsis).
 
 use crate::sharded::ShardedIngest;
-use crate::synopsis::SynopsisConfig;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, RwLock, RwLockReadGuard};
+use crate::synopsis::{or_zero, Synopsis, SynopsisConfig, SynopsisSketch};
 use wavedens_core::{
     CompactionPolicy, EstimatorError, TensorCumulative, TensorEstimate, TensorSketch, ThresholdRule,
 };
@@ -31,9 +25,14 @@ use wavedens_core::{
 /// queries to well below the estimation error.
 const MAX_JOINT_CDF_POINTS: usize = 257;
 
+/// One attribute pair's synopsis: the 2-D [`Synopsis`] over a
+/// [`TensorSketch`] of `(x, y)` row pairs. Landmark-only: a windowed
+/// config is rejected by [`Synopsis::new`].
+pub type JointSynopsis = Synopsis<TensorSketch>;
+
 /// The refreshed state of a joint synopsis: the thresholded 2-D tensor
 /// estimate plus its precomputed joint CDF grid. Immutable once built;
-/// shared with readers via [`Arc`].
+/// shared with readers via [`Arc`](std::sync::Arc).
 #[derive(Debug, Clone)]
 pub struct RefreshedJoint {
     estimate: TensorEstimate,
@@ -76,261 +75,59 @@ impl RefreshedJoint {
     }
 }
 
-/// A cache entry: the refreshed joint synopsis and the ingest epoch it
-/// covers.
-#[derive(Debug, Clone)]
-struct CachedJoint {
-    epoch: u64,
-    joint: Arc<RefreshedJoint>,
-}
+/// The 2-D kind: `(x, y)` rows, a plain sharded ingest (no windows yet),
+/// a per-axis CDF grid clamped to `[2, 257]` points, and no incremental
+/// rebuild cache.
+impl SynopsisSketch for TensorSketch {
+    type Ingest = ShardedIngest<TensorSketch>;
+    type Snapshot = RefreshedJoint;
+    type RebuildCache = ();
 
-/// State owned by whichever thread holds the rebuild guard: the scratch
-/// sketch the shards merge into, allocated once and reused every refresh.
-#[derive(Debug, Default)]
-struct RefreshState {
-    scratch: Option<TensorSketch>,
-}
-
-/// One attribute pair's synopsis: a sharded 2-D tensor sketch filled by
-/// writers plus an atomically swapped `Arc` of the latest refreshed joint
-/// estimate. See the module docs for the concurrency model (identical to
-/// [`AttributeSynopsis`](crate::AttributeSynopsis)).
-#[derive(Debug)]
-pub struct JointSynopsis {
-    backend: ShardedIngest<TensorSketch>,
-    rule: ThresholdRule,
-    /// Per-axis CDF grid resolution (clamped to `[2, 257]`).
-    cdf_points: usize,
-    /// Bumped after every completed ingest batch; the cache is fresh when
-    /// its recorded epoch matches.
-    epoch: AtomicU64,
-    cache: RwLock<Option<CachedJoint>>,
-    /// Serialises rebuilds; readers `try_lock` it so at most one becomes
-    /// the rebuilder while the rest serve the previous snapshot.
-    rebuild_guard: Mutex<RefreshState>,
-    rebuilds: AtomicUsize,
-}
-
-impl JointSynopsis {
-    /// Creates an empty joint synopsis from a configuration: a 2-D tensor
-    /// sketch sized for `config.expected_rows` pairs on the unit square,
-    /// sharded `config.shards` ways, thresholded with `config.rule` at
-    /// refresh time.
-    ///
-    /// Windowed policies are not supported for pairs yet — a windowed
-    /// config is rejected with [`EstimatorError::InvalidParameter`]
-    /// rather than silently degraded to a landmark synopsis.
-    pub fn new(config: &SynopsisConfig) -> Result<Self, EstimatorError> {
+    fn ingest_for(config: &SynopsisConfig) -> Result<Self::Ingest, EstimatorError> {
         if config.window.is_windowed() {
             return Err(EstimatorError::InvalidParameter {
                 message: "joint synopses do not support windowed policies yet".to_string(),
             });
         }
-        let template = TensorSketch::sized_for_pairs(config.expected_rows.max(16))?;
-        Ok(Self {
-            backend: ShardedIngest::new(&template, config.shards)?,
-            rule: config.rule,
-            cdf_points: config.cdf_points.clamp(2, MAX_JOINT_CDF_POINTS),
-            epoch: AtomicU64::new(0),
-            cache: RwLock::new(None),
-            rebuild_guard: Mutex::new(RefreshState::default()),
-            rebuilds: AtomicUsize::new(0),
-        })
+        let template = Self::sized_for_pairs(config.expected_rows.max(16))?;
+        ShardedIngest::new(&template, config.shards)
     }
 
-    /// The thresholding rule applied at refresh time.
-    pub fn rule(&self) -> ThresholdRule {
-        self.rule
+    fn snapshot(
+        &self,
+        config: &SynopsisConfig,
+        _: &mut (),
+    ) -> Result<RefreshedJoint, EstimatorError> {
+        let cdf_points = config.cdf_points.clamp(2, MAX_JOINT_CDF_POINTS);
+        RefreshedJoint::build(self, config.rule, cdf_points)
     }
 
-    /// Number of ingest shards.
-    pub fn shard_count(&self) -> usize {
-        self.backend.shard_count()
-    }
-
-    /// Total row pairs ingested so far, O(1) from the atomic running
-    /// counter.
-    pub fn rows(&self) -> usize {
-        self.backend.total_count()
-    }
-
-    /// Number of joint rebuilds performed so far (one per stale-cache
-    /// refresh, regardless of how many queries hit the stale cache).
-    pub fn rebuild_count(&self) -> usize {
-        self.rebuilds.load(Ordering::Relaxed)
-    }
-
-    /// The number of completed ingest batches (the staleness clock the
-    /// refresh cache is keyed to).
-    pub fn ingest_epoch(&self) -> u64 {
-        self.epoch.load(Ordering::Acquire)
-    }
-
-    /// Ingests one batch of `(x, y)` row pairs into a single shard
-    /// (round-robin), marking the cache stale.
-    pub fn ingest(&self, rows: &[(f64, f64)]) {
-        if rows.is_empty() {
-            return;
-        }
-        self.backend.ingest(rows);
-        // Bump *after* the push so a concurrent rebuild can never tag a
-        // cache that misses this batch with the post-batch epoch.
-        self.epoch.fetch_add(1, Ordering::Release);
-    }
-
-    /// Ingests a bulk load by fanning the pairs out across the shards on
-    /// the global work-stealing pool
-    /// ([`ShardedIngest::ingest_parallel`]).
-    pub fn ingest_parallel(&self, rows: &[(f64, f64)]) {
-        if rows.is_empty() {
-            return;
-        }
-        self.backend.ingest_parallel(rows);
-        self.epoch.fetch_add(1, Ordering::Release);
-    }
-
-    /// The merged 2-D accumulation state across all shards.
-    pub fn merged_sketch(&self) -> Result<TensorSketch, EstimatorError> {
-        self.backend.merged()
-    }
-
-    /// The merged accumulation state compacted under `policy` with this
-    /// synopsis' thresholding rule (see [`TensorSketch::compact`]; the
-    /// default [`CompactionPolicy::InactiveTail`] is lossless).
-    pub fn compacted_sketch(
+    fn compact(
         &self,
         policy: CompactionPolicy,
-    ) -> Result<TensorSketch, EstimatorError> {
-        self.merged_sketch()?.compact(policy, self.rule)
+        rule: ThresholdRule,
+    ) -> Result<Self, EstimatorError> {
+        TensorSketch::compact(self, policy, rule)
     }
 
-    /// Serializes the merged, `policy`-compacted accumulation state to
-    /// the v4 tensor wire frame — what one node sends another so the 2-D
-    /// sketch can be [`TensorSketch::from_bytes`]-restored and merged (or
-    /// estimated) where it lands.
-    pub fn ship(&self, policy: CompactionPolicy) -> Result<Vec<u8>, EstimatorError> {
-        Ok(self.compacted_sketch(policy)?.to_bytes())
+    fn to_bytes(&self) -> Vec<u8> {
+        TensorSketch::to_bytes(self)
     }
+}
 
-    /// The current refreshed joint synopsis, rebuilding at most once if
-    /// the cache is stale; `None` when no pairs have been ingested yet.
-    pub fn refreshed(&self) -> Result<Option<Arc<RefreshedJoint>>, EstimatorError> {
-        let epoch = self.epoch.load(Ordering::Acquire);
-        {
-            let cache = self.read_cache();
-            if let Some(cached) = cache.as_ref() {
-                if cached.epoch == epoch {
-                    return Ok(Some(Arc::clone(&cached.joint)));
-                }
-            }
-        }
-        match self.rebuild_guard.try_lock() {
-            Ok(mut state) => self.rebuild_locked(&mut state),
-            Err(std::sync::TryLockError::WouldBlock) => {
-                // Another thread is rebuilding: serve the previous
-                // snapshot if one exists…
-                if let Some(cached) = self.read_cache().as_ref() {
-                    return Ok(Some(Arc::clone(&cached.joint)));
-                }
-                // …otherwise this is the very first build: wait for it.
-                let mut state = self.lock_rebuild_guard();
-                self.rebuild_locked(&mut state)
-            }
-            Err(std::sync::TryLockError::Poisoned(poisoned)) => {
-                // A rebuilder panicked mid-refresh; its scratch may be
-                // mid-update, so restart the incremental state and
-                // rebuild from the shards — the source of truth.
-                let mut state = poisoned.into_inner();
-                self.rebuild_guard.clear_poison();
-                *state = RefreshState::default();
-                self.rebuild_locked(&mut state)
-            }
-        }
-    }
-
-    /// Reads the cache `RwLock`, recovering from poisoning: the cached
-    /// value is an `Option` swapped wholesale under the write lock, so a
-    /// panicked writer cannot have left it torn. Clears the poison flag.
-    fn read_cache(&self) -> RwLockReadGuard<'_, Option<CachedJoint>> {
-        self.cache.read().unwrap_or_else(|poisoned| {
-            self.cache.clear_poison();
-            poisoned.into_inner()
-        })
-    }
-
-    /// Locks the rebuild guard, recovering from poisoning by resetting
-    /// the scratch state. Clears the poison flag so the reset happens
-    /// once per crash.
-    fn lock_rebuild_guard(&self) -> MutexGuard<'_, RefreshState> {
-        self.rebuild_guard.lock().unwrap_or_else(|poisoned| {
-            let mut state = poisoned.into_inner();
-            self.rebuild_guard.clear_poison();
-            *state = RefreshState::default();
-            state
-        })
-    }
-
-    /// Rebuilds the cache if still stale: the shards merge into the
-    /// guard-owned scratch sketch (no allocation after the first
-    /// refresh), the CV+threshold pipeline and CDF grid run outside any
-    /// reader-visible lock, and the cache `Arc` is swapped wholesale.
-    /// Caller must hold `rebuild_guard`.
-    fn rebuild_locked(
-        &self,
-        state: &mut RefreshState,
-    ) -> Result<Option<Arc<RefreshedJoint>>, EstimatorError> {
-        let epoch = self.epoch.load(Ordering::Acquire);
-        {
-            let cache = self.read_cache();
-            if let Some(cached) = cache.as_ref() {
-                if cached.epoch == epoch {
-                    return Ok(Some(Arc::clone(&cached.joint)));
-                }
-            }
-        }
-        let sketch = match state.scratch.as_mut() {
-            Some(scratch) => {
-                self.backend.merge_into(scratch)?;
-                &*scratch
-            }
-            None => state.scratch.insert(self.backend.merged()?),
-        };
-        if sketch.is_empty() {
-            return Ok(None);
-        }
-        let built = Arc::new(RefreshedJoint::build(sketch, self.rule, self.cdf_points)?);
-        self.rebuilds.fetch_add(1, Ordering::Relaxed);
-        let mut cache = self.cache.write().unwrap_or_else(|poisoned| {
-            self.cache.clear_poison();
-            poisoned.into_inner()
-        });
-        *cache = Some(CachedJoint {
-            epoch,
-            joint: Arc::clone(&built),
-        });
-        Ok(Some(built))
-    }
-
-    /// Estimated joint selectivity
-    /// `P(x ∈ x_range, y ∈ y_range)` from the (lazily refreshed) joint
-    /// CDF grid; 0 while no pairs have been ingested, and 0 for empty or
-    /// reversed ranges. NaN bounds are rejected with
-    /// [`EstimatorError::InvalidQueryBounds`], mirroring the 1-D
-    /// synopsis.
+/// The 2-D-only surface: rectangle queries.
+impl Synopsis<TensorSketch> {
+    /// Estimated joint selectivity `P(x ∈ x_range, y ∈ y_range)` from the
+    /// (lazily refreshed) joint CDF grid; 0 while no pairs have been
+    /// ingested, and 0 for empty or reversed ranges. NaN bounds are
+    /// rejected with [`EstimatorError::InvalidQueryBounds`], mirroring the
+    /// 1-D synopsis.
     pub fn try_joint_selectivity(
         &self,
         x_range: (f64, f64),
         y_range: (f64, f64),
     ) -> Result<f64, EstimatorError> {
-        for &(lo, hi) in &[x_range, y_range] {
-            if lo.is_nan() || hi.is_nan() {
-                return Err(EstimatorError::InvalidQueryBounds { lo, hi });
-            }
-        }
-        Ok(match self.refreshed()? {
-            Some(joint) => joint.selectivity(x_range, y_range),
-            None => 0.0,
-        })
+        self.try_query(&[x_range, y_range], |j| j.selectivity(x_range, y_range))
     }
 
     /// Infallible wrapper over
@@ -338,40 +135,19 @@ impl JointSynopsis {
     /// bounds answer 0 (the mass of an empty range); any other failure
     /// trips a debug assertion and answers 0 in release builds.
     pub fn joint_selectivity(&self, x_range: (f64, f64), y_range: (f64, f64)) -> f64 {
-        match self.try_joint_selectivity(x_range, y_range) {
-            Ok(selectivity) => selectivity,
-            Err(EstimatorError::InvalidQueryBounds { .. }) => 0.0,
-            Err(err) => {
-                debug_assert!(false, "joint refresh failed unexpectedly: {err}");
-                0.0
-            }
-        }
-    }
-}
-
-impl Clone for JointSynopsis {
-    fn clone(&self) -> Self {
-        // Load the epoch *before* cloning the shards (same race argument
-        // as the 1-D synopsis clone): an ingest landing in between leaves
-        // the clone's epoch behind its shard data, which merely costs one
-        // conservative rebuild — never a forever-stale cache.
-        let epoch = self.epoch.load(Ordering::Acquire);
-        Self {
-            backend: self.backend.clone(),
-            rule: self.rule,
-            cdf_points: self.cdf_points,
-            epoch: AtomicU64::new(epoch),
-            cache: RwLock::new(self.read_cache().clone()),
-            rebuild_guard: Mutex::new(RefreshState::default()),
-            rebuilds: AtomicUsize::new(self.rebuild_count()),
-        }
+        or_zero(self.try_joint_selectivity(x_range, y_range))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::synopsis::tests::{
+        check_cached_read_path_never_rebuilds, check_clone_epoch_never_claims_unseen_batches,
+        check_panicked_rebuild_thread_does_not_poison_queries, Kind,
+    };
     use rand::Rng;
+    use std::sync::Arc;
     use wavedens_core::WindowPolicy;
     use wavedens_processes::seeded_rng;
 
@@ -394,6 +170,26 @@ mod tests {
             .with_expected_rows(4096)
             .with_shards(shards)
             .with_rule(wavedens_core::ThresholdRule::Hard)
+    }
+
+    impl Kind for TensorSketch {
+        fn config(shards: usize) -> SynopsisConfig {
+            config(shards)
+        }
+
+        fn rows(n: usize, seed: u64) -> Vec<(f64, f64)> {
+            correlated(n, seed, 0.1)
+        }
+
+        fn try_query(joint: &JointSynopsis, lo: f64, hi: f64) -> Result<f64, EstimatorError> {
+            joint.try_joint_selectivity((lo, hi), (lo, hi))
+        }
+
+        fn query_cached(joint: &JointSynopsis, lo: f64, hi: f64) -> Option<f64> {
+            joint
+                .cached()
+                .map(|snapshot| snapshot.selectivity((lo, hi), (lo, hi)))
+        }
     }
 
     #[test]
@@ -532,5 +328,20 @@ mod tests {
         let third = joint.refreshed().unwrap().unwrap();
         assert!(Arc::ptr_eq(&again, &third));
         assert_eq!(joint.rebuild_count(), 2);
+    }
+
+    #[test]
+    fn cached_read_path_never_rebuilds() {
+        check_cached_read_path_never_rebuilds::<TensorSketch>(|_| {});
+    }
+
+    #[test]
+    fn clone_epoch_never_claims_unseen_batches() {
+        check_clone_epoch_never_claims_unseen_batches::<TensorSketch>();
+    }
+
+    #[test]
+    fn panicked_rebuild_thread_does_not_poison_queries() {
+        check_panicked_rebuild_thread_does_not_poison_queries::<TensorSketch>();
     }
 }

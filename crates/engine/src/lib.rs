@@ -1,10 +1,9 @@
 //! # wavedens-engine
 //!
 //! A concurrent, multi-attribute **synopsis engine** on top of the
-//! mergeable [`CoefficientSketch`](wavedens_core::CoefficientSketch):
-//! the piece that turns the single-attribute, single-threaded estimator of
-//! `wavedens-core` into something a query optimiser can run under heavy
-//! traffic.
+//! mergeable sketches of `wavedens-core`: the piece that turns the
+//! single-attribute, single-threaded estimator into something a query
+//! optimiser can run under heavy traffic.
 //!
 //! The design splits the estimator state along the line the paper's
 //! mathematics draws anyway: the empirical coefficients are *sample
@@ -13,32 +12,39 @@
 //! selection** (cross-validated thresholds, data-driven `ĵ1`, CDF table)
 //! runs downstream on the merged state. Concretely:
 //!
-//! * [`ShardedIngest`] — N per-shard sketches behind mutexes. Bulk loads
-//!   fan the rows out to all shards with scoped threads
-//!   ([`ShardedIngest::ingest_parallel`]); streaming inserts round-robin
-//!   one shard per batch so writers on different shards never contend.
-//!   At estimate time the shards merge (weighted sketch addition) into
-//!   exactly the single-stream state.
-//! * [`AttributeSynopsis`] — one attribute's sharded sketch plus a cached
-//!   [`RefreshedSynopsis`] (thresholded density estimate + precomputed
-//!   CDF table) behind an atomically swapped [`std::sync::Arc`]. Readers
-//!   clone the `Arc` under a briefly held read lock and answer range
-//!   queries in O(1); a stale cache is rebuilt by **one** thread while
-//!   concurrent readers keep answering from the previous snapshot — a
-//!   rebuild never blocks the read path.
+//! * [`ShardedIngest`] — N per-shard sketches behind mutexes, generic
+//!   over the [`MergeableSketch`] kind. Bulk loads
+//!   ([`ShardedIngest::ingest_parallel`]) split the rows into chunks that
+//!   run as tasks on the global `workpool` work-stealing pool; streaming
+//!   inserts round-robin one shard per batch, so writers on different
+//!   shards never contend. At estimate time the shards merge (weighted
+//!   sketch addition) into exactly the single-stream state.
 //! * [`WindowedIngest`] — the streaming sibling of [`ShardedIngest`]:
-//!   per-shard *rings* of time-sliced sketches. [`WindowedIngest::advance_all`]
-//!   retires the oldest slice in O(1) per shard, so sliding-window and
-//!   exponentially-decayed estimates subtract old data by dropping a
-//!   slice instead of un-merging it. Selected per attribute via
-//!   [`SynopsisConfig::with_window`] and a [`WindowPolicy`].
-//! * [`JointSynopsis`] — the 2-D sibling of [`AttributeSynopsis`]: a
-//!   sharded [`TensorSketch`](wavedens_core::TensorSketch) over `(x, y)`
-//!   row pairs whose refreshed snapshot answers
-//!   `joint_selectivity((a₁, b₁), (a₂, b₂))` — rectangle mass by
-//!   inclusion–exclusion over a precomputed joint CDF grid — capturing
-//!   the cross-attribute correlation the product of two marginal
-//!   synopses misses.
+//!   per-shard *rings* of time-sliced 1-D sketches.
+//!   [`WindowedIngest::advance_all`] retires the oldest slice in O(1) per
+//!   shard, so sliding-window and exponentially-decayed estimates
+//!   subtract old data by dropping a slice instead of un-merging it.
+//!   Selected per attribute via [`SynopsisConfig::with_window`] and a
+//!   [`WindowPolicy`].
+//! * [`Synopsis<S>`](Synopsis) — one sharded sketch of kind `S` plus a
+//!   cached refreshed snapshot behind an atomically swapped
+//!   [`std::sync::Arc`]. The sketch kind ([`SynopsisSketch`]) picks the
+//!   ingest structure, the snapshot and its CDF resolution; the epoch,
+//!   cache, rebuild guard and poison recovery are shared. Two kinds exist:
+//!   - [`AttributeSynopsis`] = `Synopsis<CoefficientSketch>`: one
+//!     column, landmark or windowed, whose [`RefreshedSynopsis`]
+//!     (thresholded density + CDF table) answers `selectivity(lo, hi)`.
+//!   - [`JointSynopsis`] = `Synopsis<TensorSketch>`: a column pair of
+//!     `(x, y)` rows, whose [`RefreshedJoint`] answers
+//!     `joint_selectivity((a₁, b₁), (a₂, b₂))` — rectangle mass by
+//!     inclusion–exclusion over a joint CDF grid — capturing the
+//!     cross-attribute correlation the product of two marginals misses.
+//!
+//!   Latency-sensitive readers take [`Synopsis::cached`] (never rebuilds,
+//!   possibly stale) while the write side calls [`Synopsis::refresh`];
+//!   the lazy [`Synopsis::refreshed`] path rebuilds on demand with
+//!   exactly one rebuilder per stale burst, and concurrent readers keep
+//!   answering from the previous snapshot.
 //! * [`SynopsisCatalog`] — a named registry of attribute synopses (and
 //!   attribute-*pair* synopses, keyed `(a, b)`), so one process serves
 //!   selectivity estimates for many table columns at once.
@@ -66,8 +72,10 @@ pub mod windowed;
 
 pub use catalog::{EngineError, SynopsisCatalog};
 pub use joint::{JointSynopsis, RefreshedJoint};
-pub use sharded::{MergeableSketch, ShardedIngest};
-pub use synopsis::{AttributeSynopsis, RefreshedSynopsis, SynopsisConfig};
+pub use sharded::{MergeableSketch, ShardedIngest, SketchIngest};
+pub use synopsis::{
+    AttributeSynopsis, IngestBackend, RefreshedSynopsis, Synopsis, SynopsisConfig, SynopsisSketch,
+};
 pub use windowed::WindowedIngest;
 
 // Re-exported so engine users can pick a shipping policy or window policy

@@ -404,6 +404,51 @@ impl<S: MergeableSketch> Clone for ShardedIngest<S> {
     }
 }
 
+/// The write-and-merge surface of an ingest structure filling sketches of
+/// kind `S` — what a [`Synopsis`](crate::Synopsis) needs from its
+/// backend. Implemented by [`ShardedIngest`] for every sketch kind and by
+/// the 1-D landmark/windowed [`IngestBackend`](crate::synopsis::IngestBackend).
+pub trait SketchIngest<S: MergeableSketch>: Clone + std::fmt::Debug + Send + Sync {
+    /// Pushes one batch into a single shard (round-robin).
+    fn ingest(&self, rows: &[S::Row]);
+    /// Fans a bulk load out across the shards on the work-stealing pool.
+    fn ingest_parallel(&self, rows: &[S::Row]);
+    /// Rows currently contributing, from an atomic running counter.
+    fn total_count(&self) -> usize;
+    /// Number of shards.
+    fn shard_count(&self) -> usize;
+    /// The merged accumulation state across all shards.
+    fn merged(&self) -> Result<S, EstimatorError>;
+    /// Merges all shards into `target`, reusing its allocations.
+    fn merge_into(&self, target: &mut S) -> Result<(), EstimatorError>;
+}
+
+impl<S: MergeableSketch> SketchIngest<S> for ShardedIngest<S> {
+    fn ingest(&self, rows: &[S::Row]) {
+        ShardedIngest::ingest(self, rows);
+    }
+
+    fn ingest_parallel(&self, rows: &[S::Row]) {
+        ShardedIngest::ingest_parallel(self, rows);
+    }
+
+    fn total_count(&self) -> usize {
+        ShardedIngest::total_count(self)
+    }
+
+    fn shard_count(&self) -> usize {
+        ShardedIngest::shard_count(self)
+    }
+
+    fn merged(&self) -> Result<S, EstimatorError> {
+        ShardedIngest::merged(self)
+    }
+
+    fn merge_into(&self, target: &mut S) -> Result<(), EstimatorError> {
+        ShardedIngest::merge_into(self, target)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

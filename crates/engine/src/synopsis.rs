@@ -1,21 +1,25 @@
-//! One attribute's synopsis: a sharded sketch plus an atomically swapped
-//! cache of the refreshed (thresholded + CDF-tabulated) estimate.
+//! Synopses: a sharded sketch filled by writers plus an atomically
+//! swapped cache of the refreshed estimate, as one [`Synopsis`] generic
+//! over the sketch kind ([`SynopsisSketch`]): [`AttributeSynopsis`] is the
+//! 1-D kind, [`JointSynopsis`](crate::JointSynopsis) the 2-D one.
 
-use crate::sharded::ShardedIngest;
+use crate::sharded::{MergeableSketch, ShardedIngest, SketchIngest};
 use crate::windowed::WindowedIngest;
+use std::fmt::Debug;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, RwLock, RwLockReadGuard};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, TryLockError};
 use wavedens_core::{
     CoefficientSketch, CompactionPolicy, CumulativeEstimate, CvCache, DenseEvalCache,
     EstimatorError, ThresholdRule, WaveletDensityEstimate, WindowPolicy, DEFAULT_CDF_POINTS,
 };
 
-/// Configuration of an [`AttributeSynopsis`].
+/// Configuration of a [`Synopsis`], marginal or joint.
 ///
 /// Compared with `PartialEq` when an attribute participates in both a
-/// standalone synopsis and a registered pair: the catalog refuses a pair
-/// whose member is already registered with a *different* configuration
-/// (see [`crate::SynopsisCatalog::register_pair`]).
+/// standalone synopsis and a registered pair: the catalog refuses an
+/// attribute or pair registration that would give one attribute two
+/// *different* configurations (see
+/// [`crate::SynopsisCatalog::register_pair`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct SynopsisConfig {
     /// Thresholding nonlinearity applied at refresh time (default soft,
@@ -28,12 +32,12 @@ pub struct SynopsisConfig {
     /// parallelism).
     pub shards: usize,
     /// Resolution of the precomputed CDF table (default
-    /// [`DEFAULT_CDF_POINTS`]).
+    /// [`DEFAULT_CDF_POINTS`]; per axis, capped at 257, for joints).
     pub cdf_points: usize,
     /// How the synopsis weights history (default
     /// [`WindowPolicy::Landmark`]: one lifetime sketch). Windowed
-    /// policies maintain per-shard slice rings; see
-    /// [`AttributeSynopsis::advance`].
+    /// policies maintain per-shard slice rings (marginal synopses only);
+    /// see [`AttributeSynopsis::advance`].
     pub window: WindowPolicy,
 }
 
@@ -147,139 +151,198 @@ impl RefreshedSynopsis {
     }
 }
 
-/// A cache entry: the refreshed synopsis and the ingest epoch it covers.
+/// A sketch kind a [`Synopsis`] can serve: a [`MergeableSketch`] plus the
+/// four things that differ between the 1-D and 2-D synopses.
+pub trait SynopsisSketch: MergeableSketch {
+    /// The ingest structure writers fill.
+    type Ingest: SketchIngest<Self>;
+    /// The immutable refreshed estimate readers share.
+    type Snapshot: Debug + Send + Sync;
+    /// Incremental state a rebuild keeps for the next one (reset after a
+    /// panicked rebuild).
+    type RebuildCache: Debug + Default + Send;
+
+    /// Builds the empty ingest structure for `config`: a template sketch
+    /// sized for `config.expected_rows`, sharded `config.shards` ways.
+    /// Fails on a window policy this kind cannot serve.
+    fn ingest_for(config: &SynopsisConfig) -> Result<Self::Ingest, EstimatorError>;
+
+    /// Runs model selection and CDF construction on a merged sketch, with
+    /// `config`'s rule and its `cdf_points` clamped to what this kind
+    /// tabulates.
+    fn snapshot(
+        &self,
+        config: &SynopsisConfig,
+        cache: &mut Self::RebuildCache,
+    ) -> Result<Self::Snapshot, EstimatorError>;
+
+    /// Truncates the sketch under `policy` (see
+    /// [`CoefficientSketch::compact`]).
+    fn compact(
+        &self,
+        policy: CompactionPolicy,
+        rule: ThresholdRule,
+    ) -> Result<Self, EstimatorError>;
+
+    /// Serializes the sketch to its wire frame.
+    fn to_bytes(&self) -> Vec<u8>;
+}
+
+/// The ingest structure behind a 1-D synopsis: one lifetime sharded
+/// sketch ([`WindowPolicy::Landmark`]) or per-shard windowed slice rings.
+/// Both expose the same merge surface, so the refresh path is
+/// policy-blind.
 #[derive(Debug, Clone)]
-struct CachedSynopsis {
-    epoch: u64,
-    synopsis: Arc<RefreshedSynopsis>,
+pub enum IngestBackend {
+    /// One lifetime sketch per shard.
+    Landmark(ShardedIngest),
+    /// One ring of time slices per shard.
+    Windowed(WindowedIngest),
+}
+
+/// Forwards one call to whichever ingest structure an [`IngestBackend`]
+/// holds; both expose the same surface.
+macro_rules! forward {
+    ($backend:expr, $ingest:ident => $call:expr) => {
+        match $backend {
+            IngestBackend::Landmark($ingest) => $call,
+            IngestBackend::Windowed($ingest) => $call,
+        }
+    };
+}
+
+impl SketchIngest<CoefficientSketch> for IngestBackend {
+    fn ingest(&self, values: &[f64]) {
+        forward!(self, ingest => ingest.ingest(values))
+    }
+
+    fn ingest_parallel(&self, values: &[f64]) {
+        forward!(self, ingest => ingest.ingest_parallel(values))
+    }
+
+    fn total_count(&self) -> usize {
+        forward!(self, ingest => ingest.total_count())
+    }
+
+    fn shard_count(&self) -> usize {
+        forward!(self, ingest => ingest.shard_count())
+    }
+
+    fn merged(&self) -> Result<CoefficientSketch, EstimatorError> {
+        forward!(self, ingest => ingest.merged())
+    }
+
+    fn merge_into(&self, target: &mut CoefficientSketch) -> Result<(), EstimatorError> {
+        forward!(self, ingest => ingest.merge_into(target))
+    }
+}
+
+/// The 1-D kind: scalar rows, the landmark or windowed backend, and an
+/// incremental rebuild through a [`CvCache`] and a [`DenseEvalCache`].
+impl SynopsisSketch for CoefficientSketch {
+    type Ingest = IngestBackend;
+    type Snapshot = RefreshedSynopsis;
+    type RebuildCache = (CvCache, DenseEvalCache);
+
+    fn ingest_for(config: &SynopsisConfig) -> Result<IngestBackend, EstimatorError> {
+        // `WindowedIngest::new` validates the window parameters.
+        let template = Self::sized_for(config.expected_rows.max(16))?;
+        let shards = config.shards;
+        Ok(if config.window.is_windowed() {
+            IngestBackend::Windowed(WindowedIngest::new(&template, shards, config.window)?)
+        } else {
+            IngestBackend::Landmark(ShardedIngest::new(&template, shards)?)
+        })
+    }
+
+    fn snapshot(
+        &self,
+        config: &SynopsisConfig,
+        (cv, dense): &mut Self::RebuildCache,
+    ) -> Result<RefreshedSynopsis, EstimatorError> {
+        RefreshedSynopsis::build_cached(self, config.rule, config.cdf_points.max(2), cv, dense)
+    }
+
+    fn compact(
+        &self,
+        policy: CompactionPolicy,
+        rule: ThresholdRule,
+    ) -> Result<Self, EstimatorError> {
+        CoefficientSketch::compact(self, policy, rule)
+    }
+
+    fn to_bytes(&self) -> Vec<u8> {
+        CoefficientSketch::to_bytes(self)
+    }
 }
 
 /// State owned by whichever thread holds the rebuild guard: the scratch
 /// sketch the shards are merged into (allocated once, reused every
-/// refresh) and the cross-validation cache that lets unchanged levels skip
-/// the candidate scan and dirty levels re-sort incrementally.
-#[derive(Debug, Default)]
-struct RefreshState {
-    scratch: Option<CoefficientSketch>,
-    cv: CvCache,
-    dense: DenseEvalCache,
-}
+/// refresh) and the kind's incremental [`SynopsisSketch::RebuildCache`].
+type RefreshState<S> = (Option<S>, <S as SynopsisSketch>::RebuildCache);
 
-/// The ingest structure behind a synopsis: one lifetime sharded sketch
-/// ([`WindowPolicy::Landmark`]) or per-shard windowed slice rings. Both
-/// expose the same merge surface, so the refresh path is policy-blind.
-#[derive(Debug, Clone)]
-enum IngestBackend {
-    Landmark(ShardedIngest),
-    Windowed(WindowedIngest),
-}
-
-impl IngestBackend {
-    fn ingest(&self, values: &[f64]) {
-        match self {
-            Self::Landmark(shards) => shards.ingest(values),
-            Self::Windowed(rings) => rings.ingest(values),
-        }
-    }
-
-    fn ingest_parallel(&self, values: &[f64]) {
-        match self {
-            Self::Landmark(shards) => shards.ingest_parallel(values),
-            Self::Windowed(rings) => rings.ingest_parallel(values),
-        }
-    }
-
-    fn total_count(&self) -> usize {
-        match self {
-            Self::Landmark(shards) => shards.total_count(),
-            Self::Windowed(rings) => rings.total_count(),
-        }
-    }
-
-    fn shard_count(&self) -> usize {
-        match self {
-            Self::Landmark(shards) => shards.shard_count(),
-            Self::Windowed(rings) => rings.shard_count(),
-        }
-    }
-
-    fn merged(&self) -> Result<CoefficientSketch, EstimatorError> {
-        match self {
-            Self::Landmark(shards) => shards.merged(),
-            Self::Windowed(rings) => rings.merged(),
-        }
-    }
-
-    fn merge_into(&self, target: &mut CoefficientSketch) -> Result<(), EstimatorError> {
-        match self {
-            Self::Landmark(shards) => shards.merge_into(target),
-            Self::Windowed(rings) => rings.merge_into(target),
-        }
-    }
-}
-
-/// One attribute's synopsis: a sharded sketch filled by writers plus an
-/// atomically swapped `Arc` of the latest refreshed estimate.
+/// A synopsis: a sharded sketch of kind `S` filled by writers plus an
+/// atomically swapped `Arc` of the latest refreshed snapshot.
 ///
 /// # Concurrency model
 ///
 /// * **Writers** ([`ingest`](Self::ingest) /
 ///   [`ingest_parallel`](Self::ingest_parallel)) touch only their shard's
 ///   mutex and bump the ingest epoch; they never build estimates.
-/// * **Readers** ([`selectivity`](Self::selectivity) /
-///   [`refreshed`](Self::refreshed)) clone the cached
-///   `Arc<RefreshedSynopsis>` under a briefly held read lock and answer
-///   from the CDF table in O(1).
-/// * When the cache is stale (the epoch moved), the **first** reader to
-///   notice becomes the rebuilder: it merges the shards, runs one
-///   cross-validation + CDF construction *outside* any reader-visible
-///   lock, and swaps the cache `Arc`. Readers arriving during the rebuild
-///   keep answering from the previous snapshot — they are never blocked
-///   by a rebuild (the only blocking case is the very first build, when
-///   no snapshot exists yet). A burst of stale-cache queries therefore
-///   triggers exactly one rebuild, never one per query
-///   ([`rebuild_count`](Self::rebuild_count) exposes the counter).
+/// * **Readers on the cached path** ([`cached`](Self::cached), and the
+///   1-D [`AttributeSynopsis::selectivity_cached`]) clone the latest
+///   snapshot `Arc` under a briefly held read lock and never rebuild:
+///   they may answer from a snapshot stale by the batches ingested since
+///   the last refresh, and get `None` before the first one. The write
+///   side owns the rebuilds and calls [`refresh`](Self::refresh), which
+///   blocks on the rebuild guard and rebuilds if the epoch moved. The
+///   catalog's `selectivity_cached`/`refresh` pair and the benchmark's
+///   reader/writer loops use this split, so a rebuild's cost never shows
+///   up as query latency.
+/// * **Readers on the lazy path** ([`refreshed`](Self::refreshed) and the
+///   `try_*`/infallible selectivity methods) rebuild on demand: when the
+///   cache is stale, the **first** reader to notice becomes the
+///   rebuilder. It merges the shards into a scratch sketch, builds the
+///   snapshot *outside* any reader-visible lock, and swaps the cache
+///   `Arc`. Readers arriving during the rebuild keep answering from the
+///   previous snapshot (the only blocking case is the very first build,
+///   when no snapshot exists yet), so a burst of stale-cache queries
+///   triggers exactly one rebuild ([`rebuild_count`](Self::rebuild_count)
+///   exposes the counter).
+/// * A thread that panics mid-rebuild poisons neither path: the cache
+///   keeps its previous snapshot and the next rebuild starts from fresh
+///   incremental state.
 #[derive(Debug)]
-pub struct AttributeSynopsis {
-    backend: IngestBackend,
+pub struct Synopsis<S: SynopsisSketch> {
+    backend: S::Ingest,
     /// The configuration this synopsis was built from (kept verbatim so
-    /// the catalog can detect config conflicts at pair registration).
+    /// the catalog can detect config conflicts between attributes and
+    /// pairs).
     config: SynopsisConfig,
-    rule: ThresholdRule,
-    cdf_points: usize,
     /// Bumped after every completed ingest batch; the cache is fresh when
     /// its recorded epoch matches.
     epoch: AtomicU64,
-    cache: RwLock<Option<CachedSynopsis>>,
-    /// Serialises rebuilds; readers `try_lock` it so at most one becomes
-    /// the rebuilder while the rest serve the previous snapshot. The
-    /// rebuilder also gets the incremental [`RefreshState`] (scratch
-    /// sketch + CV cache) that makes repeated refreshes cheap.
-    rebuild_guard: Mutex<RefreshState>,
+    /// The latest snapshot and the epoch it covers.
+    cache: RwLock<Option<(u64, Arc<S::Snapshot>)>>,
+    /// Serialises rebuilds; lazy readers `try_lock` it so at most one
+    /// becomes the rebuilder while the rest serve the previous snapshot.
+    rebuild_guard: Mutex<RefreshState<S>>,
     rebuilds: AtomicUsize,
 }
 
-impl AttributeSynopsis {
+/// One attribute's synopsis: the 1-D [`Synopsis`] over a
+/// [`CoefficientSketch`], landmark or windowed.
+pub type AttributeSynopsis = Synopsis<CoefficientSketch>;
+
+impl<S: SynopsisSketch> Synopsis<S> {
     /// Creates an empty synopsis from a configuration. Fails on invalid
     /// window-policy parameters (zero-slice sliding window, decay factor
-    /// outside `(0, 1]`).
+    /// outside `(0, 1]`) and on a window policy the sketch kind cannot
+    /// serve (joint synopses are landmark-only).
     pub fn new(config: &SynopsisConfig) -> Result<Self, EstimatorError> {
-        config.window.validate()?;
-        let template = CoefficientSketch::sized_for(config.expected_rows.max(16))?;
-        let backend = if config.window.is_windowed() {
-            IngestBackend::Windowed(WindowedIngest::new(
-                &template,
-                config.shards,
-                config.window,
-            )?)
-        } else {
-            IngestBackend::Landmark(ShardedIngest::new(&template, config.shards)?)
-        };
         Ok(Self {
-            backend,
+            backend: S::ingest_for(config)?,
             config: config.clone(),
-            rule: config.rule,
-            cdf_points: config.cdf_points.max(2),
             epoch: AtomicU64::new(0),
             cache: RwLock::new(None),
             rebuild_guard: Mutex::new(RefreshState::default()),
@@ -294,21 +357,12 @@ impl AttributeSynopsis {
 
     /// The thresholding rule applied at refresh time.
     pub fn rule(&self) -> ThresholdRule {
-        self.rule
+        self.config.rule
     }
 
     /// Number of ingest shards.
     pub fn shard_count(&self) -> usize {
         self.backend.shard_count()
-    }
-
-    /// The window policy this synopsis weights history with
-    /// ([`WindowPolicy::Landmark`] unless configured otherwise).
-    pub fn window_policy(&self) -> WindowPolicy {
-        match &self.backend {
-            IngestBackend::Landmark(_) => WindowPolicy::Landmark,
-            IngestBackend::Windowed(rings) => rings.policy(),
-        }
     }
 
     /// Total rows currently contributing to the synopsis — all rows ever
@@ -320,23 +374,233 @@ impl AttributeSynopsis {
         self.backend.total_count()
     }
 
-    /// Number of cross-validation rebuilds performed so far: increments
-    /// once per stale-cache refresh, regardless of how many queries hit
-    /// the stale cache.
+    /// Number of rebuilds performed so far: increments once per
+    /// stale-cache refresh, regardless of how many queries hit the stale
+    /// cache.
     pub fn rebuild_count(&self) -> usize {
         self.rebuilds.load(Ordering::Relaxed)
     }
 
-    /// Ingests one batch of attribute values into a single shard
-    /// (round-robin), marking the cache stale.
-    pub fn ingest(&self, values: &[f64]) {
-        if values.is_empty() {
+    /// The number of completed ingest batches (the staleness clock the
+    /// refresh cache is keyed to). Exposed for observability and for
+    /// race-regression tests: a consistent synopsis never reports an epoch
+    /// ahead of the batches its shards actually contain.
+    pub fn ingest_epoch(&self) -> u64 {
+        self.epoch.load(Ordering::Acquire)
+    }
+
+    /// Ingests one batch of rows into a single shard (round-robin),
+    /// marking the cache stale.
+    pub fn ingest(&self, rows: &[S::Row]) {
+        if rows.is_empty() {
             return;
         }
-        self.backend.ingest(values);
+        self.backend.ingest(rows);
         // Bump *after* the push so a concurrent rebuild can never tag a
         // cache that misses this batch with the post-batch epoch.
         self.epoch.fetch_add(1, Ordering::Release);
+    }
+
+    /// Ingests a bulk load by fanning the rows out across the shards on
+    /// the global work-stealing pool
+    /// ([`ShardedIngest::ingest_parallel`]).
+    pub fn ingest_parallel(&self, rows: &[S::Row]) {
+        if rows.is_empty() {
+            return;
+        }
+        self.backend.ingest_parallel(rows);
+        self.epoch.fetch_add(1, Ordering::Release);
+    }
+
+    /// The merged accumulation state across all shards (for example to
+    /// serialize and ship to another node). For a windowed synopsis this
+    /// is the policy-weighted merged window — exactly what queries see.
+    pub fn merged_sketch(&self) -> Result<S, EstimatorError> {
+        self.backend.merged()
+    }
+
+    /// The merged accumulation state compacted under `policy` with this
+    /// synopsis' thresholding rule — the sketch to serialize when shipping
+    /// to another node (the default [`CompactionPolicy::InactiveTail`] is
+    /// lossless).
+    pub fn compacted_sketch(&self, policy: CompactionPolicy) -> Result<S, EstimatorError> {
+        self.merged_sketch()?.compact(policy, self.config.rule)
+    }
+
+    /// Serializes the merged, `policy`-compacted accumulation state to the
+    /// binary wire frame (v2 for 1-D sketches, v4 for tensor sketches) —
+    /// what one node sends another so the sketch can be restored with
+    /// `from_bytes` and merged (or estimated) where it lands.
+    pub fn ship(&self, policy: CompactionPolicy) -> Result<Vec<u8>, EstimatorError> {
+        Ok(self.compacted_sketch(policy)?.to_bytes())
+    }
+
+    /// The latest built snapshot without any rebuild work — the
+    /// never-blocking read path. `None` until the first
+    /// [`refreshed`](Self::refreshed) / [`refresh`](Self::refresh) builds
+    /// one; possibly stale by the batches ingested since the last
+    /// refresh. Use this from latency-sensitive readers and leave the
+    /// rebuilds to whoever ingests (or to a maintenance task calling
+    /// [`refresh`](Self::refresh)): a reader on this path never pays a
+    /// merge or cross-validation, so rebuild cost cannot masquerade as
+    /// query latency.
+    pub fn cached(&self) -> Option<Arc<S::Snapshot>> {
+        self.read_cache()
+            .as_ref()
+            .map(|(_, snapshot)| Arc::clone(snapshot))
+    }
+
+    /// Rebuilds the snapshot now if the cache is stale, blocking on the
+    /// rebuild guard — the explicit maintenance entry point for whoever
+    /// owns the write side (the benchmark's writers call and time this, so
+    /// rebuild latency is reported as its own series). Returns the fresh
+    /// snapshot, `None` when no rows are ingested.
+    pub fn refresh(&self) -> Result<Option<Arc<S::Snapshot>>, EstimatorError> {
+        self.rebuild_locked(&mut self.lock_rebuild_guard())
+    }
+
+    /// The current refreshed snapshot, rebuilding at most once if the
+    /// cache is stale; `None` when no rows have been ingested yet.
+    ///
+    /// Readers arriving while another thread rebuilds are served the
+    /// previous snapshot (stale by exactly the in-flight batch), so the
+    /// read path never waits on a rebuild once a first snapshot exists.
+    /// Readers that must never pay (or wait on the first build of) a
+    /// rebuild use [`cached`](Self::cached) instead.
+    pub fn refreshed(&self) -> Result<Option<Arc<S::Snapshot>>, EstimatorError> {
+        if let Some(fresh) = self.cached_at(self.ingest_epoch()) {
+            return Ok(Some(fresh));
+        }
+        let mut state = match self.rebuild_guard.try_lock() {
+            Ok(state) => state,
+            // A rebuilder panicked mid-refresh: restart its state rather
+            // than propagate the panic to every later query.
+            Err(TryLockError::Poisoned(poisoned)) => self.reset_rebuild_state(poisoned),
+            // Another thread is rebuilding: serve the previous snapshot if
+            // one exists, otherwise this is the very first build — wait
+            // for it.
+            Err(TryLockError::WouldBlock) => match self.cached() {
+                Some(previous) => return Ok(Some(previous)),
+                None => self.lock_rebuild_guard(),
+            },
+        };
+        self.rebuild_locked(&mut state)
+    }
+
+    /// The cached snapshot if it covers ingest epoch `epoch`.
+    fn cached_at(&self, epoch: u64) -> Option<Arc<S::Snapshot>> {
+        let cache = self.read_cache();
+        let (built_at, snapshot) = cache.as_ref()?;
+        (*built_at == epoch).then(|| Arc::clone(snapshot))
+    }
+
+    /// Reads the cache `RwLock`, recovering from poisoning: the cached
+    /// value is an `Option` swapped wholesale under the write lock, so a
+    /// panicked writer cannot have left it torn — the previous snapshot
+    /// stays servable. Clears the poison flag.
+    fn read_cache(&self) -> RwLockReadGuard<'_, Option<(u64, Arc<S::Snapshot>)>> {
+        self.cache.read().unwrap_or_else(|poisoned| {
+            self.cache.clear_poison();
+            poisoned.into_inner()
+        })
+    }
+
+    /// Locks the rebuild guard, recovering from poisoning with
+    /// [`reset_rebuild_state`](Self::reset_rebuild_state).
+    fn lock_rebuild_guard(&self) -> MutexGuard<'_, RefreshState<S>> {
+        self.rebuild_guard
+            .lock()
+            .unwrap_or_else(|poisoned| self.reset_rebuild_state(poisoned))
+    }
+
+    /// Recovers a poisoned rebuild guard: the panicked rebuilder may have
+    /// torn its scratch sketch or caches mid-update, so they restart
+    /// empty and the next rebuild merges from the shards — the source of
+    /// truth. Clears the poison flag so the reset happens once per crash.
+    fn reset_rebuild_state<'a>(
+        &'a self,
+        poisoned: PoisonError<MutexGuard<'a, RefreshState<S>>>,
+    ) -> MutexGuard<'a, RefreshState<S>> {
+        let mut state = poisoned.into_inner();
+        self.rebuild_guard.clear_poison();
+        *state = RefreshState::default();
+        state
+    }
+
+    /// Rebuilds the cache if still stale, incrementally: the shards merge
+    /// into the guard-owned scratch sketch (no allocation after the first
+    /// refresh) and the snapshot builds through the guard-owned rebuild
+    /// cache. Caller must hold `rebuild_guard`.
+    fn rebuild_locked(
+        &self,
+        state: &mut RefreshState<S>,
+    ) -> Result<Option<Arc<S::Snapshot>>, EstimatorError> {
+        let epoch = self.ingest_epoch();
+        if let Some(fresh) = self.cached_at(epoch) {
+            return Ok(Some(fresh));
+        }
+        let (scratch, rebuild_cache) = state;
+        let sketch = match scratch.as_mut() {
+            Some(scratch) => {
+                self.backend.merge_into(scratch)?;
+                &*scratch
+            }
+            None => scratch.insert(self.backend.merged()?),
+        };
+        if sketch.is_empty() {
+            return Ok(None);
+        }
+        let built = Arc::new(sketch.snapshot(&self.config, rebuild_cache)?);
+        self.rebuilds.fetch_add(1, Ordering::Relaxed);
+        let mut cache = self.cache.write().unwrap_or_else(|poisoned| {
+            // Same repair-safety argument as `read_cache`: the value is
+            // swapped wholesale, never torn.
+            self.cache.clear_poison();
+            poisoned.into_inner()
+        });
+        *cache = Some((epoch, Arc::clone(&built)));
+        Ok(Some(built))
+    }
+
+    /// Answers `query` from the lazily refreshed snapshot: 0 while no rows
+    /// have been ingested, [`EstimatorError::InvalidQueryBounds`] for NaN
+    /// bounds — they compare false with everything, so they would
+    /// otherwise slip past the reversed-range normalization.
+    pub(crate) fn try_query(
+        &self,
+        bounds: &[(f64, f64)],
+        query: impl FnOnce(&S::Snapshot) -> f64,
+    ) -> Result<f64, EstimatorError> {
+        if let Some(&(lo, hi)) = bounds.iter().find(|(lo, hi)| lo.is_nan() || hi.is_nan()) {
+            return Err(EstimatorError::InvalidQueryBounds { lo, hi });
+        }
+        Ok(self.refreshed()?.map_or(0.0, |snapshot| query(&snapshot)))
+    }
+}
+
+/// The infallible answer policy: NaN query bounds are a caller error, not
+/// an internal inconsistency, so they answer 0 (the mass of an empty
+/// range, the same normalization [`CumulativeEstimate::range_mass`]
+/// applies). Any other failure indicates an internal inconsistency: it
+/// trips a debug assertion and answers 0 in release builds, mirroring the
+/// core estimator's fallback policy.
+pub(crate) fn or_zero(answer: Result<f64, EstimatorError>) -> f64 {
+    match answer {
+        Ok(selectivity) => selectivity,
+        Err(EstimatorError::InvalidQueryBounds { .. }) => 0.0,
+        Err(err) => {
+            debug_assert!(false, "synopsis refresh failed unexpectedly: {err}");
+            0.0
+        }
+    }
+}
+
+/// The 1-D-only surface: windows and scalar range queries.
+impl Synopsis<CoefficientSketch> {
+    /// The window policy this synopsis weights history with
+    /// ([`WindowPolicy::Landmark`] unless configured otherwise).
+    pub fn window_policy(&self) -> WindowPolicy {
+        self.config.window
     }
 
     /// Closes the current time slice of a windowed synopsis: every shard
@@ -369,72 +633,11 @@ impl AttributeSynopsis {
         }
     }
 
-    /// Ingests a bulk load by fanning the rows out across the shards on
-    /// the global work-stealing pool
-    /// ([`ShardedIngest::ingest_parallel`]).
-    pub fn ingest_parallel(&self, values: &[f64]) {
-        if values.is_empty() {
-            return;
-        }
-        self.backend.ingest_parallel(values);
-        self.epoch.fetch_add(1, Ordering::Release);
-    }
-
     /// Ingests from an iterator in fixed-size batches (bounded memory for
     /// lazy or unbounded sources), using the same chunk policy as
     /// [`CoefficientSketch::extend`].
     pub fn ingest_stream<I: IntoIterator<Item = f64>>(&self, values: I) {
         wavedens_core::sketch::for_each_batch(values, |chunk| self.ingest(chunk));
-    }
-
-    /// The merged accumulation state across all shards (for example to
-    /// serialize and ship to another node). For a windowed synopsis this
-    /// is the policy-weighted merged window — exactly what queries see.
-    pub fn merged_sketch(&self) -> Result<CoefficientSketch, EstimatorError> {
-        self.backend.merged()
-    }
-
-    /// The merged accumulation state compacted under `policy` with this
-    /// synopsis' thresholding rule — the sketch to serialize when shipping
-    /// the attribute to another node (see
-    /// [`CoefficientSketch::compact`]: the default
-    /// [`CompactionPolicy::InactiveTail`] is lossless).
-    pub fn compacted_sketch(
-        &self,
-        policy: CompactionPolicy,
-    ) -> Result<CoefficientSketch, EstimatorError> {
-        self.merged_sketch()?.compact(policy, self.rule)
-    }
-
-    /// Serializes the merged, `policy`-compacted accumulation state to the
-    /// binary wire frame — what one node sends another so the sketch can
-    /// be [`CoefficientSketch::from_bytes`]-restored and merged (or
-    /// estimated) where it lands.
-    pub fn ship(&self, policy: CompactionPolicy) -> Result<Vec<u8>, EstimatorError> {
-        Ok(self.compacted_sketch(policy)?.to_bytes())
-    }
-
-    /// The number of completed ingest batches (the staleness clock the
-    /// refresh cache is keyed to). Exposed for observability and for
-    /// race-regression tests: a consistent synopsis never reports an epoch
-    /// ahead of the batches its shards actually contain.
-    pub fn ingest_epoch(&self) -> u64 {
-        self.epoch.load(Ordering::Acquire)
-    }
-
-    /// The latest built snapshot without any rebuild work — the
-    /// never-blocking read path. `None` until the first
-    /// [`refreshed`](Self::refreshed) / [`refresh`](Self::refresh) builds
-    /// one; possibly stale by the batches ingested since the last
-    /// refresh. Use this from latency-sensitive readers and leave the
-    /// rebuilds to whoever ingests (or to a maintenance task calling
-    /// [`refresh`](Self::refresh)): a reader on this path never pays a
-    /// merge or cross-validation, so rebuild cost cannot masquerade as
-    /// query latency.
-    pub fn cached(&self) -> Option<Arc<RefreshedSynopsis>> {
-        self.read_cache()
-            .as_ref()
-            .map(|cached| Arc::clone(&cached.synopsis))
     }
 
     /// Estimated selectivity from the latest built snapshot, with zero
@@ -448,173 +651,26 @@ impl AttributeSynopsis {
         self.cached().map(|synopsis| synopsis.selectivity(lo, hi))
     }
 
-    /// Rebuilds the snapshot now if the cache is stale, blocking on the
-    /// rebuild guard — the explicit maintenance entry point for whoever
-    /// owns the write side (the mixed-load benchmark's writers call and
-    /// time this, so rebuild latency is reported as its own series).
-    /// Returns the fresh snapshot, `None` when no rows are ingested.
-    pub fn refresh(&self) -> Result<Option<Arc<RefreshedSynopsis>>, EstimatorError> {
-        let mut state = self.lock_rebuild_guard();
-        self.rebuild_locked(&mut state)
-    }
-
-    /// The current refreshed synopsis, rebuilding at most once if the
-    /// cache is stale; `None` when no rows have been ingested yet.
-    ///
-    /// Readers arriving while another thread rebuilds are served the
-    /// previous snapshot (stale by exactly the in-flight batch), so the
-    /// read path never waits on a cross-validation run once a first
-    /// snapshot exists. Readers that must never pay (or wait on the
-    /// first build of) a rebuild use [`cached`](Self::cached) /
-    /// [`selectivity_cached`](Self::selectivity_cached) instead.
-    pub fn refreshed(&self) -> Result<Option<Arc<RefreshedSynopsis>>, EstimatorError> {
-        let epoch = self.epoch.load(Ordering::Acquire);
-        {
-            let cache = self.read_cache();
-            if let Some(cached) = cache.as_ref() {
-                if cached.epoch == epoch {
-                    return Ok(Some(Arc::clone(&cached.synopsis)));
-                }
-            }
-        }
-        match self.rebuild_guard.try_lock() {
-            Ok(mut state) => self.rebuild_locked(&mut state),
-            Err(std::sync::TryLockError::WouldBlock) => {
-                // Another thread is rebuilding: serve the previous
-                // snapshot if one exists…
-                if let Some(cached) = self.read_cache().as_ref() {
-                    return Ok(Some(Arc::clone(&cached.synopsis)));
-                }
-                // …otherwise this is the very first build: wait for it.
-                let mut state = self.lock_rebuild_guard();
-                self.rebuild_locked(&mut state)
-            }
-            Err(std::sync::TryLockError::Poisoned(poisoned)) => {
-                // A rebuilder panicked mid-refresh (used to propagate the
-                // panic to every later query). Its scratch and caches may
-                // be mid-update, so restart the incremental state and
-                // rebuild from the shards — the source of truth.
-                let mut state = poisoned.into_inner();
-                self.rebuild_guard.clear_poison();
-                *state = RefreshState::default();
-                self.rebuild_locked(&mut state)
-            }
-        }
-    }
-
-    /// Reads the cache `RwLock`, recovering from poisoning: the cached
-    /// value is an `Option` swapped wholesale under the write lock, so a
-    /// panicked writer cannot have left it torn — the previous snapshot
-    /// stays servable. Clears the poison flag.
-    fn read_cache(&self) -> RwLockReadGuard<'_, Option<CachedSynopsis>> {
-        self.cache.read().unwrap_or_else(|poisoned| {
-            self.cache.clear_poison();
-            poisoned.into_inner()
-        })
-    }
-
-    /// Locks the rebuild guard, recovering from poisoning by resetting
-    /// the incremental [`RefreshState`] (the panicked rebuilder may have
-    /// torn its scratch sketch or caches mid-update). Clears the poison
-    /// flag so the reset happens once per crash.
-    fn lock_rebuild_guard(&self) -> MutexGuard<'_, RefreshState> {
-        self.rebuild_guard.lock().unwrap_or_else(|poisoned| {
-            let mut state = poisoned.into_inner();
-            self.rebuild_guard.clear_poison();
-            *state = RefreshState::default();
-            state
-        })
-    }
-
-    /// Rebuilds the cache if still stale, incrementally: the shards merge
-    /// into the guard-owned scratch sketch (no allocation after the first
-    /// refresh) and cross-validation runs through the guard-owned
-    /// [`CvCache`], so only the levels dirtied since the previous refresh
-    /// pay a full candidate re-sort. Caller must hold `rebuild_guard`.
-    fn rebuild_locked(
-        &self,
-        state: &mut RefreshState,
-    ) -> Result<Option<Arc<RefreshedSynopsis>>, EstimatorError> {
-        let epoch = self.epoch.load(Ordering::Acquire);
-        {
-            let cache = self.read_cache();
-            if let Some(cached) = cache.as_ref() {
-                if cached.epoch == epoch {
-                    return Ok(Some(Arc::clone(&cached.synopsis)));
-                }
-            }
-        }
-        let sketch = match state.scratch.as_mut() {
-            Some(scratch) => {
-                self.backend.merge_into(scratch)?;
-                &*scratch
-            }
-            None => state.scratch.insert(self.backend.merged()?),
-        };
-        if sketch.is_empty() {
-            return Ok(None);
-        }
-        let built = Arc::new(RefreshedSynopsis::build_cached(
-            sketch,
-            self.rule,
-            self.cdf_points,
-            &mut state.cv,
-            &mut state.dense,
-        )?);
-        self.rebuilds.fetch_add(1, Ordering::Relaxed);
-        let mut cache = self.cache.write().unwrap_or_else(|poisoned| {
-            // Same repair-safety argument as `read_cache`: the value is
-            // swapped wholesale, never torn.
-            self.cache.clear_poison();
-            poisoned.into_inner()
-        });
-        *cache = Some(CachedSynopsis {
-            epoch,
-            synopsis: Arc::clone(&built),
-        });
-        Ok(Some(built))
-    }
-
     /// Estimated selectivity `P(lo ≤ X ≤ hi)` from the (lazily refreshed)
     /// CDF table; 0 while no rows have been ingested, and 0 for an empty
     /// or reversed range (`hi ≤ lo`). NaN bounds are rejected with
-    /// [`EstimatorError::InvalidQueryBounds`] — they compare false with
-    /// everything, so they would otherwise slip past the reversed-range
-    /// normalization. Infinite bounds are fine (the CDF table clamps).
-    /// Rebuild failures surface as the error (this is what
-    /// [`crate::SynopsisCatalog`] calls, so estimator errors propagate to
-    /// the query instead of being silently mapped to 0).
+    /// [`EstimatorError::InvalidQueryBounds`]. Infinite bounds are fine
+    /// (the CDF table clamps). Rebuild failures surface as the error
+    /// (this is what [`crate::SynopsisCatalog`] calls, so estimator errors
+    /// propagate to the query instead of being silently mapped to 0).
     pub fn try_selectivity(&self, lo: f64, hi: f64) -> Result<f64, EstimatorError> {
-        if lo.is_nan() || hi.is_nan() {
-            return Err(EstimatorError::InvalidQueryBounds { lo, hi });
-        }
-        Ok(match self.refreshed()? {
-            Some(synopsis) => synopsis.selectivity(lo, hi),
-            None => 0.0,
-        })
+        self.try_query(&[(lo, hi)], |synopsis| synopsis.selectivity(lo, hi))
     }
 
-    /// Infallible wrapper over [`try_selectivity`](Self::try_selectivity).
-    ///
-    /// NaN query bounds are a caller error, not an internal
-    /// inconsistency: they answer 0 (the mass of an empty range), the
-    /// same normalization [`CumulativeEstimate::range_mass`] applies.
-    /// Estimation failures other than that indicate an internal
-    /// inconsistency: they trip a debug assertion and answer 0 in
-    /// release builds, mirroring the core estimator's fallback policy.
+    /// Infallible wrapper over [`try_selectivity`](Self::try_selectivity):
+    /// NaN bounds answer 0 (the mass of an empty range); any other failure
+    /// trips a debug assertion and answers 0 in release builds.
     pub fn selectivity(&self, lo: f64, hi: f64) -> f64 {
-        match self.try_selectivity(lo, hi) {
-            Ok(selectivity) => selectivity,
-            Err(EstimatorError::InvalidQueryBounds { .. }) => 0.0,
-            Err(err) => {
-                debug_assert!(false, "synopsis refresh failed unexpectedly: {err}");
-                0.0
-            }
-        }
+        or_zero(self.try_selectivity(lo, hi))
     }
 }
 
-impl Clone for AttributeSynopsis {
+impl<S: SynopsisSketch> Clone for Synopsis<S> {
     fn clone(&self) -> Self {
         // Load the epoch *before* cloning the shards: an ingest landing in
         // between then leaves the clone's epoch behind its shard data,
@@ -622,12 +678,10 @@ impl Clone for AttributeSynopsis {
         // produced a clone whose epoch claimed coverage of a batch its
         // shards never saw — its cache, once rebuilt at that epoch, served
         // a stale estimate forever.
-        let epoch = self.epoch.load(Ordering::Acquire);
+        let epoch = self.ingest_epoch();
         Self {
             backend: self.backend.clone(),
             config: self.config.clone(),
-            rule: self.rule,
-            cdf_points: self.cdf_points,
             epoch: AtomicU64::new(epoch),
             cache: RwLock::new(self.read_cache().clone()),
             rebuild_guard: Mutex::new(RefreshState::default()),
@@ -637,7 +691,7 @@ impl Clone for AttributeSynopsis {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use rand::Rng;
     use wavedens_processes::seeded_rng;
@@ -653,6 +707,38 @@ mod tests {
             .with_shards(shards)
     }
 
+    /// What the kind-generic checks below need from a sketch kind: a
+    /// small test configuration, seeded rows and one range query (a
+    /// square `[lo, hi]²` for joints) on the lazy and the cached path.
+    pub(crate) trait Kind: SynopsisSketch {
+        fn config(shards: usize) -> SynopsisConfig;
+        fn rows(n: usize, seed: u64) -> Vec<Self::Row>;
+        fn try_query(synopsis: &Synopsis<Self>, lo: f64, hi: f64) -> Result<f64, EstimatorError>;
+        fn query_cached(synopsis: &Synopsis<Self>, lo: f64, hi: f64) -> Option<f64>;
+    }
+
+    impl Kind for CoefficientSketch {
+        fn config(shards: usize) -> SynopsisConfig {
+            config(shards)
+        }
+
+        fn rows(n: usize, seed: u64) -> Vec<f64> {
+            sample(n, seed)
+        }
+
+        fn try_query(
+            synopsis: &AttributeSynopsis,
+            lo: f64,
+            hi: f64,
+        ) -> Result<f64, EstimatorError> {
+            synopsis.try_selectivity(lo, hi)
+        }
+
+        fn query_cached(synopsis: &AttributeSynopsis, lo: f64, hi: f64) -> Option<f64> {
+            synopsis.selectivity_cached(lo, hi)
+        }
+    }
+
     #[test]
     fn empty_synopsis_answers_zero_without_rebuilding() {
         let synopsis = AttributeSynopsis::new(&config(2)).unwrap();
@@ -664,13 +750,13 @@ mod tests {
 
     /// The cached read path must cost readers zero rebuild work: no
     /// first build, no staleness-triggered rebuild — those belong to
-    /// [`AttributeSynopsis::refresh`] on the write side.
-    #[test]
-    fn cached_read_path_never_rebuilds() {
-        let synopsis = AttributeSynopsis::new(&config(2)).unwrap();
+    /// [`Synopsis::refresh`] on the write side. `stale` runs kind-specific
+    /// checks while the cached snapshot is stale.
+    pub(crate) fn check_cached_read_path_never_rebuilds<S: Kind>(stale: impl FnOnce(&Synopsis<S>)) {
+        let synopsis = Synopsis::<S>::new(&S::config(2)).unwrap();
         assert!(synopsis.cached().is_none());
-        assert_eq!(synopsis.selectivity_cached(0.2, 0.8), None);
-        synopsis.ingest(&sample(2048, 31));
+        assert_eq!(S::query_cached(&synopsis, 0.2, 0.8), None);
+        synopsis.ingest(&S::rows(2048, 31));
         // Still no snapshot: the cached path does not trigger the first
         // build either.
         assert!(synopsis.cached().is_none());
@@ -679,18 +765,25 @@ mod tests {
         assert_eq!(synopsis.rebuild_count(), 1);
         // New rows make the snapshot stale; the cached path serves the
         // previous snapshot without rebuilding.
-        synopsis.ingest(&sample(512, 32));
+        synopsis.ingest(&S::rows(512, 32));
         let cached = synopsis.cached().unwrap();
         assert!(Arc::ptr_eq(&cached, &built));
-        let sel = synopsis.selectivity_cached(0.25, 0.75).unwrap();
+        let sel = S::query_cached(&synopsis, 0.25, 0.75).unwrap();
         assert!((0.0..=1.0).contains(&sel));
         assert_eq!(synopsis.rebuild_count(), 1);
-        // NaN bounds answer the empty-range mass, not a panic or a miss.
-        assert_eq!(synopsis.selectivity_cached(f64::NAN, 0.5), Some(0.0));
+        stale(&synopsis);
         // An explicit refresh catches the snapshot up.
         let fresh = synopsis.refresh().unwrap().unwrap();
         assert!(!Arc::ptr_eq(&fresh, &built));
         assert_eq!(synopsis.rebuild_count(), 2);
+    }
+
+    #[test]
+    fn cached_read_path_never_rebuilds() {
+        check_cached_read_path_never_rebuilds::<CoefficientSketch>(|synopsis| {
+            // NaN bounds answer the empty-range mass, not a panic or a miss.
+            assert_eq!(synopsis.selectivity_cached(f64::NAN, 0.5), Some(0.0));
+        });
     }
 
     #[test]
@@ -758,17 +851,16 @@ mod tests {
     /// invariant below holds across every interleaving: each single-row
     /// ingest bumps the epoch *after* the row lands, so a consistent
     /// clone's epoch never exceeds the rows its shards contain.
-    #[test]
-    fn clone_epoch_never_claims_unseen_batches() {
-        let synopsis = Arc::new(AttributeSynopsis::new(&config(2)).unwrap());
-        synopsis.ingest(&sample(256, 6));
+    pub(crate) fn check_clone_epoch_never_claims_unseen_batches<S: Kind>() {
+        let synopsis = Arc::new(Synopsis::<S>::new(&S::config(2)).unwrap());
+        synopsis.ingest(&S::rows(256, 6));
         let stop = std::sync::atomic::AtomicBool::new(false);
         std::thread::scope(|scope| {
             let writer = {
                 let synopsis = Arc::clone(&synopsis);
                 let stop = &stop;
                 scope.spawn(move || {
-                    let rows = sample(4096, 7);
+                    let rows = S::rows(4096, 7);
                     for row in rows {
                         if stop.load(Ordering::Acquire) {
                             break;
@@ -792,6 +884,11 @@ mod tests {
             stop.store(true, Ordering::Release);
             writer.join().expect("writer");
         });
+    }
+
+    #[test]
+    fn clone_epoch_never_claims_unseen_batches() {
+        check_clone_epoch_never_claims_unseen_batches::<CoefficientSketch>();
     }
 
     #[test]
@@ -939,13 +1036,12 @@ mod tests {
     /// every later query (`panic!("synopsis cache poisoned")`). Both locks
     /// now repair themselves — the guard restarts with fresh scratch
     /// state, the cache rebuilds — so queries keep answering.
-    #[test]
-    fn panicked_rebuild_thread_does_not_poison_queries() {
-        let synopsis = Arc::new(AttributeSynopsis::new(&config(2)).unwrap());
-        synopsis.ingest(&sample(1024, 16));
-        let before = synopsis.try_selectivity(0.2, 0.8).unwrap();
+    pub(crate) fn check_panicked_rebuild_thread_does_not_poison_queries<S: Kind>() {
+        let synopsis = Arc::new(Synopsis::<S>::new(&S::config(2)).unwrap());
+        synopsis.ingest(&S::rows(1024, 16));
+        let before = S::try_query(&synopsis, 0.2, 0.8).unwrap();
         assert!(before > 0.0);
-        synopsis.ingest(&sample(64, 17));
+        synopsis.ingest(&S::rows(64, 17));
         std::thread::scope(|scope| {
             let crashed = scope.spawn({
                 let synopsis = Arc::clone(&synopsis);
@@ -957,11 +1053,16 @@ mod tests {
             });
             assert!(crashed.join().is_err(), "the rebuild thread must panic");
         });
-        let after = synopsis.try_selectivity(0.2, 0.8).unwrap();
+        let after = S::try_query(&synopsis, 0.2, 0.8).unwrap();
         assert!(
             (after - before).abs() < 0.05,
             "queries must keep answering after a crashed rebuild: {after} vs {before}"
         );
         assert!(synopsis.refreshed().unwrap().is_some());
+    }
+
+    #[test]
+    fn panicked_rebuild_thread_does_not_poison_queries() {
+        check_panicked_rebuild_thread_does_not_poison_queries::<CoefficientSketch>();
     }
 }
