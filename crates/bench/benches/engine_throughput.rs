@@ -86,11 +86,11 @@ fn engine_throughput(c: &mut Criterion) {
     );
 
     // Phase 0b — the same single-thread ingest pinned to each kernel
-    // backend in turn. The spread between `scalar` and `lanes`/
-    // `intrinsics` is exactly what the SIMD kernels buy; `intrinsics`
-    // is reported only where the build and the CPU provide it.
+    // backend in turn. The spread between `scalar` and `intrinsics` is
+    // exactly what the AVX2 kernels buy; `intrinsics` is reported only
+    // where the CPU provides it.
     let mut simd_series: Vec<(&'static str, f64)> = Vec::new();
-    for backend in [Backend::Scalar, Backend::Lanes, Backend::Intrinsics] {
+    for backend in [Backend::Scalar, Backend::Intrinsics] {
         if backend == Backend::Intrinsics && !kernels::intrinsics_available() {
             continue;
         }
@@ -391,9 +391,10 @@ fn engine_throughput(c: &mut Criterion) {
             )
         })
         .collect();
-    // Record the core count — plus the wavelet family and table
-    // resolution the basis evaluation ran at — so runs on different
-    // machines (multi-core runners in particular) stay comparable.
+    // Record the core count and the kernel backend the default dispatch
+    // chose — plus the wavelet family and table resolution the basis
+    // evaluation ran at — so runs on different machines (multi-core or
+    // non-AVX2 runners in particular) stay comparable.
     let scaling_note = if shard_counts.len() < SHARD_COUNTS.len() {
         ",\n  \"ingest_scaling_note\": \"multi-shard points skipped: 1 core available\""
     } else {
@@ -401,10 +402,14 @@ fn engine_throughput(c: &mut Criterion) {
     };
     let family = template.basis().family().name();
     let table_levels = template.basis().table().levels();
+    let kernel_backend = kernels::active_backend().name();
+    let intrinsics_available = kernels::intrinsics_available();
     let json = format!(
         "{{\n  \"bench\": \"engine_throughput\",\n  \"rows_per_attribute\": {ROWS},\n  \
          \"attributes\": {ATTRIBUTES},\n  \"available_parallelism\": {cores},\n  \
          \"wavelet_family\": \"{family}\",\n  \"table_levels\": {table_levels},\n  \
+         \"kernel_backend\": \"{kernel_backend}\",\n  \
+         \"intrinsics_available\": {intrinsics_available},\n  \
          \"ingest_fast_path\": {{\n    \"rows\": {ROWS},\n    \
          \"scalar_seconds\": {scalar_seconds:.6},\n    \
          \"scalar_rows_per_second\": {:.0},\n    \

@@ -31,7 +31,7 @@ pub fn check(file: &SourceFile) -> Vec<Violation> {
                 message: "`unsafe` outside the AVX2 kernel module".to_string(),
                 suggestion: format!(
                     "move the unsafe kernel into {KERNELS} behind the Backend dispatch, or \
-                     find a safe formulation (the lane backends vectorize without unsafe)"
+                     find a safe formulation"
                 ),
             });
         } else if !file.comment_near(line, SAFETY_WINDOW, "SAFETY") {

@@ -388,39 +388,25 @@ fn scatter_rows_dispatch(
     sums: &mut [f64],
     squares: &mut [f64],
 ) {
-    use crate::kernels::{self, Backend};
+    use crate::kernels;
     match kernels::active_backend() {
-        Backend::Scalar => scatter_rows_impl(
+        #[cfg(target_arch = "x86_64")]
+        kernels::Backend::Intrinsics => kernels::avx::scatter_rows(
+            values,
+            poly,
+            poly_row,
+            levels,
+            xs,
+            level_scale,
+            norm_scale,
+            support,
+            k_start,
+            fallback_row,
+            sums,
+            squares,
+        ),
+        _ => scatter_rows_impl(
             &kernels::lerp_scaled_accumulate_scalar,
-            values,
-            poly,
-            poly_row,
-            levels,
-            xs,
-            level_scale,
-            norm_scale,
-            support,
-            k_start,
-            fallback_row,
-            sums,
-            squares,
-        ),
-        Backend::Lanes => scatter_rows_impl(
-            &kernels::lerp_scaled_accumulate_lanes,
-            values,
-            poly,
-            poly_row,
-            levels,
-            xs,
-            level_scale,
-            norm_scale,
-            support,
-            k_start,
-            fallback_row,
-            sums,
-            squares,
-        ),
-        Backend::Intrinsics => kernels::scatter_rows_intrinsics(
             values,
             poly,
             poly_row,
@@ -673,8 +659,8 @@ fn scatter_strided(
 /// The table position is recomputed multiplicatively per slot (not by
 /// repeated addition), so there is no cumulative drift over long grids.
 /// The per-slot sweep is the dense-eval kernel of [`crate::kernels`]:
-/// interior blocks run branch-free in micro-vector lanes, boundary slots
-/// keep the pointwise conventions of [`interpolate`].
+/// on the AVX2 backend interior blocks run branch-free in vector lanes;
+/// boundary slots keep the pointwise conventions of [`interpolate`].
 fn accumulate_strided(
     values: &[f64],
     step: f64,

@@ -1,4 +1,4 @@
-//! Lane-width micro-vector kernels for the three ingest/query hot loops.
+//! Vector kernels for the three ingest/query hot loops.
 //!
 //! # The two-run polyphase invariant
 //!
@@ -27,37 +27,34 @@
 //!
 //! # Backends
 //!
-//! Three implementations are provided per kernel, all computing the same
+//! Two implementations are provided per kernel, both computing the same
 //! per-slot scalar expression so they agree **bitwise** (each lane
 //! performs the identical sequence of f64 multiplies and adds — the
 //! intrinsics path deliberately avoids FMA contraction for this reason;
 //! the ≤1e-12 proptest pin in `tests/kernel_equivalence.rs` is therefore
 //! satisfied with margin):
 //!
-//! * [`Backend::Scalar`] — the plain `zip` loop, kept as the reference.
-//! * [`Backend::Lanes`] — stable-Rust micro-vectors: fixed `[f64; 8]` /
-//!   `[f64; 4]` blocks with a scalar remainder, which the auto-vectoriser
-//!   compiles to packed SSE2/AVX without any unsafe code.
-//! * [`Backend::Intrinsics`] — explicit AVX2 256-bit vectors behind the
-//!   `simd-intrinsics` cargo feature, selected at runtime only when the
-//!   CPU reports AVX2 (off-x86 builds with the feature enabled simply
-//!   fall back to [`Backend::Lanes`]).
+//! * [`Backend::Scalar`] — the plain `zip` loop: the reference the
+//!   equivalence tests compare against, and the fallback on CPUs without
+//!   AVX2 and on every other architecture.
+//! * [`Backend::Intrinsics`] — explicit AVX2 256-bit vectors, compiled
+//!   into every x86-64 build and selected at run time when the CPU
+//!   reports AVX2. No cargo feature or build flag is involved.
 //!
-//! The active backend is process-global: detection runs once, and
+//! The active backend is process-global: runtime detection picks it, and
 //! [`set_backend_override`] lets benchmarks and equivalence tests pin a
-//! specific backend (requests for an unavailable backend clamp to the
-//! best available one, so the override can never select dead code).
+//! specific backend (a request for [`Backend::Intrinsics`] on a CPU
+//! without AVX2 clamps to [`Backend::Scalar`], so the override can never
+//! select dead code).
 
-use std::sync::atomic::{AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Kernel implementation selector; see the module docs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Backend {
     /// Plain per-slot loop (the reference implementation).
     Scalar,
-    /// Stable-Rust fixed-width lane blocks (`[f64; 8]`/`[f64; 4]`).
-    Lanes,
-    /// Runtime-detected AVX2 vectors (`simd-intrinsics` feature, x86-64).
+    /// Runtime-detected AVX2 vectors (x86-64 only).
     Intrinsics,
 }
 
@@ -66,81 +63,47 @@ impl Backend {
     pub fn name(self) -> &'static str {
         match self {
             Backend::Scalar => "scalar",
-            Backend::Lanes => "lanes",
             Backend::Intrinsics => "intrinsics",
         }
     }
 }
 
-/// `0` = not yet detected; otherwise `encode(backend)`.
-static DETECTED: AtomicU8 = AtomicU8::new(0);
-/// `0` = no override; otherwise `encode(backend)`.
-static OVERRIDE: AtomicU8 = AtomicU8::new(0);
+/// Set while an override pins [`Backend::Scalar`]; any other override
+/// request is what detection picks anyway.
+static FORCE_SCALAR: AtomicBool = AtomicBool::new(false);
 
-fn encode(backend: Backend) -> u8 {
-    match backend {
-        Backend::Scalar => 1,
-        Backend::Lanes => 2,
-        Backend::Intrinsics => 3,
-    }
-}
-
-fn decode(value: u8) -> Option<Backend> {
-    match value {
-        1 => Some(Backend::Scalar),
-        2 => Some(Backend::Lanes),
-        3 => Some(Backend::Intrinsics),
-        _ => None,
-    }
-}
-
-/// Whether the AVX2 intrinsics backend is compiled in *and* the CPU
-/// supports it. Always `false` without the `simd-intrinsics` feature.
+/// Whether the CPU runs the AVX2 intrinsics backend, which every x86-64
+/// build compiles in: `is_x86_feature_detected!("avx2")` (cached by the
+/// standard library after the first probe). Always `false` off x86-64.
 pub fn intrinsics_available() -> bool {
-    #[cfg(all(feature = "simd-intrinsics", target_arch = "x86_64"))]
+    #[cfg(target_arch = "x86_64")]
     {
         std::arch::is_x86_feature_detected!("avx2")
     }
-    #[cfg(not(all(feature = "simd-intrinsics", target_arch = "x86_64")))]
+    #[cfg(not(target_arch = "x86_64"))]
     {
         false
     }
 }
 
-/// The best backend the build and the CPU support (detection cached after
-/// the first call).
-fn detected() -> Backend {
-    if let Some(backend) = decode(DETECTED.load(Ordering::Relaxed)) {
-        return backend;
-    }
-    let backend = if intrinsics_available() {
+/// The backend the kernels currently dispatch to: [`Backend::Intrinsics`]
+/// when the CPU supports it and no override pins [`Backend::Scalar`],
+/// [`Backend::Scalar`] otherwise.
+pub fn active_backend() -> Backend {
+    if !FORCE_SCALAR.load(Ordering::Relaxed) && intrinsics_available() {
         Backend::Intrinsics
     } else {
-        Backend::Lanes
-    };
-    DETECTED.store(encode(backend), Ordering::Relaxed);
-    backend
-}
-
-/// The backend the kernels currently dispatch to: the override if one is
-/// set (clamped to what is available), the detected best otherwise.
-pub fn active_backend() -> Backend {
-    let requested = match decode(OVERRIDE.load(Ordering::Relaxed)) {
-        Some(backend) => backend,
-        None => return detected(),
-    };
-    if requested == Backend::Intrinsics && !intrinsics_available() {
-        return Backend::Lanes;
+        Backend::Scalar
     }
-    requested
 }
 
 /// Pins the dispatch to a specific backend (`None` restores runtime
-/// detection). Used by the equivalence tests and the `simd` bench series;
-/// process-global, so concurrent tests pinning different backends should
-/// serialise themselves.
+/// detection; an [`Backend::Intrinsics`] request the CPU cannot run
+/// clamps to [`Backend::Scalar`]). Used by the equivalence tests and the
+/// `simd` bench series; process-global, so concurrent tests pinning
+/// different backends should serialise themselves.
 pub fn set_backend_override(backend: Option<Backend>) {
-    OVERRIDE.store(backend.map_or(0, encode), Ordering::Relaxed);
+    FORCE_SCALAR.store(backend == Some(Backend::Scalar), Ordering::Relaxed);
 }
 
 // ---------------------------------------------------------------------------
@@ -157,16 +120,9 @@ pub fn lerp_runs(lo: &[f64], hi: &[f64], w0: f64, w1: f64, out: &mut [f64]) {
     let n = out.len();
     let (lo, hi) = (&lo[..n], &hi[..n]);
     match active_backend() {
-        Backend::Scalar => lerp_runs_scalar(lo, hi, w0, w1, out),
-        Backend::Lanes => lerp_runs_lanes(lo, hi, w0, w1, out),
-        Backend::Intrinsics => {
-            #[cfg(all(feature = "simd-intrinsics", target_arch = "x86_64"))]
-            {
-                avx::lerp_runs(lo, hi, w0, w1, out);
-            }
-            #[cfg(not(all(feature = "simd-intrinsics", target_arch = "x86_64")))]
-            lerp_runs_lanes(lo, hi, w0, w1, out);
-        }
+        #[cfg(target_arch = "x86_64")]
+        Backend::Intrinsics => avx::lerp_runs(lo, hi, w0, w1, out),
+        _ => lerp_runs_scalar(lo, hi, w0, w1, out),
     }
 }
 
@@ -175,33 +131,6 @@ fn lerp_runs_scalar(lo: &[f64], hi: &[f64], w0: f64, w1: f64, out: &mut [f64]) {
     for ((slot, &a), &b) in out.iter_mut().zip(lo).zip(hi) {
         *slot = a * w0 + b * w1;
     }
-}
-
-#[inline]
-fn lerp_runs_lanes(lo: &[f64], hi: &[f64], w0: f64, w1: f64, out: &mut [f64]) {
-    let n = out.len();
-    let mut i = 0;
-    while i + 8 <= n {
-        let a: [f64; 8] = lo[i..i + 8].try_into().expect("8-lane block");
-        let b: [f64; 8] = hi[i..i + 8].try_into().expect("8-lane block");
-        let mut acc = [0.0_f64; 8];
-        for l in 0..8 {
-            acc[l] = a[l] * w0 + b[l] * w1;
-        }
-        out[i..i + 8].copy_from_slice(&acc);
-        i += 8;
-    }
-    if i + 4 <= n {
-        let a: [f64; 4] = lo[i..i + 4].try_into().expect("4-lane block");
-        let b: [f64; 4] = hi[i..i + 4].try_into().expect("4-lane block");
-        let mut acc = [0.0_f64; 4];
-        for l in 0..4 {
-            acc[l] = a[l] * w0 + b[l] * w1;
-        }
-        out[i..i + 4].copy_from_slice(&acc);
-        i += 4;
-    }
-    lerp_runs_scalar(&lo[i..], &hi[i..], w0, w1, &mut out[i..]);
 }
 
 // ---------------------------------------------------------------------------
@@ -219,16 +148,9 @@ pub fn scaled_accumulate(scale: f64, raw: &[f64], sums: &mut [f64], squares: &mu
     let n = raw.len().min(sums.len()).min(squares.len());
     let (raw, sums, squares) = (&raw[..n], &mut sums[..n], &mut squares[..n]);
     match active_backend() {
-        Backend::Scalar => scaled_accumulate_scalar(scale, raw, sums, squares),
-        Backend::Lanes => scaled_accumulate_lanes(scale, raw, sums, squares),
-        Backend::Intrinsics => {
-            #[cfg(all(feature = "simd-intrinsics", target_arch = "x86_64"))]
-            {
-                avx::scaled_accumulate(scale, raw, sums, squares);
-            }
-            #[cfg(not(all(feature = "simd-intrinsics", target_arch = "x86_64")))]
-            scaled_accumulate_lanes(scale, raw, sums, squares);
-        }
+        #[cfg(target_arch = "x86_64")]
+        Backend::Intrinsics => avx::scaled_accumulate(scale, raw, sums, squares),
+        _ => scaled_accumulate_scalar(scale, raw, sums, squares),
     }
 }
 
@@ -239,26 +161,6 @@ fn scaled_accumulate_scalar(scale: f64, raw: &[f64], sums: &mut [f64], squares: 
         *sum += value;
         *square += value * value;
     }
-}
-
-#[inline]
-fn scaled_accumulate_lanes(scale: f64, raw: &[f64], sums: &mut [f64], squares: &mut [f64]) {
-    let n = raw.len();
-    let mut i = 0;
-    while i + 4 <= n {
-        let r: [f64; 4] = raw[i..i + 4].try_into().expect("4-lane block");
-        let mut s: [f64; 4] = sums[i..i + 4].try_into().expect("4-lane block");
-        let mut q: [f64; 4] = squares[i..i + 4].try_into().expect("4-lane block");
-        for l in 0..4 {
-            let value = scale * r[l];
-            s[l] += value;
-            q[l] += value * value;
-        }
-        sums[i..i + 4].copy_from_slice(&s);
-        squares[i..i + 4].copy_from_slice(&q);
-        i += 4;
-    }
-    scaled_accumulate_scalar(scale, &raw[i..], &mut sums[i..], &mut squares[i..]);
 }
 
 // ---------------------------------------------------------------------------
@@ -308,7 +210,7 @@ pub struct FusedKernel {
 
 impl FusedKernel {
     /// Snapshots the active backend (override honoured, clamped to what
-    /// the build/CPU supports).
+    /// the CPU supports).
     #[inline]
     pub fn resolve() -> Self {
         Self {
@@ -333,16 +235,11 @@ impl FusedKernel {
         let n = sums.len();
         let (lo, hi, squares) = (&lo[..n], &hi[..n], &mut squares[..n]);
         match self.backend {
-            Backend::Scalar => lerp_scaled_accumulate_scalar(lo, hi, w0, w1, scale, sums, squares),
-            Backend::Lanes => lerp_scaled_accumulate_lanes(lo, hi, w0, w1, scale, sums, squares),
+            #[cfg(target_arch = "x86_64")]
             Backend::Intrinsics => {
-                #[cfg(all(feature = "simd-intrinsics", target_arch = "x86_64"))]
-                {
-                    avx::lerp_scaled_accumulate(lo, hi, w0, w1, scale, sums, squares);
-                }
-                #[cfg(not(all(feature = "simd-intrinsics", target_arch = "x86_64")))]
-                lerp_scaled_accumulate_lanes(lo, hi, w0, w1, scale, sums, squares);
+                avx::lerp_scaled_accumulate(lo, hi, w0, w1, scale, sums, squares)
             }
+            _ => lerp_scaled_accumulate_scalar(lo, hi, w0, w1, scale, sums, squares),
         }
     }
 }
@@ -364,43 +261,6 @@ pub(crate) fn lerp_scaled_accumulate_scalar(
     }
 }
 
-#[inline]
-pub(crate) fn lerp_scaled_accumulate_lanes(
-    lo: &[f64],
-    hi: &[f64],
-    w0: f64,
-    w1: f64,
-    scale: f64,
-    sums: &mut [f64],
-    squares: &mut [f64],
-) {
-    let n = sums.len();
-    let mut i = 0;
-    while i + 4 <= n {
-        let a: [f64; 4] = lo[i..i + 4].try_into().expect("4-lane block");
-        let b: [f64; 4] = hi[i..i + 4].try_into().expect("4-lane block");
-        let mut s: [f64; 4] = sums[i..i + 4].try_into().expect("4-lane block");
-        let mut q: [f64; 4] = squares[i..i + 4].try_into().expect("4-lane block");
-        for l in 0..4 {
-            let value = scale * (a[l] * w0 + b[l] * w1);
-            s[l] += value;
-            q[l] += value * value;
-        }
-        sums[i..i + 4].copy_from_slice(&s);
-        squares[i..i + 4].copy_from_slice(&q);
-        i += 4;
-    }
-    lerp_scaled_accumulate_scalar(
-        &lo[i..],
-        &hi[i..],
-        w0,
-        w1,
-        scale,
-        &mut sums[i..],
-        &mut squares[i..],
-    );
-}
-
 // ---------------------------------------------------------------------------
 // Kernel 3 — dense-eval strided lerp: out[i] += coeff · lerp(values,
 // pos0 + dpos·i), with full boundary handling.
@@ -414,16 +274,16 @@ pub(crate) fn lerp_scaled_accumulate_lanes(
 /// The position of slot `i` is recomputed multiplicatively (`pos0 +
 /// dpos·i`, never by repeated addition), so there is no cumulative drift
 /// over long grids and every backend computes the identical per-slot
-/// expression. The vector backends process blocks of slots whose entire
+/// expression. The AVX2 backend processes blocks of slots whose entire
 /// position range is interior to the table (positions are monotonic in
 /// `i`, so checking a block's endpoints suffices); boundary blocks take
 /// the scalar per-slot path.
 #[inline]
 pub fn accumulate_lerp(values: &[f64], pos0: f64, dpos: f64, coeff: f64, out: &mut [f64]) {
     match active_backend() {
-        Backend::Scalar => accumulate_lerp_scalar(values, pos0, dpos, coeff, out, 0),
-        Backend::Lanes => accumulate_lerp_blocked(values, pos0, dpos, coeff, out, false),
-        Backend::Intrinsics => accumulate_lerp_blocked(values, pos0, dpos, coeff, out, true),
+        #[cfg(target_arch = "x86_64")]
+        Backend::Intrinsics => avx::accumulate_lerp(values, pos0, dpos, coeff, out),
+        _ => accumulate_lerp_scalar(values, pos0, dpos, coeff, out, 0),
     }
 }
 
@@ -455,143 +315,12 @@ fn accumulate_lerp_scalar(
     }
 }
 
-/// Blocked dense-eval sweep: interior 4-slot blocks run branch-free (via
-/// lanes or AVX2), everything else delegates to the scalar loop.
-fn accumulate_lerp_blocked(
-    values: &[f64],
-    pos0: f64,
-    dpos: f64,
-    coeff: f64,
-    out: &mut [f64],
-    use_intrinsics: bool,
-) {
-    // Positions must be monotonic for the endpoint check to cover a
-    // block; a non-positive stride is not worth blocking anyway.
-    if dpos <= 0.0 || !dpos.is_finite() || !pos0.is_finite() || values.len() < 2 {
-        return accumulate_lerp_scalar(values, pos0, dpos, coeff, out, 0);
-    }
-    let interior = (values.len() - 1) as f64;
-    let n = out.len();
-    let mut i = 0;
-    while i + 4 <= n {
-        let lo_pos = pos0 + dpos * i as f64;
-        let hi_pos = pos0 + dpos * (i + 3) as f64;
-        if lo_pos >= 0.0 && hi_pos < interior {
-            if use_intrinsics {
-                #[cfg(all(feature = "simd-intrinsics", target_arch = "x86_64"))]
-                {
-                    avx::accumulate_lerp_block(values, pos0, dpos, coeff, &mut out[i..i + 4], i);
-                    i += 4;
-                    continue;
-                }
-            }
-            accumulate_lerp_block_lanes(values, pos0, dpos, coeff, &mut out[i..i + 4], i);
-            i += 4;
-        } else {
-            // Boundary block: per-slot path, then re-enter blocking (the
-            // grid may cross into the support later, or leave it).
-            accumulate_lerp_scalar(values, pos0, dpos, coeff, &mut out[i..i + 4], i);
-            i += 4;
-        }
-    }
-    accumulate_lerp_scalar(values, pos0, dpos, coeff, &mut out[i..], i);
-}
-
-/// One interior 4-slot block of the dense-eval sweep: every position is
-/// known to lie in `[0, len−1)`, so indexing and interpolation run
-/// branch-free. Table reads stay per-lane (the indices are not
-/// contiguous), but the position arithmetic and the lerp vectorise.
-#[inline]
-fn accumulate_lerp_block_lanes(
-    values: &[f64],
-    pos0: f64,
-    dpos: f64,
-    coeff: f64,
-    out: &mut [f64],
-    first: usize,
-) {
-    let mut pos = [0.0_f64; 4];
-    for (l, p) in pos.iter_mut().enumerate() {
-        *p = pos0 + dpos * (first + l) as f64;
-    }
-    let mut lo = [0.0_f64; 4];
-    let mut hi = [0.0_f64; 4];
-    let mut frac = [0.0_f64; 4];
-    for l in 0..4 {
-        let idx = pos[l] as usize;
-        frac[l] = pos[l] - idx as f64;
-        lo[l] = values[idx];
-        hi[l] = values[idx + 1];
-    }
-    let mut acc: [f64; 4] = out[..4].try_into().expect("4-slot block");
-    for l in 0..4 {
-        acc[l] += coeff * (lo[l] * (1.0 - frac[l]) + hi[l] * frac[l]);
-    }
-    out[..4].copy_from_slice(&acc);
-}
-
-/// Whole-chunk scatter row loop on the intrinsics backend: enters a
-/// `#[target_feature(enable = "avx2")]` function *once per chunk* and runs
-/// [`crate::cascade::scatter_rows_impl`] inside it, so the AVX2 fused
-/// kernel inlines into the row loop instead of costing an opaque call per
-/// `(observation, level)` pair. Falls back to the lanes row loop when the
-/// intrinsics are compiled out or the CPU lacks AVX2.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn scatter_rows_intrinsics(
-    values: &[f64],
-    poly: &[f64],
-    poly_row: usize,
-    levels: u32,
-    xs: &[f64],
-    level_scale: f64,
-    norm_scale: f64,
-    support: f64,
-    k_start: i64,
-    fallback_row: &mut [f64],
-    sums: &mut [f64],
-    squares: &mut [f64],
-) {
-    #[cfg(all(feature = "simd-intrinsics", target_arch = "x86_64"))]
-    {
-        avx::scatter_rows(
-            values,
-            poly,
-            poly_row,
-            levels,
-            xs,
-            level_scale,
-            norm_scale,
-            support,
-            k_start,
-            fallback_row,
-            sums,
-            squares,
-        );
-    }
-    #[cfg(not(all(feature = "simd-intrinsics", target_arch = "x86_64")))]
-    crate::cascade::scatter_rows_impl(
-        &lerp_scaled_accumulate_lanes,
-        values,
-        poly,
-        poly_row,
-        levels,
-        xs,
-        level_scale,
-        norm_scale,
-        support,
-        k_start,
-        fallback_row,
-        sums,
-        squares,
-    );
-}
-
 // ---------------------------------------------------------------------------
-// AVX2 backend (feature-gated, runtime-detected).
+// AVX2 backend (built into every x86-64 build, runtime-detected).
 // ---------------------------------------------------------------------------
 
-#[cfg(all(feature = "simd-intrinsics", target_arch = "x86_64"))]
-mod avx {
+#[cfg(target_arch = "x86_64")]
+pub(crate) mod avx {
     //! Explicit AVX2 implementations. Every lane computes the same f64
     //! multiply/add sequence as the scalar reference (no FMA contraction),
     //! so the results are bitwise identical; the speedup comes from the
@@ -703,10 +432,13 @@ mod avx {
         super::scaled_accumulate_scalar(scale, &raw[i..], &mut sums[i..], &mut squares[i..]);
     }
 
-    /// The whole-chunk scatter row loop compiled with AVX2 enabled; see
-    /// [`super::scatter_rows_intrinsics`].
+    /// Whole-chunk scatter row loop on the intrinsics backend: enters a
+    /// `#[target_feature(enable = "avx2")]` function *once per chunk* and
+    /// runs [`crate::cascade::scatter_rows_impl`] inside it, so the AVX2
+    /// fused kernel inlines into the row loop instead of costing an opaque
+    /// call per `(observation, level)` pair.
     #[allow(clippy::too_many_arguments)]
-    pub(super) fn scatter_rows(
+    pub(crate) fn scatter_rows(
         values: &[f64],
         poly: &[f64],
         poly_row: usize,
@@ -856,26 +588,49 @@ mod avx {
         }
     }
 
-    /// One interior 4-slot dense-eval block; caller guarantees every
-    /// position lies in `[0, values.len()−1)` and `out.len() == 4`.
-    /// The per-lane table reads stay scalar (the indices are not
-    /// contiguous); the position arithmetic and the lerp use AVX2.
-    #[inline]
-    pub(super) fn accumulate_lerp_block(
+    /// Blocked dense-eval sweep of [`super::accumulate_lerp`]: interior
+    /// 4-slot blocks run branch-free in AVX2, everything else delegates to
+    /// the scalar loop.
+    pub(super) fn accumulate_lerp(
         values: &[f64],
         pos0: f64,
         dpos: f64,
         coeff: f64,
         out: &mut [f64],
-        first: usize,
     ) {
-        // SAFETY: dispatch reaches this module only after
-        // `is_x86_feature_detected!("avx2")` returned true.
-        unsafe { accumulate_lerp_block_avx2(values, pos0, dpos, coeff, out, first) }
+        // Positions must be monotonic for the endpoint check to cover a
+        // block; a non-positive stride is not worth blocking anyway.
+        if dpos <= 0.0 || !dpos.is_finite() || !pos0.is_finite() || values.len() < 2 {
+            return super::accumulate_lerp_scalar(values, pos0, dpos, coeff, out, 0);
+        }
+        let interior = (values.len() - 1) as f64;
+        let n = out.len();
+        let mut i = 0;
+        while i + 4 <= n {
+            let lo_pos = pos0 + dpos * i as f64;
+            let hi_pos = pos0 + dpos * (i + 3) as f64;
+            let block = &mut out[i..i + 4];
+            if lo_pos >= 0.0 && hi_pos < interior {
+                // SAFETY: dispatch reaches this module only after
+                // `is_x86_feature_detected!("avx2")` returned true, and the
+                // endpoint check above puts every position of the block in
+                // `[0, values.len()−1)`.
+                unsafe { accumulate_lerp_block_avx2(values, pos0, dpos, coeff, block, i) }
+            } else {
+                // Boundary block: per-slot path, then re-enter blocking (the
+                // grid may cross into the support later, or leave it).
+                super::accumulate_lerp_scalar(values, pos0, dpos, coeff, block, i);
+            }
+            i += 4;
+        }
+        super::accumulate_lerp_scalar(values, pos0, dpos, coeff, &mut out[i..], i);
     }
 
+    /// One interior 4-slot dense-eval block. The per-lane table reads
+    /// stay scalar (the indices are not contiguous); the position
+    /// arithmetic and the lerp use AVX2.
     // SAFETY: callers must run only after runtime AVX2 detection and
-    // uphold the block contract above: every interpolation position in
+    // uphold the block contract: every interpolation position in
     // `[0, values.len()−1)` and `out.len() == 4`.
     #[target_feature(enable = "avx2")]
     unsafe fn accumulate_lerp_block_avx2(
@@ -927,7 +682,7 @@ mod tests {
     }
 
     fn backends() -> Vec<Backend> {
-        let mut all = vec![Backend::Scalar, Backend::Lanes];
+        let mut all = vec![Backend::Scalar];
         if intrinsics_available() {
             all.push(Backend::Intrinsics);
         }
@@ -1024,16 +779,25 @@ mod tests {
     #[test]
     fn override_clamps_to_available_backends() {
         let _guard = override_lock();
+        let detected = if intrinsics_available() {
+            Backend::Intrinsics
+        } else {
+            Backend::Scalar
+        };
         set_backend_override(Some(Backend::Intrinsics));
         let active = active_backend();
         if intrinsics_available() {
             assert_eq!(active, Backend::Intrinsics);
         } else {
-            assert_eq!(active, Backend::Lanes);
+            assert_eq!(
+                active,
+                Backend::Scalar,
+                "Intrinsics without AVX2 clamps to Scalar"
+            );
         }
         set_backend_override(Some(Backend::Scalar));
         assert_eq!(active_backend(), Backend::Scalar);
         set_backend_override(None);
-        assert_ne!(active_backend(), Backend::Scalar);
+        assert_eq!(active_backend(), detected);
     }
 }

@@ -1,14 +1,14 @@
 //! Backend equivalence suite for the `wavedens_wavelets::kernels`
-//! micro-vector kernels.
+//! vector kernels.
 //!
-//! Every kernel ships three implementations — [`Backend::Scalar`] (the
-//! reference loop), [`Backend::Lanes`] (stable-Rust fixed-width lane
-//! blocks) and [`Backend::Intrinsics`] (runtime-detected AVX2 behind the
-//! `simd-intrinsics` feature). They are written to perform the identical
-//! per-slot sequence of f64 multiplies and adds (no FMA contraction), so
-//! the raw kernels must agree **bitwise**; the end-to-end ingest contract
-//! pinned here is the weaker ≤ 1e-12 relative error the rest of the
-//! pyramid relies on, which the bitwise design satisfies with margin.
+//! Every kernel ships two implementations — [`Backend::Scalar`] (the
+//! reference loop) and [`Backend::Intrinsics`] (AVX2, compiled into every
+//! x86-64 build and selected when the CPU reports it). They are written to
+//! perform the identical per-slot sequence of f64 multiplies and adds (no
+//! FMA contraction), so the raw kernels must agree **bitwise**; the
+//! end-to-end ingest contract pinned here is the weaker ≤ 1e-12 relative
+//! error the rest of the pyramid relies on, which the bitwise design
+//! satisfies with margin.
 //!
 //! The backend override is process-global, so every test that pins one
 //! serialises through [`backend_guard`] — without it, parallel test
@@ -32,11 +32,11 @@ fn backend_guard() -> MutexGuard<'static, ()> {
     LOCK.lock().unwrap_or_else(|poison| poison.into_inner())
 }
 
-/// The backends the build and the CPU can actually run (the override
-/// clamps unavailable requests, so testing them would silently re-test
-/// `Lanes`).
+/// The backends the CPU can actually run (the override clamps an
+/// unavailable `Intrinsics` request, so testing it would silently re-test
+/// `Scalar`).
 fn runnable_backends() -> Vec<Backend> {
-    let mut backends = vec![Backend::Scalar, Backend::Lanes];
+    let mut backends = vec![Backend::Scalar];
     if intrinsics_available() {
         backends.push(Backend::Intrinsics);
     }
@@ -268,4 +268,24 @@ fn sketch_ingest_is_bitwise_identical_across_backends() {
             backend.name()
         );
     }
+}
+
+/// With no override, the kernels dispatch to AVX2 exactly when the target
+/// is x86-64 and the CPU reports AVX2, and to the scalar reference
+/// otherwise: a build that silently lost the intrinsics path would ingest
+/// at about half speed.
+#[test]
+fn default_dispatch_is_avx2_exactly_when_the_cpu_has_it() {
+    let _guard = backend_guard();
+    kernels::set_backend_override(None);
+    #[cfg(target_arch = "x86_64")]
+    let avx2 = std::arch::is_x86_feature_detected!("avx2");
+    #[cfg(not(target_arch = "x86_64"))]
+    let avx2 = false;
+    let expected = if avx2 {
+        Backend::Intrinsics
+    } else {
+        Backend::Scalar
+    };
+    assert_eq!(kernels::active_backend(), expected);
 }
