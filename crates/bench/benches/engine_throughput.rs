@@ -127,9 +127,10 @@ fn engine_throughput(c: &mut Criterion) {
     }
 
     // Phase 1 — ingest scaling: the same bulk load through the swept
-    // shard counts, filled by the work-stealing pool and merged at the
-    // end (the merge is part of the measured cost: it is what estimate
-    // time pays).
+    // shard counts, one pool task per shard pushing its contiguous share
+    // straight in (so a load uses at most `min(shards, cores)` cores),
+    // merged at the end (the merge is part of the measured cost: it is
+    // what estimate time pays).
     let mut ingest_seconds = Vec::new();
     for &shards in shard_counts {
         let seconds = min_seconds(|| {

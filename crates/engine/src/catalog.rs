@@ -284,7 +284,9 @@ impl SynopsisCatalog {
     }
 
     /// Bulk-loads row pairs into a registered pair with parallel sharded
-    /// ingestion.
+    /// ingestion: one pool task per shard, bitwise reproducible for a
+    /// given shard count
+    /// ([`ShardedIngest::ingest_parallel`](crate::ShardedIngest::ingest_parallel)).
     pub fn ingest_pair_parallel(
         &self,
         first: &str,
@@ -354,7 +356,9 @@ impl SynopsisCatalog {
     }
 
     /// Bulk-loads values into a registered attribute with parallel
-    /// sharded ingestion.
+    /// sharded ingestion: one pool task per shard, bitwise reproducible
+    /// for a given shard count
+    /// ([`ShardedIngest::ingest_parallel`](crate::ShardedIngest::ingest_parallel)).
     pub fn ingest_parallel(&self, name: &str, values: &[f64]) -> Result<(), EngineError> {
         self.resolve(name)?.ingest_parallel(values);
         Ok(())

@@ -14,11 +14,15 @@
 //!
 //! * [`ShardedIngest`] — N per-shard sketches behind mutexes, generic
 //!   over the [`MergeableSketch`] kind. Bulk loads
-//!   ([`ShardedIngest::ingest_parallel`]) split the rows into chunks that
-//!   run as tasks on the global `workpool` work-stealing pool; streaming
-//!   inserts round-robin one shard per batch, so writers on different
-//!   shards never contend. At estimate time the shards merge (weighted
-//!   sketch addition) into exactly the single-stream state.
+//!   ([`ShardedIngest::ingest_parallel`]) split the rows into one
+//!   contiguous share per shard and run one task per share on the global
+//!   `workpool` pool, each pushing straight into its shard, so for a
+//!   given shard count the merged state is bitwise identical whatever
+//!   the pool's thread count or timing; a load uses at most
+//!   `min(shards, pool threads)` cores. Streaming inserts round-robin one
+//!   shard per batch, so writers on different shards never contend. At
+//!   estimate time the shards merge (weighted sketch addition) into
+//!   exactly the single-stream state.
 //! * [`WindowedIngest`] — the streaming sibling of [`ShardedIngest`]:
 //!   per-shard *rings* of time-sliced 1-D sketches.
 //!   [`WindowedIngest::advance_all`] retires the oldest slice in O(1) per

@@ -12,17 +12,32 @@
 //!
 //! # Short critical sections
 //!
-//! For batches worth the detour (`SCATTER_OUTSIDE_LOCK_MIN` rows or
-//! more), a writer does **not** evaluate basis functions while holding the
-//! shard lock. It first scatters the whole batch into a pooled scratch
-//! sketch — the expensive per-row, per-level, per-translation gather —
-//! and then locks the shard only for the element-wise add of the scratch
-//! sums ([`CoefficientSketch::merge`]), whose cost is proportional to the
-//! level table sizes, not to the batch length. Concurrent writers that
-//! land on the same shard therefore no longer serialize the basis
-//! evaluation, only the cheap vector addition. Small batches skip the
-//! detour: their in-lock scatter is already shorter than a full
-//! element-wise merge.
+//! For streaming batches worth the detour (`SCATTER_OUTSIDE_LOCK_MIN`
+//! rows or more), [`ShardedIngest::ingest`] does **not** evaluate basis
+//! functions while holding the shard lock. It first scatters the whole
+//! batch into a pooled scratch sketch — the expensive per-row, per-level,
+//! per-translation gather — and then locks the shard only for the
+//! element-wise add of the scratch sums ([`CoefficientSketch::merge`]),
+//! whose cost is proportional to the level table sizes, not to the batch
+//! length. Concurrent writers that land on the same shard therefore no
+//! longer serialize the basis evaluation, only the cheap vector addition.
+//! Small batches skip the detour: their in-lock scatter is already
+//! shorter than a full element-wise merge.
+//!
+//! # Bulk loads
+//!
+//! [`ShardedIngest::ingest_parallel`] takes the opposite trade. It splits
+//! the rows into one contiguous share per shard and runs one pool task
+//! per share; task `i` locks shard `i` and pushes its share straight in.
+//! No scratch sketch is involved, and which rows reach which shard, and
+//! in what order each shard adds them, depend only on the rows and the
+//! shard count. So for a given shard count the merged state after
+//! `ingest_parallel` is bitwise identical whatever the pool's thread
+//! count or timing. The price: a load uses at most
+//! `min(shards, pool threads)` cores, and holds each shard's lock while
+//! its share scatters. The default shard count is `available_parallelism`,
+//! which is also the global pool's size, so default configurations lose
+//! no parallelism.
 //!
 //! # Poisoned shards
 //!
@@ -133,17 +148,10 @@ impl MergeableSketch for TensorSketch {
 /// shrinking it.
 pub(crate) const SCATTER_OUTSIDE_LOCK_MIN: usize = 256;
 
-/// Minimum rows per pool task of [`ShardedIngest::ingest_parallel`]:
+/// Minimum rows per share of [`ShardedIngest::ingest_parallel`]:
 /// queueing a task for a handful of rows costs more than scattering
 /// them, so tiny bulk loads run inline (or on fewer tasks than shards).
 pub(crate) const MIN_PARALLEL_CHUNK: usize = 256;
-
-/// Target pool tasks per shard in
-/// [`ShardedIngest::ingest_parallel`]: splitting each shard's share into
-/// a few chunks (instead of one monolithic chunk per shard) leaves
-/// surplus tasks in the work-stealing deques, so a worker that finishes
-/// early takes over a queued chunk rather than idling at the join.
-pub(crate) const PARALLEL_CHUNKS_PER_SHARD: usize = 4;
 
 /// Upper bound on pooled scratch sketches kept alive for the
 /// out-of-lock scatter path; more concurrent writers than this simply
@@ -165,13 +173,39 @@ pub(crate) fn lock_scratch_pool<T>(pool: &Mutex<Vec<T>>) -> MutexGuard<'_, Vec<T
     }
 }
 
+/// Lands a bulk load of `rows` in `shards` shards through `push(shard,
+/// share)`: share `i` is the `i`-th contiguous run of
+/// `len.div_ceil(shards).max(MIN_PARALLEL_CHUNK)` rows and goes to shard
+/// `i`, one global-pool task per share. With one shard, or a load that
+/// fits one share, the whole load goes inline to the next round-robin
+/// shard. An empty load does nothing (the cursor stays put).
+pub(crate) fn push_shares<R: Sync>(
+    rows: &[R],
+    shards: usize,
+    next: &AtomicUsize,
+    push: &(impl Fn(usize, &[R]) + Sync),
+) {
+    if rows.is_empty() {
+        return;
+    }
+    let share = rows.len().div_ceil(shards).max(MIN_PARALLEL_CHUNK);
+    if shards == 1 || rows.len() <= share {
+        push(next.fetch_add(1, Ordering::Relaxed) % shards, rows);
+    } else {
+        let shares = rows.chunks(share).enumerate();
+        workpool::WorkPool::global().scope(|scope| {
+            scope.spawn_batch(shares.map(|(shard, share)| move || push(shard, share)));
+        });
+    }
+}
+
 /// N per-shard sketches with round-robin batch placement and
-/// work-stealing parallel bulk loads.
+/// reproducible one-task-per-shard bulk loads.
 ///
 /// Generic over the sketch type: the default `S = CoefficientSketch`
 /// ingests scalar rows for marginal synopses, `S = TensorSketch` ingests
-/// `(x, y)` pairs for joint ones — same sharding, same short critical
-/// sections, same poison recovery.
+/// `(x, y)` pairs for joint ones — same sharding, same bulk-load shares,
+/// same poison recovery.
 #[derive(Debug)]
 pub struct ShardedIngest<S: MergeableSketch = CoefficientSketch> {
     shards: Vec<Mutex<S>>,
@@ -269,14 +303,6 @@ impl<S: MergeableSketch> ShardedIngest<S> {
             return;
         }
         let shard = self.next.fetch_add(1, Ordering::Relaxed) % self.shards.len();
-        self.scatter_into_shard(shard, values);
-        self.rows.fetch_add(values.len(), Ordering::Release);
-    }
-
-    /// Lands one batch in `shard`: long batches scatter into a pooled
-    /// scratch sketch first and lock only for the element-wise merge,
-    /// short ones push directly under the lock (see the module docs).
-    fn scatter_into_shard(&self, shard: usize, values: &[S::Row]) {
         if values.len() >= SCATTER_OUTSIDE_LOCK_MIN {
             let mut local = self.take_scratch();
             local.push_rows(values);
@@ -287,51 +313,30 @@ impl<S: MergeableSketch> ShardedIngest<S> {
         } else {
             self.lock_shard(shard).push_rows(values);
         }
+        self.rows.fetch_add(values.len(), Ordering::Release);
     }
 
-    /// Bulk-loads `values` by splitting them into contiguous chunks —
-    /// about `PARALLEL_CHUNKS_PER_SHARD` (4) per shard — assigned to shards
-    /// round-robin and scattered on the global work-stealing pool
-    /// ([`workpool::WorkPool`]), so a worker that finishes its chunk
-    /// early steals a queued one instead of idling while the slowest
-    /// shard finishes.
+    /// Bulk-loads `values` with one task per shard on the global
+    /// work-stealing pool ([`workpool::WorkPool`]): the rows split into
+    /// one contiguous share per shard, and task `i` locks shard `i` and
+    /// pushes its share straight in, with no scratch sketch. Shares hold
+    /// at least `MIN_PARALLEL_CHUNK` rows, so a small load uses fewer
+    /// tasks than shards; with a single shard, or a load that fits one
+    /// share, the rows are pushed inline under the lock of the next
+    /// round-robin shard, no pool involved.
     ///
-    /// Chunks hold at least `MIN_PARALLEL_CHUNK` rows so tiny bulk loads
-    /// do not pay task-queue overhead per handful of rows; with a single
-    /// shard — or when the whole load fits one chunk — the batch is
-    /// scattered inline on the calling thread, no pool involved at all.
-    /// Chunks long enough for the out-of-lock path scatter into pooled
-    /// scratch sketches (one in hand per running worker task) and hold
-    /// their shard lock only for the element-wise merge.
+    /// For a given shard count, the merged state after `ingest_parallel`
+    /// is bitwise identical whatever the pool's thread count or timing:
+    /// the share of each shard and its order of addition depend only on
+    /// the rows and the shard count.
     ///
-    /// Wall-clock ingest time scales with the number of cores; the
-    /// estimate remains equivalent to a single-stream fit because the
-    /// shards merge at estimate time.
+    /// The trade: a load uses at most `min(shards, pool threads)` cores,
+    /// and holds each shard's lock while its share scatters, so a
+    /// concurrent [`ingest`](Self::ingest) to that shard waits for it.
     pub fn ingest_parallel(&self, values: &[S::Row]) {
-        if values.is_empty() {
-            return;
-        }
-        let shards = self.shards.len();
-        let chunk = values
-            .len()
-            .div_ceil(shards * PARALLEL_CHUNKS_PER_SHARD)
-            .max(MIN_PARALLEL_CHUNK);
-        if shards == 1 || values.len() <= chunk {
-            // Inline, but still round-robin and still short-critical-
-            // section: a large single-shard load scatters outside the
-            // lock exactly like an `ingest` batch would.
-            let shard = self.next.fetch_add(1, Ordering::Relaxed) % shards;
-            self.scatter_into_shard(shard, values);
-        } else {
-            workpool::WorkPool::global().scope(|scope| {
-                scope.spawn_batch(
-                    values
-                        .chunks(chunk)
-                        .enumerate()
-                        .map(|(i, slice)| move || self.scatter_into_shard(i % shards, slice)),
-                );
-            });
-        }
+        push_shares(values, self.shards.len(), &self.next, &|shard, share| {
+            self.lock_shard(shard).push_rows(share)
+        });
         self.rows.fetch_add(values.len(), Ordering::Release);
     }
 
@@ -411,7 +416,12 @@ impl<S: MergeableSketch> Clone for ShardedIngest<S> {
 pub trait SketchIngest<S: MergeableSketch>: Clone + std::fmt::Debug + Send + Sync {
     /// Pushes one batch into a single shard (round-robin).
     fn ingest(&self, rows: &[S::Row]);
-    /// Fans a bulk load out across the shards on the work-stealing pool.
+    /// Bulk-loads one contiguous share per shard, one work-stealing pool
+    /// task each, straight into the shards. For a given shard count the
+    /// merged state afterwards is bitwise identical whatever the pool's
+    /// thread count or timing; a load uses at most
+    /// `min(shards, pool threads)` cores and holds each shard's lock while
+    /// its share scatters.
     fn ingest_parallel(&self, rows: &[S::Row]);
     /// Rows currently contributing, from an atomic running counter.
     fn total_count(&self) -> usize;
@@ -563,18 +573,53 @@ mod tests {
         for shard in &sharded.shards[1..] {
             assert_eq!(shard.lock().unwrap().count(), 0);
         }
-        // A larger load still spreads, with every chunk at least the
-        // minimum size (the last one possibly shorter).
+        // A larger load still spreads, in contiguous shares of at least
+        // the minimum size: shard `i` holds share `i`, the last share is
+        // the remainder, and shards past it stay empty.
+        let counts = |sharded: &ShardedIngest| -> Vec<usize> {
+            sharded
+                .shards
+                .iter()
+                .map(|shard| shard.lock().unwrap().count())
+                .collect()
+        };
         let sharded = ShardedIngest::new(&template(1000), 4).unwrap();
         sharded.ingest_parallel(&sample(2 * MIN_PARALLEL_CHUNK + 10, 10));
-        let counts: Vec<usize> = sharded
+        let small = counts(&sharded);
+        assert_eq!(small.iter().sum::<usize>(), 2 * MIN_PARALLEL_CHUNK + 10);
+        assert_eq!(small, [MIN_PARALLEL_CHUNK, MIN_PARALLEL_CHUNK, 10, 0]);
+        // Above four minimum shares, every shard gets `len.div_ceil(4)`
+        // rows but the last, which gets the rest.
+        let sharded = ShardedIngest::new(&template(1000), 4).unwrap();
+        let len = 4 * MIN_PARALLEL_CHUNK + 6;
+        sharded.ingest_parallel(&sample(len, 15));
+        let share = len.div_ceil(4);
+        assert_eq!(counts(&sharded), [share, share, share, len - 3 * share]);
+        assert_eq!(sharded.total_count(), len);
+    }
+
+    /// Bulk loads push straight into the shards: the scratch pool that
+    /// serves long streaming batches stays empty, and each shard holds
+    /// bit for bit what pushing its contiguous share into a fresh
+    /// template gives.
+    #[test]
+    fn parallel_loads_bypass_the_scratch_pool() {
+        let data = sample(8 * SCATTER_OUTSIDE_LOCK_MIN, 16);
+        let sharded = ShardedIngest::new(&template(4000), 3).unwrap();
+        sharded.ingest_parallel(&data);
+        assert!(sharded.scratch.lock().unwrap().is_empty());
+        for (shard, share) in sharded
             .shards
             .iter()
-            .map(|shard| shard.lock().unwrap().count())
-            .collect();
-        assert_eq!(counts.iter().sum::<usize>(), 2 * MIN_PARALLEL_CHUNK + 10);
-        assert!(counts.iter().filter(|&&c| c > 0).count() <= 3);
-        assert!(counts[0] >= MIN_PARALLEL_CHUNK);
+            .zip(data.chunks(data.len().div_ceil(3)))
+        {
+            let mut expected = template(4000);
+            expected.push_batch(share);
+            assert_eq!(shard.lock().unwrap().to_bytes(), expected.to_bytes());
+        }
+        // A streaming batch of the same length still takes the scratch.
+        sharded.ingest(&data);
+        assert_eq!(sharded.scratch.lock().unwrap().len(), 1);
     }
 
     #[test]

@@ -401,9 +401,11 @@ impl<S: SynopsisSketch> Synopsis<S> {
         self.epoch.fetch_add(1, Ordering::Release);
     }
 
-    /// Ingests a bulk load by fanning the rows out across the shards on
-    /// the global work-stealing pool
-    /// ([`ShardedIngest::ingest_parallel`]).
+    /// Ingests a bulk load with one global-pool task per shard, each
+    /// pushing its contiguous share straight into its shard
+    /// ([`ShardedIngest::ingest_parallel`]). For a given shard count the
+    /// merged state afterwards is bitwise identical whatever the pool's
+    /// thread count or timing.
     pub fn ingest_parallel(&self, rows: &[S::Row]) {
         if rows.is_empty() {
             return;

@@ -4,22 +4,36 @@
 //! Each shard owns a full [`WindowedSketch`] ring behind a [`Mutex`];
 //! batches land in the shard's *current* slice exactly like sharded
 //! ingest (round-robin placement, scatter-outside-the-lock for long
-//! batches), and [`advance_all`](WindowedIngest::advance_all) closes the
-//! current time slice on every shard. Because all shards advance
-//! together, the shard rings stay aligned slice-for-slice and the merged
-//! window over all shards is the mergeable-sketch state over exactly the
-//! rows of the live slices.
+//! streaming batches, one task per shard for bulk loads), and
+//! [`advance_all`](WindowedIngest::advance_all) closes the current time
+//! slice on every shard. Because all shards advance together, the shard
+//! rings stay aligned slice-for-slice and the merged window over all
+//! shards is the mergeable-sketch state over exactly the rows of the live
+//! slices.
 //!
 //! # Short critical sections
 //!
-//! Both the ingest path and the advance path keep the per-shard lock
+//! The streaming ingest path and the advance path keep the per-shard lock
 //! hold times independent of the batch length and the slice size. Long
-//! batches scatter into a pooled scratch sketch first (the PR-5 pattern
-//! shared with `ShardedIngest`) and lock only for the element-wise
-//! merge; `advance_all` rotates each ring by *swapping* a cleared
-//! scratch sketch in as the fresh slice ([`WindowedSketch::advance_swap`]
-//! is O(1)) and clears the retired slice outside the lock, where the
-//! O(level tables) zeroing cannot stall writers.
+//! [`ingest`](WindowedIngest::ingest) batches scatter into a pooled
+//! scratch sketch first (the pattern shared with `ShardedIngest`) and
+//! lock only for the element-wise merge; `advance_all` rotates each ring
+//! by *swapping* a cleared scratch sketch in as the fresh slice
+//! ([`WindowedSketch::advance_swap`] is O(1)) and clears the retired
+//! slice outside the lock, where the O(level tables) zeroing cannot stall
+//! writers.
+//!
+//! # Bulk loads
+//!
+//! [`ingest_parallel`](WindowedIngest::ingest_parallel) has the shape
+//! and the contract of
+//! [`ShardedIngest::ingest_parallel`](crate::sharded::ShardedIngest::ingest_parallel):
+//! one contiguous share per shard, one pool task per share, pushed
+//! straight into the shard's current slice under its lock. For a given
+//! shard count the merged window afterwards is bitwise identical whatever
+//! the pool's thread count or timing; a load uses at most
+//! `min(shards, pool threads)` cores and holds each shard's lock while
+//! its share scatters.
 //!
 //! Shard mutexes recover from poisoning the same way sharded ingest
 //! does: a crashed writer's ring is reset wholesale (its rows leave the
@@ -27,8 +41,7 @@
 //! kill the attribute.
 
 use crate::sharded::{
-    lock_scratch_pool, MAX_POOLED_SCRATCH, MIN_PARALLEL_CHUNK, PARALLEL_CHUNKS_PER_SHARD,
-    SCATTER_OUTSIDE_LOCK_MIN,
+    lock_scratch_pool, push_shares, MAX_POOLED_SCRATCH, SCATTER_OUTSIDE_LOCK_MIN,
 };
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard};
@@ -136,11 +149,6 @@ impl WindowedIngest {
             return;
         }
         let shard = self.next.fetch_add(1, Ordering::Relaxed) % self.shards.len();
-        self.scatter_into_shard(shard, values);
-        self.rows.fetch_add(values.len(), Ordering::Release);
-    }
-
-    fn scatter_into_shard(&self, shard: usize, values: &[f64]) {
         if values.len() >= SCATTER_OUTSIDE_LOCK_MIN {
             let mut local = self.take_scratch();
             local.push_batch(values);
@@ -151,35 +159,24 @@ impl WindowedIngest {
         } else {
             self.lock_shard(shard).push_batch(values);
         }
+        self.rows.fetch_add(values.len(), Ordering::Release);
     }
 
-    /// Bulk-loads `values` into the current time slice by splitting them
-    /// into contiguous chunks assigned to shards round-robin and
-    /// scattered on the global work-stealing pool (same chunking policy
-    /// as
-    /// [`ShardedIngest::ingest_parallel`](crate::sharded::ShardedIngest::ingest_parallel)).
+    /// Bulk-loads `values` into the current time slice, one contiguous
+    /// share per shard and one global-pool task per share: task `i` locks
+    /// shard `i` and pushes its share straight into the current slice,
+    /// with no scratch sketch. Small loads, and loads into one shard, run
+    /// inline on the next round-robin shard. Same shares, contract and
+    /// trade as
+    /// [`ShardedIngest::ingest_parallel`](crate::sharded::ShardedIngest::ingest_parallel):
+    /// for a given shard count the merged window afterwards is bitwise
+    /// identical whatever the pool's thread count or timing, and a load
+    /// uses at most `min(shards, pool threads)` cores while holding each
+    /// shard's lock for its share's scatter.
     pub fn ingest_parallel(&self, values: &[f64]) {
-        if values.is_empty() {
-            return;
-        }
-        let shards = self.shards.len();
-        let chunk = values
-            .len()
-            .div_ceil(shards * PARALLEL_CHUNKS_PER_SHARD)
-            .max(MIN_PARALLEL_CHUNK);
-        if shards == 1 || values.len() <= chunk {
-            let shard = self.next.fetch_add(1, Ordering::Relaxed) % shards;
-            self.scatter_into_shard(shard, values);
-        } else {
-            workpool::WorkPool::global().scope(|scope| {
-                scope.spawn_batch(
-                    values
-                        .chunks(chunk)
-                        .enumerate()
-                        .map(|(i, slice)| move || self.scatter_into_shard(i % shards, slice)),
-                );
-            });
-        }
+        push_shares(values, self.shards.len(), &self.next, &|shard, share| {
+            self.lock_shard(shard).push_batch(share)
+        });
         self.rows.fetch_add(values.len(), Ordering::Release);
     }
 
@@ -414,6 +411,33 @@ mod tests {
         assert_eq!(meta.ring_slices, 3);
         assert_eq!(meta.advances, 1);
         assert_eq!(meta.decay_lambda, 1.0);
+    }
+
+    /// Bulk loads push each contiguous share straight into its shard's
+    /// current slice: the scratch pool (streaming batches and the advance
+    /// swap) stays empty, and each slice holds bit for bit what pushing
+    /// its share into a fresh template gives.
+    #[test]
+    fn parallel_loads_bypass_the_scratch_pool() {
+        let data = sample(8 * SCATTER_OUTSIDE_LOCK_MIN, 31);
+        let windowed =
+            WindowedIngest::new(&template(4000), 2, WindowPolicy::SlidingSlices(3)).unwrap();
+        windowed.ingest_parallel(&data);
+        assert!(windowed.scratch.lock().unwrap().is_empty());
+        assert_eq!(windowed.total_count(), data.len());
+        for (shard, share) in windowed.shards.iter().zip(data.chunks(data.len() / 2)) {
+            let mut expected = template(4000);
+            expected.push_batch(share);
+            let ring = shard.lock().unwrap();
+            assert_eq!(ring.slice(0).unwrap().to_bytes(), expected.to_bytes());
+        }
+        // After an advance the next load lands in the fresh slices.
+        windowed.advance_all();
+        windowed.ingest_parallel(&data[..600]);
+        assert_eq!(windowed.total_count(), data.len() + 600);
+        for shard in &windowed.shards {
+            assert_eq!(shard.lock().unwrap().slice(0).unwrap().count(), 300);
+        }
     }
 
     /// A panicked writer poisons one ring; the next access repairs it and

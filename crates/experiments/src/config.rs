@@ -32,55 +32,53 @@ impl ExperimentConfig {
     ///
     /// Recognised flags: `--reps N`, `--n N`, `--seed N`, `--threads N`,
     /// `--quick` (10 replications), `--full` (the paper's 500
-    /// replications). Unknown flags are ignored so binaries can add their
-    /// own.
-    pub fn from_args<I, S>(args: I) -> Self
+    /// replications). An unknown flag, or a flag whose value is missing
+    /// or not an unsigned integer, is an error: a typo must not fall back
+    /// to the defaults silently.
+    pub fn from_args<I, S>(args: I) -> Result<Self, String>
     where
         I: IntoIterator<Item = S>,
         S: AsRef<str>,
     {
         let mut config = Self::default();
-        let args: Vec<String> = args.into_iter().map(|s| s.as_ref().to_string()).collect();
-        let mut i = 0;
-        while i < args.len() {
-            let value = |idx: usize| args.get(idx + 1).and_then(|v| v.parse::<u64>().ok());
-            match args[i].as_str() {
-                "--reps" => {
-                    if let Some(v) = value(i) {
-                        config.replications = v as usize;
-                        i += 1;
-                    }
-                }
-                "--n" => {
-                    if let Some(v) = value(i) {
-                        config.sample_size = (v as usize).max(4);
-                        i += 1;
-                    }
-                }
-                "--seed" => {
-                    if let Some(v) = value(i) {
-                        config.seed = v;
-                        i += 1;
-                    }
-                }
-                "--threads" => {
-                    if let Some(v) = value(i) {
-                        config.threads = (v as usize).max(1);
-                        i += 1;
-                    }
-                }
+        let mut args = args.into_iter();
+        while let Some(arg) = args.next() {
+            let flag = arg.as_ref();
+            let mut value = || {
+                let raw = args.next().ok_or_else(|| format!("{flag} needs a value"))?;
+                let raw = raw.as_ref();
+                raw.parse::<u64>()
+                    .map_err(|e| format!("{flag}: {e} (got {raw:?})"))
+            };
+            match flag {
+                "--reps" => config.replications = value()? as usize,
+                "--n" => config.sample_size = (value()? as usize).max(4),
+                "--seed" => config.seed = value()?,
+                "--threads" => config.threads = (value()? as usize).max(1),
                 "--quick" => config.replications = 10,
                 "--full" => config.replications = 500,
-                _ => {}
+                _ => return Err(format!("unknown flag {flag:?}")),
             }
-            i += 1;
         }
-        config
+        Ok(config)
     }
 
-    /// Parses the configuration from the process arguments.
+    /// Parses the configuration from the process arguments. On an error
+    /// it prints the message and the usage to stderr and exits with
+    /// status 2.
     pub fn from_env() -> Self {
-        Self::from_args(std::env::args().skip(1))
+        let mut args = std::env::args();
+        let program = args.next().unwrap_or_default();
+        Self::from_args(args).unwrap_or_else(|message| {
+            let program = std::path::Path::new(&program)
+                .file_name()
+                .map_or("experiment".into(), |name| name.to_string_lossy());
+            eprintln!("{program}: {message}");
+            eprintln!(
+                "usage: {program} [--reps N] [--n N] [--seed N] [--threads N] [--quick | --full]"
+            );
+            std::process::exit(2)
+        })
     }
 
     /// A copy with a different replication count.
@@ -110,22 +108,37 @@ mod tests {
 
     #[test]
     fn flags_are_parsed() {
-        let c = ExperimentConfig::from_args(["--reps", "42", "--n", "256", "--seed", "7"]);
+        let c = ExperimentConfig::from_args(["--reps", "42", "--n", "256", "--seed", "7"]).unwrap();
         assert_eq!(c.replications, 42);
         assert_eq!(c.sample_size, 256);
         assert_eq!(c.seed, 7);
-        let quick = ExperimentConfig::from_args(["--quick"]);
+        let quick = ExperimentConfig::from_args(["--quick"]).unwrap();
         assert_eq!(quick.replications, 10);
-        let full = ExperimentConfig::from_args(["--full"]);
+        let full = ExperimentConfig::from_args(["--full"]).unwrap();
         assert_eq!(full.replications, 500);
+        let threads = ExperimentConfig::from_args(["--threads", "3"]).unwrap();
+        assert_eq!(threads.threads, 3);
+        assert_eq!(
+            ExperimentConfig::from_args(std::iter::empty::<&str>()).unwrap(),
+            ExperimentConfig::default()
+        );
     }
 
     #[test]
-    fn unknown_flags_and_missing_values_are_tolerated() {
-        let c = ExperimentConfig::from_args(["--whatever", "--reps"]);
-        assert_eq!(c.replications, ExperimentConfig::default().replications);
-        let c2 = ExperimentConfig::from_args(["--threads", "3", "--other", "9"]);
-        assert_eq!(c2.threads, 3);
+    fn unknown_flags_and_missing_values_are_rejected() {
+        let reject = |args: &[&str], needle: &str| {
+            let message = ExperimentConfig::from_args(args).unwrap_err();
+            assert!(message.contains(needle), "{args:?}: {message}");
+        };
+        reject(&["--whatever", "--reps"], "unknown flag \"--whatever\"");
+        reject(&["--reps"], "--reps needs a value");
+        reject(
+            &["--threads", "3", "--other", "9"],
+            "unknown flag \"--other\"",
+        );
+        reject(&["--n", "lots"], "--n: ");
+        reject(&["--seed", "-1"], "--seed: ");
+        reject(&["--reps", "--quick"], "--reps: ");
     }
 
     #[test]
