@@ -344,6 +344,14 @@ impl WindowedSketch {
         Ok(slice.to_bytes_with_window(&meta))
     }
 
+    /// [`clear`](Self::clear) that keeps the advance clock, so a ring
+    /// emptied after a crash does not restart its logical time.
+    pub fn clear_slices(&mut self) {
+        let advances = self.advances;
+        self.clear();
+        self.advances = advances;
+    }
+
     /// Resets the ring to its freshly-built state: every slice cleared,
     /// one live slice, advance clock back to zero.
     pub fn clear(&mut self) {
@@ -436,6 +444,12 @@ mod tests {
         assert_eq!(ring.advance(), 40);
         assert_eq!(ring.count(), 0);
         assert_eq!(ring.advances(), 5);
+        ring.push_batch(&sample(10, 5));
+        ring.clear_slices();
+        assert_eq!(
+            (ring.live_slices(), ring.advances(), ring.count()),
+            (1, 5, 0)
+        );
         ring.clear();
         assert_eq!((ring.live_slices(), ring.advances()), (1, 0));
     }

@@ -79,11 +79,11 @@ impl RefreshedJoint {
 /// a per-axis CDF grid clamped to `[2, 257]` points, and no incremental
 /// rebuild cache.
 impl SynopsisSketch for TensorSketch {
-    type Ingest = ShardedIngest<TensorSketch>;
+    type Shard = TensorSketch;
     type Snapshot = RefreshedJoint;
     type RebuildCache = ();
 
-    fn ingest_for(config: &SynopsisConfig) -> Result<Self::Ingest, EstimatorError> {
+    fn ingest_for(config: &SynopsisConfig) -> Result<ShardedIngest<Self::Shard>, EstimatorError> {
         if config.window.is_windowed() {
             return Err(EstimatorError::InvalidParameter {
                 message: "joint synopses do not support windowed policies yet".to_string(),

@@ -1,5 +1,8 @@
-//! Sharded sketch ingestion: N per-shard [`CoefficientSketch`]es filled
-//! concurrently and merged at estimate time.
+//! Sharded sketch ingestion: N per-shard sketches filled concurrently and
+//! merged at estimate time. A shard holds either a plain mergeable sketch
+//! ([`CoefficientSketch`], [`TensorSketch`]) or a
+//! [`WindowedSketch`](wavedens_core::WindowedSketch) ring
+//! of time slices; one structure serves landmark and windowed synopses.
 //!
 //! Because sketches merge by plain addition of their running sums, any
 //! partition of the rows across shards reproduces — after one merge pass —
@@ -8,7 +11,12 @@
 //! therefore parallelises embarrassingly: each shard owns its sketch
 //! behind a [`Mutex`], writers touch exactly one shard per batch, and the
 //! merge at estimate time costs one element-wise vector addition per
-//! shard, independent of the number of rows ingested.
+//! shard (per live slice for a ring), independent of the number of rows
+//! ingested. A ring folds its live slices through the window policy the
+//! ingest was built with; all rings advance together
+//! ([`ShardedIngest::advance_all`]), so they stay aligned slice for slice
+//! and the merged window is the sketch state over exactly the rows of the
+//! live slices.
 //!
 //! # Short critical sections
 //!
@@ -17,27 +25,40 @@
 //! functions while holding the shard lock. It first scatters the whole
 //! batch into a pooled scratch sketch — the expensive per-row, per-level,
 //! per-translation gather — and then locks the shard only for the
-//! element-wise add of the scratch sums ([`CoefficientSketch::merge`]),
-//! whose cost is proportional to the level table sizes, not to the batch
-//! length. Concurrent writers that land on the same shard therefore no
-//! longer serialize the basis evaluation, only the cheap vector addition.
-//! Small batches skip the detour: their in-lock scatter is already
-//! shorter than a full element-wise merge.
+//! element-wise add of the scratch sums ([`CoefficientSketch::merge`];
+//! into the current slice for a ring), whose cost is proportional to the
+//! level table sizes, not to the batch length. Concurrent writers that
+//! land on the same shard therefore no longer serialize the basis
+//! evaluation, only the cheap vector addition. Small batches skip the
+//! detour: their in-lock scatter is already shorter than a full
+//! element-wise merge. An advance holds each ring's lock only for the
+//! O(1) [`advance_swap`](wavedens_core::WindowedSketch::advance_swap): a
+//! cleared pooled scratch swaps in as the fresh slice, and the retired
+//! slice is cleared outside the lock, where the O(level tables) zeroing
+//! cannot stall writers.
 //!
 //! # Bulk loads
 //!
 //! [`ShardedIngest::ingest_parallel`] takes the opposite trade. It splits
 //! the rows into one contiguous share per shard and runs one pool task
-//! per share; task `i` locks shard `i` and pushes its share straight in.
-//! No scratch sketch is involved, and which rows reach which shard, and
-//! in what order each shard adds them, depend only on the rows and the
-//! shard count. So for a given shard count the merged state after
-//! `ingest_parallel` is bitwise identical whatever the pool's thread
-//! count or timing. The price: a load uses at most
-//! `min(shards, pool threads)` cores, and holds each shard's lock while
-//! its share scatters. The default shard count is `available_parallelism`,
-//! which is also the global pool's size, so default configurations lose
-//! no parallelism.
+//! per share; task `i` locks shard `i` and pushes its share straight in
+//! (into the current slice for a ring). No scratch sketch is involved,
+//! and which rows reach which shard, and in what order each shard adds
+//! them, depend only on the rows and the shard count. So for a given
+//! shard count the merged state after `ingest_parallel` is bitwise
+//! identical whatever the pool's thread count or timing. The price: a
+//! load uses at most `min(shards, pool threads)` cores, and holds each
+//! shard's lock while its share scatters. The default shard count is
+//! `available_parallelism`, which is also the global pool's size, so
+//! default configurations lose no parallelism.
+//!
+//! # Row counter
+//!
+//! [`ShardedIngest::total_count`] reads an atomic running counter. Every
+//! change to it — a batch or share landing, an advance retiring a slice,
+//! a poison repair dropping a shard — is made while the shard's lock is
+//! still held, so the counter moves in step with the shards: an advance
+//! can never retire a batch whose rows have not been counted yet.
 //!
 //! # Poisoned shards
 //!
@@ -47,10 +68,13 @@
 //! dead attribute. All the state behind these locks is repair-safe, so
 //! the locks recover instead: a poisoned shard is cleared (dropping the
 //! possibly-torn sums of the crashed batch and the shard's earlier rows,
-//! which the running row counter gives back), a poisoned scratch pool is
-//! emptied, and the poison flag is reset so the repair runs once, not on
-//! every subsequent access.
+//! which the running row counter gives back; a ring empties every slice,
+//! since a ring whose slices disagree about time is worse than an empty
+//! one, but keeps its advance clock), a poisoned scratch pool is emptied,
+//! and the poison flag is reset so the repair runs once, not on every
+//! subsequent access.
 
+use std::fmt::Debug;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard};
 use wavedens_core::{CoefficientSketch, EstimatorError, TensorSketch};
@@ -62,7 +86,7 @@ use wavedens_core::{CoefficientSketch, EstimatorError, TensorSketch};
 /// [`CoefficientSketch`] (rows are scalars) and the 2-D
 /// [`TensorSketch`] (rows are `(x, y)` pairs), which is what lets one
 /// ingest structure serve both marginal and joint synopses.
-pub trait MergeableSketch: Clone + Send + Sync + std::fmt::Debug {
+pub trait MergeableSketch: Clone + Send + Sync + Debug {
     /// One observation: `f64` for marginal sketches, `(f64, f64)` for
     /// joint ones.
     type Row: Copy + Send + Sync;
@@ -140,104 +164,164 @@ impl MergeableSketch for TensorSketch {
     }
 }
 
+/// Sealed: the trait is public only so it can bound [`ShardedIngest`]'s
+/// parameter; outside this crate it cannot be named or implemented.
+mod shard {
+    use super::{Debug, EstimatorError, MergeableSketch};
+
+    /// What one shard of a `ShardedIngest` holds: a plain mergeable
+    /// sketch (every `MergeableSketch`, below) or a slice ring (the
+    /// `WindowedSketch` impl in `windowed.rs`).
+    pub trait Shard: Clone + Send + Sync + Debug {
+        /// The sketch kind the shards fold into; long streaming batches
+        /// scatter into pooled scratches of this kind.
+        type Merged: MergeableSketch;
+        /// How a fold weights a shard's contents: nothing for a plain
+        /// sketch, the window policy for a ring.
+        type Fold: Copy + Default + Debug + Send + Sync;
+
+        /// Rows the shard holds (a ring: in its live slices).
+        fn rows(&self) -> usize;
+        /// Empties the shard, keeping allocations (a ring keeps its
+        /// advance clock).
+        fn reset(&mut self);
+        /// Pushes a batch of rows (a ring: into its current slice).
+        fn push(&mut self, rows: &[Row<Self>]);
+        /// An empty sketch of the merged kind, compatible with this
+        /// (empty) shard.
+        fn empty_merged(&self) -> Self::Merged;
+        /// Adds an accumulated scratch (a ring: to its current slice).
+        fn absorb(&mut self, scratch: &Self::Merged) -> Result<(), EstimatorError>;
+        /// Folds the shard into `target` through `fold`, overwriting
+        /// `target` when `first` and adding to it otherwise.
+        fn fold_into(
+            &self,
+            target: &mut Self::Merged,
+            fold: Self::Fold,
+            first: bool,
+        ) -> Result<(), EstimatorError>;
+    }
+
+    /// The row type shards of kind `S` ingest.
+    pub type Row<S> = <<S as Shard>::Merged as MergeableSketch>::Row;
+}
+
+pub(crate) use shard::{Row, Shard};
+
+/// A plain sketch is its own shard: pushes and scratches add to it, the
+/// first shard of a fold is copied and the others merged.
+impl<S: MergeableSketch> Shard for S {
+    type Merged = S;
+    type Fold = ();
+
+    fn rows(&self) -> usize {
+        self.count()
+    }
+
+    fn reset(&mut self) {
+        self.clear();
+    }
+
+    fn push(&mut self, rows: &[S::Row]) {
+        self.push_rows(rows);
+    }
+
+    fn empty_merged(&self) -> S {
+        self.clone()
+    }
+
+    fn absorb(&mut self, scratch: &S) -> Result<(), EstimatorError> {
+        self.merge(scratch)
+    }
+
+    fn fold_into(&self, target: &mut S, (): (), first: bool) -> Result<(), EstimatorError> {
+        if first {
+            target.copy_from(self)
+        } else {
+            target.merge(self)
+        }
+    }
+}
+
 /// Batch length from which [`ShardedIngest::ingest`] scatters outside the
 /// shard lock (into a pooled scratch sketch) and locks only for the
 /// element-wise add. Below it the whole batch is pushed under the lock:
 /// the scatter of a few dozen rows is cheaper than merging the full level
 /// tables, so the detour would lengthen the critical section instead of
 /// shrinking it.
-pub(crate) const SCATTER_OUTSIDE_LOCK_MIN: usize = 256;
+const SCATTER_OUTSIDE_LOCK_MIN: usize = 256;
 
 /// Minimum rows per share of [`ShardedIngest::ingest_parallel`]:
 /// queueing a task for a handful of rows costs more than scattering
 /// them, so tiny bulk loads run inline (or on fewer tasks than shards).
-pub(crate) const MIN_PARALLEL_CHUNK: usize = 256;
+const MIN_PARALLEL_CHUNK: usize = 256;
 
 /// Upper bound on pooled scratch sketches kept alive for the
-/// out-of-lock scatter path; more concurrent writers than this simply
-/// allocate (and drop) a scratch for the duration of their batch.
-pub(crate) const MAX_POOLED_SCRATCH: usize = 8;
+/// out-of-lock scatter path and the advance swap; more concurrent
+/// writers than this simply allocate (and drop) a scratch for the
+/// duration of their batch.
+const MAX_POOLED_SCRATCH: usize = 8;
 
-/// Locks a scratch pool, recovering from poisoning by emptying it: pooled
-/// scratches are cheap to re-clone from the template, so dropping them is
-/// always a safe repair. Clears the poison flag — the repair runs once.
-pub(crate) fn lock_scratch_pool<T>(pool: &Mutex<Vec<T>>) -> MutexGuard<'_, Vec<T>> {
-    match pool.lock() {
-        Ok(guard) => guard,
-        Err(poisoned) => {
-            let mut guard = poisoned.into_inner();
-            pool.clear_poison();
-            guard.clear();
-            guard
-        }
-    }
-}
-
-/// Lands a bulk load of `rows` in `shards` shards through `push(shard,
-/// share)`: share `i` is the `i`-th contiguous run of
-/// `len.div_ceil(shards).max(MIN_PARALLEL_CHUNK)` rows and goes to shard
-/// `i`, one global-pool task per share. With one shard, or a load that
-/// fits one share, the whole load goes inline to the next round-robin
-/// shard. An empty load does nothing (the cursor stays put).
-pub(crate) fn push_shares<R: Sync>(
-    rows: &[R],
-    shards: usize,
-    next: &AtomicUsize,
-    push: &(impl Fn(usize, &[R]) + Sync),
-) {
-    if rows.is_empty() {
-        return;
-    }
-    let share = rows.len().div_ceil(shards).max(MIN_PARALLEL_CHUNK);
-    if shards == 1 || rows.len() <= share {
-        push(next.fetch_add(1, Ordering::Relaxed) % shards, rows);
-    } else {
-        let shares = rows.chunks(share).enumerate();
-        workpool::WorkPool::global().scope(|scope| {
-            scope.spawn_batch(shares.map(|(shard, share)| move || push(shard, share)));
-        });
-    }
-}
-
-/// N per-shard sketches with round-robin batch placement and
-/// reproducible one-task-per-shard bulk loads.
+/// N per-shard sketches or slice rings with round-robin batch placement,
+/// reproducible one-task-per-shard bulk loads, and (for rings) collective
+/// advance and policy-weighted window merges.
 ///
-/// Generic over the sketch type: the default `S = CoefficientSketch`
+/// Generic over what a shard holds: the default `S = CoefficientSketch`
 /// ingests scalar rows for marginal synopses, `S = TensorSketch` ingests
-/// `(x, y)` pairs for joint ones — same sharding, same bulk-load shares,
-/// same poison recovery.
+/// `(x, y)` pairs for joint ones, and `S = WindowedSketch` keeps a ring of
+/// 1-D time slices per shard (see [`WindowedIngest`](crate::WindowedIngest))
+/// — same sharding, same bulk-load shares, same poison recovery.
 #[derive(Debug)]
-pub struct ShardedIngest<S: MergeableSketch = CoefficientSketch> {
+pub struct ShardedIngest<S: Shard = CoefficientSketch> {
     shards: Vec<Mutex<S>>,
-    /// Empty sketch the shards (and pooled scratches) are cloned from.
-    template: S,
-    /// Cleared scratch sketches for the out-of-lock scatter path.
-    scratch: Mutex<Vec<S>>,
-    /// Running total of ingested rows, bumped after each batch lands, so
+    /// Empty merged-kind sketch that pooled scratches and
+    /// [`merged`](Self::merged) start from.
+    pub(crate) template: S::Merged,
+    /// How every fold weights the shards (a ring's window policy).
+    pub(crate) fold: S::Fold,
+    /// Cleared scratch sketches for the out-of-lock scatter path and the
+    /// advance swap.
+    scratch: Mutex<Vec<S::Merged>>,
+    /// Running total of the rows the shards hold, changed only under the
+    /// lock of the shard whose rows it counts (see the module docs), so
     /// [`total_count`](Self::total_count) (and the staleness checks built
     /// on it) never has to take the N shard locks.
     rows: AtomicUsize,
     next: AtomicUsize,
 }
 
-impl<S: MergeableSketch> ShardedIngest<S> {
+impl<S: Shard> ShardedIngest<S> {
     /// Creates `shards ≥ 1` shards, each an empty clone of `template`.
     ///
     /// The template carries the basis, interval and resolution levels; it
     /// must be empty so that every shard starts from the same zero state.
     pub fn new(template: &S, shards: usize) -> Result<Self, EstimatorError> {
-        if !template.is_empty() {
+        Self::with_fold(template.clone(), shards, S::Fold::default())
+    }
+
+    /// [`new`](Self::new) from an owned template, which becomes the last
+    /// shard, with every fold weighting the shards through `fold`.
+    pub(crate) fn with_fold(
+        template: S,
+        shards: usize,
+        fold: S::Fold,
+    ) -> Result<Self, EstimatorError> {
+        if template.rows() != 0 {
             return Err(EstimatorError::InvalidParameter {
                 message: format!(
                     "shard template must be an empty sketch, it has {} observations",
-                    template.count()
+                    template.rows()
                 ),
             });
         }
-        let shards = shards.max(1);
         Ok(Self {
-            shards: (0..shards).map(|_| Mutex::new(template.clone())).collect(),
-            template: template.clone(),
+            template: template.empty_merged(),
+            // `vec!` clones the template for all but the last shard.
+            shards: vec![template; shards.max(1)]
+                .into_iter()
+                .map(Mutex::new)
+                .collect(),
+            fold,
             scratch: Mutex::new(Vec::new()),
             rows: AtomicUsize::new(0),
             next: AtomicUsize::new(0),
@@ -249,46 +333,55 @@ impl<S: MergeableSketch> ShardedIngest<S> {
         self.shards.len()
     }
 
-    /// Total number of observations across all shards, read from the
-    /// atomic running counter — O(1) and lock-free, where it used to lock
-    /// every shard in turn. The counter is bumped after a batch's rows
-    /// have landed, so it never reports rows the shards do not contain.
+    /// Rows the shards currently hold — every ingested row, or the rows
+    /// live in the window for rings — read from the atomic running
+    /// counter: O(1) and lock-free. The counter moves under the shard
+    /// locks, so it never reports rows the shards do not contain.
     pub fn total_count(&self) -> usize {
         self.rows.load(Ordering::Acquire)
     }
 
-    /// Whether no shard has seen any observation (lock-free).
+    /// Whether the shards hold no rows (lock-free).
     pub fn is_empty(&self) -> bool {
         self.total_count() == 0
     }
 
     /// Locks shard `index`, recovering from a poisoned mutex. The panicked
-    /// writer may have left the sketch mid-scatter with torn sums, so the
-    /// repair drops the shard's accumulation wholesale: `clear()` the
-    /// sketch, give its rows back to the running counter, and reset the
-    /// poison flag so the repair runs exactly once per crash. Later
-    /// ingests and merges then see a structurally sound (merely smaller)
-    /// shard instead of a propagated panic.
+    /// writer may have left the shard mid-scatter with torn sums, so the
+    /// repair drops the shard's accumulation wholesale: reset the shard,
+    /// give its rows back to the running counter, and reset the poison
+    /// flag so the repair runs exactly once per crash. Later ingests and
+    /// merges then see a structurally sound (merely smaller) shard
+    /// instead of a propagated panic.
     fn lock_shard(&self, index: usize) -> MutexGuard<'_, S> {
-        match self.shards[index].lock() {
-            Ok(guard) => guard,
-            Err(poisoned) => {
-                let mut guard = poisoned.into_inner();
-                self.shards[index].clear_poison();
-                let lost = guard.count();
-                guard.clear();
-                // The crashed batch was never added to `rows` (the counter
-                // is bumped after a batch lands), so only previously
-                // landed rows are subtracted; saturate rather than assume
-                // the interleaving.
-                let _ = self
-                    .rows
-                    .fetch_update(Ordering::AcqRel, Ordering::Acquire, |rows| {
-                        Some(rows.saturating_sub(lost))
-                    });
-                guard
-            }
-        }
+        self.shards[index].lock().unwrap_or_else(|poisoned| {
+            let mut guard = poisoned.into_inner();
+            self.shards[index].clear_poison();
+            // The crashed batch was never counted (the counter moves after
+            // a batch lands), so only previously landed rows are
+            // subtracted; `forget` saturates rather than assume the
+            // interleaving.
+            self.forget(guard.rows());
+            guard.reset();
+            guard
+        })
+    }
+
+    /// Removes `rows` from the running counter, saturating at zero.
+    fn forget(&self, rows: usize) {
+        let _ = self
+            .rows
+            .fetch_update(Ordering::AcqRel, Ordering::Acquire, |live| {
+                Some(live.saturating_sub(rows))
+            });
+    }
+
+    /// Runs `write` on shard `index` under its lock and counts `rows`
+    /// before the lock is released.
+    fn write_shard(&self, index: usize, rows: usize, write: impl FnOnce(&mut S)) {
+        let mut shard = self.lock_shard(index);
+        write(&mut shard);
+        self.rows.fetch_add(rows, Ordering::Release);
     }
 
     /// Ingests one batch into a single shard, chosen round-robin so that
@@ -298,7 +391,7 @@ impl<S: MergeableSketch> ShardedIngest<S> {
     /// Batches of `SCATTER_OUTSIDE_LOCK_MIN` rows or more scatter into a
     /// pooled scratch sketch *before* taking the shard lock, which is then
     /// held only for the element-wise add — see the module docs.
-    pub fn ingest(&self, values: &[S::Row]) {
+    pub fn ingest(&self, values: &[Row<S>]) {
         if values.is_empty() {
             return;
         }
@@ -306,14 +399,15 @@ impl<S: MergeableSketch> ShardedIngest<S> {
         if values.len() >= SCATTER_OUTSIDE_LOCK_MIN {
             let mut local = self.take_scratch();
             local.push_rows(values);
-            self.lock_shard(shard)
-                .merge(&local)
-                .expect("scratch is cloned from the shard template");
+            self.write_shard(shard, values.len(), |shard| {
+                shard
+                    .absorb(&local)
+                    .expect("scratch is cloned from the shard template")
+            });
             self.return_scratch(local);
         } else {
-            self.lock_shard(shard).push_rows(values);
+            self.write_shard(shard, values.len(), |shard| shard.push(values));
         }
-        self.rows.fetch_add(values.len(), Ordering::Release);
     }
 
     /// Bulk-loads `values` with one task per shard on the global
@@ -323,7 +417,7 @@ impl<S: MergeableSketch> ShardedIngest<S> {
     /// at least `MIN_PARALLEL_CHUNK` rows, so a small load uses fewer
     /// tasks than shards; with a single shard, or a load that fits one
     /// share, the rows are pushed inline under the lock of the next
-    /// round-robin shard, no pool involved.
+    /// round-robin shard, no pool involved. An empty load does nothing.
     ///
     /// For a given shard count, the merged state after `ingest_parallel`
     /// is bitwise identical whatever the pool's thread count or timing:
@@ -333,75 +427,120 @@ impl<S: MergeableSketch> ShardedIngest<S> {
     /// The trade: a load uses at most `min(shards, pool threads)` cores,
     /// and holds each shard's lock while its share scatters, so a
     /// concurrent [`ingest`](Self::ingest) to that shard waits for it.
-    pub fn ingest_parallel(&self, values: &[S::Row]) {
-        push_shares(values, self.shards.len(), &self.next, &|shard, share| {
-            self.lock_shard(shard).push_rows(share)
-        });
-        self.rows.fetch_add(values.len(), Ordering::Release);
+    pub fn ingest_parallel(&self, values: &[Row<S>]) {
+        if values.is_empty() {
+            return;
+        }
+        let shards = self.shards.len();
+        let share = values.len().div_ceil(shards).max(MIN_PARALLEL_CHUNK);
+        let push = |shard: usize, rows: &[Row<S>]| {
+            self.write_shard(shard, rows.len(), |shard| shard.push(rows));
+        };
+        if shards == 1 || values.len() <= share {
+            push(self.next.fetch_add(1, Ordering::Relaxed) % shards, values);
+        } else {
+            let shares = values.chunks(share).enumerate();
+            workpool::WorkPool::global().scope(|scope| {
+                scope.spawn_batch(shares.map(|(shard, rows)| move || push(shard, rows)));
+            });
+        }
+    }
+
+    /// Visits every shard in index order, each under its own lock, so
+    /// concurrent writers are stalled for at most one visit each. Stops
+    /// at the first error.
+    pub(crate) fn for_each_shard(
+        &self,
+        mut visit: impl FnMut(usize, &S) -> Result<(), EstimatorError>,
+    ) -> Result<(), EstimatorError> {
+        (0..self.shards.len()).try_for_each(|index| visit(index, &self.lock_shard(index)))
     }
 
     /// Merges all shards into one sketch — the accumulation state a single
-    /// stream over every ingested row would have produced. Shards are
-    /// locked one at a time, so concurrent writers are stalled for at most
-    /// one shard-clone each.
-    pub fn merged(&self) -> Result<S, EstimatorError> {
-        let mut merged = self.lock_shard(0).clone();
-        for shard in 1..self.shards.len() {
-            let snapshot = self.lock_shard(shard).clone();
-            merged.merge(&snapshot)?;
-        }
+    /// stream over every ingested row would have produced (for rings: the
+    /// policy-weighted window over the live slices). A clone of the
+    /// template followed by [`merge_into`](Self::merge_into).
+    pub fn merged(&self) -> Result<S::Merged, EstimatorError> {
+        let mut merged = self.template.clone();
+        self.merge_into(&mut merged)?;
         Ok(merged)
     }
 
     /// [`merged`](Self::merged) into a caller-provided scratch sketch,
-    /// reusing its allocations instead of cloning every shard — the
-    /// allocation-free merge path of the engine's incremental refresh.
-    /// `target` must be compatible with the shard template (any previous
-    /// merge result is); its prior contents are overwritten.
-    pub fn merge_into(&self, target: &mut S) -> Result<(), EstimatorError> {
-        {
-            let first = self.lock_shard(0);
-            target.copy_from(&first)?;
+    /// reusing its allocations — the allocation-free merge path of the
+    /// engine's incremental refresh. `target` must be compatible with the
+    /// shard template (any previous merge result is); its prior contents
+    /// are overwritten, and its level stamps advance strictly, so
+    /// `CvCache`/`DenseEvalCache` consumers stay sound across advances.
+    pub fn merge_into(&self, target: &mut S::Merged) -> Result<(), EstimatorError> {
+        self.for_each_shard(|index, shard| shard.fold_into(target, self.fold, index == 0))
+    }
+
+    /// Swaps a cleared pooled scratch into every shard in turn: `swap`
+    /// gets the shard under its lock and the scratch, and returns the
+    /// sketch the shard gives up, whose rows leave the running counter
+    /// before the lock is released. The given-up sketch is cleared
+    /// outside the lock and pooled. Returns the rows that left.
+    pub(crate) fn swap_each(&self, swap: impl Fn(&mut S, S::Merged) -> S::Merged) -> usize {
+        let mut left = 0;
+        for index in 0..self.shards.len() {
+            let fresh = self.take_scratch();
+            let mut shard = self.lock_shard(index);
+            let given_up = swap(&mut shard, fresh);
+            self.forget(given_up.count());
+            drop(shard);
+            left += given_up.count();
+            self.return_scratch(given_up);
         }
-        for shard in 1..self.shards.len() {
-            let snapshot = self.lock_shard(shard);
-            target.merge(&snapshot)?;
-        }
-        Ok(())
+        left
+    }
+
+    /// Locks the scratch pool, recovering from poisoning by emptying it:
+    /// pooled scratches are cheap to re-clone from the template, so
+    /// dropping them is always a safe repair. Clears the poison flag — the
+    /// repair runs once.
+    fn lock_scratch(&self) -> MutexGuard<'_, Vec<S::Merged>> {
+        self.scratch.lock().unwrap_or_else(|poisoned| {
+            let mut pool = poisoned.into_inner();
+            self.scratch.clear_poison();
+            pool.clear();
+            pool
+        })
     }
 
     /// Pops a cleared scratch sketch from the pool, cloning the template
     /// when the pool is dry (first use, or more concurrent writers than
     /// pooled scratches).
-    fn take_scratch(&self) -> S {
-        lock_scratch_pool(&self.scratch)
+    fn take_scratch(&self) -> S::Merged {
+        self.lock_scratch()
             .pop()
             .unwrap_or_else(|| self.template.clone())
     }
 
     /// Clears a scratch sketch (keeping its allocations) and returns it to
     /// the pool, unless the pool is already full.
-    fn return_scratch(&self, mut sketch: S) {
+    fn return_scratch(&self, mut sketch: S::Merged) {
         sketch.clear();
-        let mut pool = lock_scratch_pool(&self.scratch);
+        let mut pool = self.lock_scratch();
         if pool.len() < MAX_POOLED_SCRATCH {
             pool.push(sketch);
         }
     }
 }
 
-impl<S: MergeableSketch> Clone for ShardedIngest<S> {
+impl<S: Shard> Clone for ShardedIngest<S> {
     fn clone(&self) -> Self {
         // Clone the shard contents first so the row counter can be
         // recomputed from exactly the cloned state: the clone is then
         // self-consistent even if writers raced the per-shard locks.
-        let sketches: Vec<S> = (0..self.shards.len())
+        let shards: Vec<S> = (0..self.shards.len())
             .map(|shard| self.lock_shard(shard).clone())
             .collect();
-        let rows = sketches.iter().map(|sketch| sketch.count()).sum();
+        let rows = shards.iter().map(Shard::rows).sum();
         Self {
-            shards: sketches.into_iter().map(Mutex::new).collect(),
+            shards: shards.into_iter().map(Mutex::new).collect(),
             template: self.template.clone(),
+            fold: self.fold,
             scratch: Mutex::new(Vec::new()),
             rows: AtomicUsize::new(rows),
             next: AtomicUsize::new(self.next.load(Ordering::Relaxed)),
@@ -409,60 +548,12 @@ impl<S: MergeableSketch> Clone for ShardedIngest<S> {
     }
 }
 
-/// The write-and-merge surface of an ingest structure filling sketches of
-/// kind `S` — what a [`Synopsis`](crate::Synopsis) needs from its
-/// backend. Implemented by [`ShardedIngest`] for every sketch kind and by
-/// the 1-D landmark/windowed [`IngestBackend`](crate::synopsis::IngestBackend).
-pub trait SketchIngest<S: MergeableSketch>: Clone + std::fmt::Debug + Send + Sync {
-    /// Pushes one batch into a single shard (round-robin).
-    fn ingest(&self, rows: &[S::Row]);
-    /// Bulk-loads one contiguous share per shard, one work-stealing pool
-    /// task each, straight into the shards. For a given shard count the
-    /// merged state afterwards is bitwise identical whatever the pool's
-    /// thread count or timing; a load uses at most
-    /// `min(shards, pool threads)` cores and holds each shard's lock while
-    /// its share scatters.
-    fn ingest_parallel(&self, rows: &[S::Row]);
-    /// Rows currently contributing, from an atomic running counter.
-    fn total_count(&self) -> usize;
-    /// Number of shards.
-    fn shard_count(&self) -> usize;
-    /// The merged accumulation state across all shards.
-    fn merged(&self) -> Result<S, EstimatorError>;
-    /// Merges all shards into `target`, reusing its allocations.
-    fn merge_into(&self, target: &mut S) -> Result<(), EstimatorError>;
-}
-
-impl<S: MergeableSketch> SketchIngest<S> for ShardedIngest<S> {
-    fn ingest(&self, rows: &[S::Row]) {
-        ShardedIngest::ingest(self, rows);
-    }
-
-    fn ingest_parallel(&self, rows: &[S::Row]) {
-        ShardedIngest::ingest_parallel(self, rows);
-    }
-
-    fn total_count(&self) -> usize {
-        ShardedIngest::total_count(self)
-    }
-
-    fn shard_count(&self) -> usize {
-        ShardedIngest::shard_count(self)
-    }
-
-    fn merged(&self) -> Result<S, EstimatorError> {
-        ShardedIngest::merged(self)
-    }
-
-    fn merge_into(&self, target: &mut S) -> Result<(), EstimatorError> {
-        ShardedIngest::merge_into(self, target)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::WindowedIngest;
     use rand::Rng;
+    use wavedens_core::WindowPolicy;
     use wavedens_processes::seeded_rng;
 
     fn sample(n: usize, seed: u64) -> Vec<f64> {
@@ -732,5 +823,73 @@ mod tests {
         sharded.ingest(&sample(50, 4));
         assert_eq!(cloned.total_count(), 50);
         assert_eq!(sharded.total_count(), 100);
+    }
+
+    /// Bulk loads push each contiguous share straight into its shard's
+    /// current slice: the scratch pool (streaming batches and the advance
+    /// swap) stays empty, and each slice holds bit for bit what pushing
+    /// its share into a fresh template gives.
+    #[test]
+    fn ring_parallel_loads_bypass_the_scratch_pool() {
+        let data = sample(8 * SCATTER_OUTSIDE_LOCK_MIN, 31);
+        let windowed =
+            WindowedIngest::new(&template(4000), 2, WindowPolicy::SlidingSlices(3)).unwrap();
+        windowed.ingest_parallel(&data);
+        assert!(windowed.scratch.lock().unwrap().is_empty());
+        assert_eq!(windowed.total_count(), data.len());
+        for (shard, share) in windowed.shards.iter().zip(data.chunks(data.len() / 2)) {
+            let mut expected = template(4000);
+            expected.push_batch(share);
+            let ring = shard.lock().unwrap();
+            assert_eq!(ring.slice(0).unwrap().to_bytes(), expected.to_bytes());
+        }
+        // After an advance the next load lands in the fresh slices.
+        windowed.advance_all();
+        windowed.ingest_parallel(&data[..600]);
+        assert_eq!(windowed.total_count(), data.len() + 600);
+        for shard in &windowed.shards {
+            assert_eq!(shard.lock().unwrap().slice(0).unwrap().count(), 300);
+        }
+    }
+
+    /// A panicked writer poisons one ring; the next access repairs it and
+    /// the window keeps answering.
+    #[test]
+    fn poisoned_ring_recovers() {
+        let windowed =
+            WindowedIngest::new(&template(1000), 2, WindowPolicy::SlidingSlices(2)).unwrap();
+        windowed.ingest(&sample(300, 29));
+        let crash = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _guard = windowed.shards[0].lock().unwrap();
+            panic!("simulated writer crash");
+        }));
+        assert!(crash.is_err());
+        assert!(windowed.shards[0].is_poisoned());
+        windowed.ingest(&sample(100, 30));
+        let merged = windowed.merged().unwrap();
+        assert_eq!(merged.count(), 100);
+        assert!(!windowed.shards[0].is_poisoned());
+    }
+
+    /// A poison repair empties a ring but keeps its advance clock, so the
+    /// clock that shipped slices carry never runs backwards.
+    #[test]
+    fn poison_repair_keeps_the_ring_clock() {
+        let windowed =
+            WindowedIngest::new(&template(1000), 1, WindowPolicy::SlidingSlices(2)).unwrap();
+        windowed.ingest(&sample(300, 32));
+        windowed.advance_all();
+        let crash = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _guard = windowed.shards[0].lock().unwrap();
+            panic!("simulated writer crash");
+        }));
+        assert!(crash.is_err());
+        assert_eq!(windowed.total_count(), 300);
+        assert_eq!(windowed.advances(), 1);
+        assert_eq!(windowed.total_count(), 0);
+        let (_, meta) =
+            CoefficientSketch::from_bytes_with_window(&windowed.ship_current_slice().unwrap())
+                .unwrap();
+        assert_eq!(meta.expect("windowed frame carries metadata").advances, 1);
     }
 }

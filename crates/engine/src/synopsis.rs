@@ -3,14 +3,14 @@
 //! over the sketch kind ([`SynopsisSketch`]): [`AttributeSynopsis`] is the
 //! 1-D kind, [`JointSynopsis`](crate::JointSynopsis) the 2-D one.
 
-use crate::sharded::{MergeableSketch, ShardedIngest, SketchIngest};
-use crate::windowed::WindowedIngest;
+use crate::sharded::{MergeableSketch, Shard, ShardedIngest};
 use std::fmt::Debug;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, TryLockError};
 use wavedens_core::{
     CoefficientSketch, CompactionPolicy, CumulativeEstimate, CvCache, DenseEvalCache,
-    EstimatorError, ThresholdRule, WaveletDensityEstimate, WindowPolicy, DEFAULT_CDF_POINTS,
+    EstimatorError, ThresholdRule, WaveletDensityEstimate, WindowPolicy, WindowedSketch,
+    DEFAULT_CDF_POINTS,
 };
 
 /// Configuration of a [`Synopsis`], marginal or joint.
@@ -35,9 +35,11 @@ pub struct SynopsisConfig {
     /// [`DEFAULT_CDF_POINTS`]; per axis, capped at 257, for joints).
     pub cdf_points: usize,
     /// How the synopsis weights history (default
-    /// [`WindowPolicy::Landmark`]: one lifetime sketch). Windowed
-    /// policies maintain per-shard slice rings (marginal synopses only);
-    /// see [`AttributeSynopsis::advance`].
+    /// [`WindowPolicy::Landmark`]: one lifetime sketch per shard).
+    /// Windowed policies keep a ring of time slices per shard, in the
+    /// same [`ShardedIngest`] (a landmark marginal synopsis is a
+    /// one-slice ring that never advances); marginal synopses only, joint
+    /// synopses reject them. See [`AttributeSynopsis::advance`].
     pub window: WindowPolicy,
 }
 
@@ -154,8 +156,9 @@ impl RefreshedSynopsis {
 /// A sketch kind a [`Synopsis`] can serve: a [`MergeableSketch`] plus the
 /// four things that differ between the 1-D and 2-D synopses.
 pub trait SynopsisSketch: MergeableSketch {
-    /// The ingest structure writers fill.
-    type Ingest: SketchIngest<Self>;
+    /// What each ingest shard holds, folding into this kind: a slice ring
+    /// for 1-D synopses, the sketch itself for 2-D ones.
+    type Shard: Shard<Merged = Self>;
     /// The immutable refreshed estimate readers share.
     type Snapshot: Debug + Send + Sync;
     /// Incremental state a rebuild keeps for the next one (reset after a
@@ -165,7 +168,7 @@ pub trait SynopsisSketch: MergeableSketch {
     /// Builds the empty ingest structure for `config`: a template sketch
     /// sized for `config.expected_rows`, sharded `config.shards` ways.
     /// Fails on a window policy this kind cannot serve.
-    fn ingest_for(config: &SynopsisConfig) -> Result<Self::Ingest, EstimatorError>;
+    fn ingest_for(config: &SynopsisConfig) -> Result<ShardedIngest<Self::Shard>, EstimatorError>;
 
     /// Runs model selection and CDF construction on a merged sketch, with
     /// `config`'s rule and its `cdf_points` clamped to what this kind
@@ -188,71 +191,21 @@ pub trait SynopsisSketch: MergeableSketch {
     fn to_bytes(&self) -> Vec<u8>;
 }
 
-/// The ingest structure behind a 1-D synopsis: one lifetime sharded
-/// sketch ([`WindowPolicy::Landmark`]) or per-shard windowed slice rings.
-/// Both expose the same merge surface, so the refresh path is
-/// policy-blind.
-#[derive(Debug, Clone)]
-pub enum IngestBackend {
-    /// One lifetime sketch per shard.
-    Landmark(ShardedIngest),
-    /// One ring of time slices per shard.
-    Windowed(WindowedIngest),
-}
-
-/// Forwards one call to whichever ingest structure an [`IngestBackend`]
-/// holds; both expose the same surface.
-macro_rules! forward {
-    ($backend:expr, $ingest:ident => $call:expr) => {
-        match $backend {
-            IngestBackend::Landmark($ingest) => $call,
-            IngestBackend::Windowed($ingest) => $call,
-        }
-    };
-}
-
-impl SketchIngest<CoefficientSketch> for IngestBackend {
-    fn ingest(&self, values: &[f64]) {
-        forward!(self, ingest => ingest.ingest(values))
-    }
-
-    fn ingest_parallel(&self, values: &[f64]) {
-        forward!(self, ingest => ingest.ingest_parallel(values))
-    }
-
-    fn total_count(&self) -> usize {
-        forward!(self, ingest => ingest.total_count())
-    }
-
-    fn shard_count(&self) -> usize {
-        forward!(self, ingest => ingest.shard_count())
-    }
-
-    fn merged(&self) -> Result<CoefficientSketch, EstimatorError> {
-        forward!(self, ingest => ingest.merged())
-    }
-
-    fn merge_into(&self, target: &mut CoefficientSketch) -> Result<(), EstimatorError> {
-        forward!(self, ingest => ingest.merge_into(target))
-    }
-}
-
-/// The 1-D kind: scalar rows, the landmark or windowed backend, and an
+/// The 1-D kind: scalar rows, one slice ring per shard, and an
 /// incremental rebuild through a [`CvCache`] and a [`DenseEvalCache`].
 impl SynopsisSketch for CoefficientSketch {
-    type Ingest = IngestBackend;
+    type Shard = WindowedSketch;
     type Snapshot = RefreshedSynopsis;
     type RebuildCache = (CvCache, DenseEvalCache);
 
-    fn ingest_for(config: &SynopsisConfig) -> Result<IngestBackend, EstimatorError> {
-        // `WindowedIngest::new` validates the window parameters.
+    /// A landmark synopsis is a one-slice ring that never advances: its
+    /// fold under [`WindowPolicy::Landmark`] (weight 1) is bitwise the
+    /// plain copy-and-merge.
+    fn ingest_for(config: &SynopsisConfig) -> Result<ShardedIngest<Self::Shard>, EstimatorError> {
+        config.window.validate()?;
         let template = Self::sized_for(config.expected_rows.max(16))?;
-        let shards = config.shards;
-        Ok(if config.window.is_windowed() {
-            IngestBackend::Windowed(WindowedIngest::new(&template, shards, config.window)?)
-        } else {
-            IngestBackend::Landmark(ShardedIngest::new(&template, shards)?)
-        })
+        let ring = WindowedSketch::new(&template, config.window.ring_slices().unwrap_or(1))?;
+        ShardedIngest::with_fold(ring, config.shards, config.window)
     }
 
     fn snapshot(
@@ -314,7 +267,7 @@ type RefreshState<S> = (Option<S>, <S as SynopsisSketch>::RebuildCache);
 ///   incremental state.
 #[derive(Debug)]
 pub struct Synopsis<S: SynopsisSketch> {
-    backend: S::Ingest,
+    backend: ShardedIngest<S::Shard>,
     /// The configuration this synopsis was built from (kept verbatim so
     /// the catalog can detect config conflicts between attributes and
     /// pairs).
@@ -611,14 +564,12 @@ impl Synopsis<CoefficientSketch> {
     /// new window. Returns `true` when an advance happened; `false` (and
     /// does nothing) on a landmark synopsis, which keeps no slices.
     pub fn advance(&self) -> bool {
-        match &self.backend {
-            IngestBackend::Landmark(_) => false,
-            IngestBackend::Windowed(rings) => {
-                rings.advance_all();
-                self.epoch.fetch_add(1, Ordering::Release);
-                true
-            }
+        if !self.config.window.is_windowed() {
+            return false;
         }
+        self.backend.advance_all();
+        self.epoch.fetch_add(1, Ordering::Release);
+        true
     }
 
     /// Ships the current (age-0) time slice of a windowed synopsis as a
@@ -627,12 +578,12 @@ impl Synopsis<CoefficientSketch> {
     /// Fails with [`EstimatorError::InvalidParameter`] on a landmark
     /// synopsis.
     pub fn ship_window_slice(&self) -> Result<Vec<u8>, EstimatorError> {
-        match &self.backend {
-            IngestBackend::Landmark(_) => Err(EstimatorError::InvalidParameter {
+        if !self.config.window.is_windowed() {
+            return Err(EstimatorError::InvalidParameter {
                 message: "a landmark synopsis keeps no window slices to ship".to_string(),
-            }),
-            IngestBackend::Windowed(rings) => rings.ship_current_slice(),
+            });
         }
+        self.backend.ship_current_slice()
     }
 
     /// Ingests from an iterator in fixed-size batches (bounded memory for

@@ -14,10 +14,16 @@
 //! That pins independence from the pool size without varying the pool;
 //! CI also runs this suite pinned to one core, where the global pool has
 //! a single worker.
+//!
+//! The marginal case also loads a default (landmark) `AttributeSynopsis`,
+//! whose shards are one-slice rings, and holds its merged sketch to the
+//! same reference.
 
 use std::collections::HashSet;
 use std::sync::OnceLock;
-use wavedens::engine::{MergeableSketch, ShardedIngest, WindowPolicy, WindowedIngest};
+use wavedens::engine::{
+    AttributeSynopsis, MergeableSketch, ShardedIngest, SynopsisConfig, WindowPolicy, WindowedIngest,
+};
 use wavedens::estimation::{CoefficientSketch, TensorSketch};
 use wavedens::prelude::{seeded_rng, DependenceCase, SineUniformMixture, WaveletFamily};
 
@@ -99,6 +105,17 @@ fn sharded_marginal_loads_are_bitwise_reproducible() {
             ingest.ingest_parallel(rows);
             assert_eq!(ingest.total_count(), ROWS);
             ingest.merged().unwrap().to_bytes()
+        });
+        // A landmark synopsis keeps one-slice rings in the same ingest;
+        // its fold must give the same bits as the plain shards.
+        let config = SynopsisConfig::default()
+            .with_expected_rows(ROWS)
+            .with_shards(shards);
+        assert_reproducible(&format!("landmark, {shards} shards"), &expected, || {
+            let synopsis = AttributeSynopsis::new(&config).unwrap();
+            synopsis.ingest_parallel(rows);
+            assert_eq!(synopsis.rows(), ROWS);
+            synopsis.merged_sketch().unwrap().to_bytes()
         });
     }
 }
