@@ -49,8 +49,8 @@ pub(crate) struct ChunkKey {
 /// Which scatter layout the key describes.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub(crate) enum ChunkKind {
-    /// 1-D window scatter ([`crate::CoefficientSketch::push_batch`] and
-    /// [`crate::TensorSketch::push_scalars`]).
+    /// 1-D window scatter ([`crate::CoefficientSketch::push_batch`], run
+    /// over the levels of its `dims == 1` tensor store).
     OneD,
     /// 2-D outer-product scatter ([`crate::TensorSketch::push_pairs`]).
     TwoD,

@@ -35,8 +35,9 @@
 //!   ([`TensorSketch`]): levels keyed by per-axis level tuples, flattened
 //!   row-major translation storage, hyperbolic-budget 2-D level sets, and
 //!   a joint CDF grid ([`TensorCumulative`]) answering rectangle masses
-//!   by inclusion–exclusion (1-D is the `dims == 1` special case, bitwise
-//!   identical to [`CoefficientSketch`]);
+//!   by inclusion–exclusion. It is the one sketch store: a
+//!   [`CoefficientSketch`] is a thin 1-D face over a `dims == 1`
+//!   tensor sketch;
 //! * [`window`] — windowed and decaying sketch rings ([`WindowedSketch`])
 //!   for streaming workloads: time-sliced sketches retire wholesale so
 //!   the synopsis tracks the *recent* distribution without subtraction;

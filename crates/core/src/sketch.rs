@@ -17,175 +17,25 @@
 //! downstream on a [`snapshot`](CoefficientSketch::snapshot)). Both the
 //! streaming estimator and the batch coefficient construction are thin
 //! layers over it, and the `wavedens-engine` crate builds sharded ingest
-//! and multi-attribute synopsis catalogs on top.
+//! and multi-attribute synopsis catalogs on top. The sums themselves live
+//! in a `dims = 1` [`TensorSketch`], the one store, scatter and merge
+//! code of every sketch; this module adds the 1-D estimate, compaction
+//! and wire frames.
 //!
 //! Sketches also (de)serialize to a compact little-endian binary form
 //! ([`to_bytes`](CoefficientSketch::to_bytes) /
 //! [`from_bytes`](CoefficientSketch::from_bytes)) so synopses can be
 //! shipped between nodes and merged where they land.
 
-use crate::autotune;
-use crate::coefficients::{
-    EmpiricalCoefficients, Generator, LevelAccumulator, LevelCoefficients, ScatterScratch,
-};
+use crate::coefficients::EmpiricalCoefficients;
 use crate::cv::{cross_validate, cross_validate_cached, CrossValidationResult, CvCache};
 use crate::error::EstimatorError;
 use crate::estimator::{ThresholdedLevel, WaveletDensityEstimate};
+use crate::tensor::{TensorLevel, TensorSketch};
 use crate::threshold::{ThresholdProfile, ThresholdRule};
 use crate::window::WindowSliceMeta;
 use std::sync::Arc;
 use wavedens_wavelets::{WaveletBasis, WaveletFamily};
-
-/// Running sums for one resolution level.
-///
-/// `sum_squares` sits behind an [`Arc`] so that snapshotting hands
-/// cross-validation a read-only view without copying the vector; ingestion
-/// and merging use copy-on-write ([`Arc::make_mut`]), which only actually
-/// clones when a snapshot from a previous estimate is still alive.
-///
-/// `version` is a cheap per-level dirty stamp: it moves (strictly
-/// monotonically for any fixed sketch lineage) whenever the level's sums
-/// may have changed, so downstream consumers — the delta-aware
-/// cross-validation cache ([`crate::cv::CvCache`]) in particular — can
-/// recognise unchanged levels without comparing payloads.
-#[derive(Debug, Clone)]
-struct SketchLevel {
-    level: i32,
-    generator: Generator,
-    k_start: i64,
-    version: u64,
-    sums: Vec<f64>,
-    sum_squares: Arc<Vec<f64>>,
-}
-
-impl SketchLevel {
-    fn new(basis: &WaveletBasis, interval: (f64, f64), level: i32, generator: Generator) -> Self {
-        let range = basis.translations_covering(level, interval.0, interval.1);
-        let k_start = *range.start();
-        let count = (*range.end() - k_start + 1).max(0) as usize;
-        Self {
-            level,
-            generator,
-            k_start,
-            version: 0,
-            sums: vec![0.0; count],
-            sum_squares: Arc::new(vec![0.0; count]),
-        }
-    }
-
-    /// Scatters a chunk of observations through the two-pass gather fast
-    /// path (`scratch` holds the shared per-chunk gather rows).
-    fn push_chunk(&mut self, basis: &WaveletBasis, values: &[f64], scratch: &mut ScatterScratch) {
-        if values.is_empty() {
-            return;
-        }
-        self.version += 1;
-        let accumulator = LevelAccumulator::new(basis, self.generator, self.level, self.k_start);
-        let squares = Arc::make_mut(&mut self.sum_squares);
-        accumulator.scatter_chunk(values, scratch, &mut self.sums, squares);
-    }
-
-    /// Scatters a batch through the scalar reference path (one
-    /// basis-function evaluation per translation); see
-    /// [`CoefficientSketch::push_batch_scalar`].
-    fn push_batch_scalar(&mut self, basis: &WaveletBasis, values: &[f64]) {
-        if values.is_empty() {
-            return;
-        }
-        self.version += 1;
-        let accumulator = LevelAccumulator::new(basis, self.generator, self.level, self.k_start);
-        let squares = Arc::make_mut(&mut self.sum_squares);
-        for &x in values {
-            accumulator.scatter(x, &mut self.sums, squares);
-        }
-    }
-
-    /// Resets the level to the never-touched state in place (see
-    /// [`CoefficientSketch::clear`]).
-    fn clear(&mut self) {
-        self.version = 0;
-        self.sums.fill(0.0);
-        Arc::make_mut(&mut self.sum_squares).fill(0.0);
-    }
-
-    fn merge(&mut self, other: &Self) {
-        debug_assert_eq!(self.sums.len(), other.sums.len());
-        if other.version == 0 {
-            // A never-touched level carries identically zero sums; adding
-            // them would not change the state, so the stamp must not move.
-            return;
-        }
-        self.version += other.version;
-        for (acc, v) in self.sums.iter_mut().zip(&other.sums) {
-            *acc += v;
-        }
-        let squares = Arc::make_mut(&mut self.sum_squares);
-        for (acc, v) in squares.iter_mut().zip(other.sum_squares.iter()) {
-            *acc += v;
-        }
-    }
-
-    fn copy_from(&mut self, source: &Self) {
-        debug_assert_eq!(self.sums.len(), source.sums.len());
-        // The target keeps its own lineage, so its version must *strictly*
-        // advance: the copied contents are arbitrary relative to whatever
-        // this instance held at any earlier stamp. (On the engine's
-        // refresh path `source.version` — the sum of monotone shard
-        // stamps — is the larger term.)
-        self.version = source.version.max(self.version + 1);
-        self.sums.copy_from_slice(&source.sums);
-        Arc::make_mut(&mut self.sum_squares).copy_from_slice(&source.sum_squares);
-    }
-
-    /// [`merge`](Self::merge) with every contribution scaled by `weight`.
-    /// At `weight == 1.0` this is bitwise `merge`: IEEE 754 guarantees
-    /// `1.0 * v == v` exactly for every value `v` the sums can hold.
-    fn merge_scaled(&mut self, other: &Self, weight: f64) {
-        debug_assert_eq!(self.sums.len(), other.sums.len());
-        if other.version == 0 {
-            return;
-        }
-        self.version += other.version;
-        for (acc, v) in self.sums.iter_mut().zip(&other.sums) {
-            *acc += weight * v;
-        }
-        let squares = Arc::make_mut(&mut self.sum_squares);
-        for (acc, v) in squares.iter_mut().zip(other.sum_squares.iter()) {
-            *acc += weight * v;
-        }
-    }
-
-    /// [`copy_from`](Self::copy_from) with every copied sum scaled by
-    /// `weight` (same strict version advance, so caches keyed to the
-    /// target stay sound).
-    fn copy_scaled_from(&mut self, source: &Self, weight: f64) {
-        debug_assert_eq!(self.sums.len(), source.sums.len());
-        self.version = source.version.max(self.version + 1);
-        for (slot, v) in self.sums.iter_mut().zip(&source.sums) {
-            *slot = weight * v;
-        }
-        let squares = Arc::make_mut(&mut self.sum_squares);
-        for (slot, v) in squares.iter_mut().zip(source.sum_squares.iter()) {
-            *slot = weight * v;
-        }
-    }
-
-    /// Whether every stored sum (and sum of squares) is exactly zero — the
-    /// criterion for omitting the level payload from a v2 frame.
-    fn is_zero(&self) -> bool {
-        self.sums.iter().all(|v| *v == 0.0) && self.sum_squares.iter().all(|v| *v == 0.0)
-    }
-
-    fn snapshot(&self, n: usize) -> LevelCoefficients {
-        LevelCoefficients {
-            level: self.level,
-            generator: self.generator,
-            k_start: self.k_start,
-            values: self.sums.iter().map(|s| s / n as f64).collect(),
-            sum_squares: Arc::clone(&self.sum_squares),
-        }
-    }
-}
 
 /// The mergeable accumulation state of the wavelet density estimator:
 /// per-level running sums `Σ_i δ_{j,k}(X_i)`, running sums of squares
@@ -201,11 +51,12 @@ impl SketchLevel {
 ///   [`estimate`](Self::estimate) runs that pipeline;
 /// * [`to_bytes`](Self::to_bytes) / [`from_bytes`](Self::from_bytes)
 ///   round-trip a compact binary form for shipping between nodes.
+///
+/// The sums are held by a `dims = 1` [`TensorSketch`]: the scaling level
+/// `j0`, then the detail levels `j0..=j_max`.
 #[derive(Debug)]
 pub struct CoefficientSketch {
-    basis: Arc<WaveletBasis>,
-    interval: (f64, f64),
-    count: usize,
+    inner: TensorSketch,
     /// Unique identifier of this sketch *instance*, never shared between
     /// two live sketches: every constructor (including [`Clone`]) draws a
     /// fresh one, and every content mutation strictly advances the
@@ -215,30 +66,14 @@ pub struct CoefficientSketch {
     /// cached per-level results without ever aliasing two different
     /// sketches that happen to share version numbers.
     lineage: u64,
-    scaling: SketchLevel,
-    details: Vec<SketchLevel>,
-    /// Lazily allocated, batch-sized gather buffers reused across
-    /// [`push_batch`](Self::push_batch) calls, so high-rate streaming
-    /// ingestion (one-observation batches via [`push`](Self::push)) pays
-    /// no per-call allocation. Never cloned or serialized — purely
-    /// transient working memory.
-    scratch: Option<ScatterScratch>,
 }
 
 impl Clone for CoefficientSketch {
     fn clone(&self) -> Self {
-        Self {
-            basis: Arc::clone(&self.basis),
-            interval: self.interval,
-            count: self.count,
-            // A clone is a *new* instance: it may diverge from the
-            // original afterwards while reusing the same version numbers,
-            // so it must not share the lineage tag caches key on.
-            lineage: next_lineage(),
-            scaling: self.scaling.clone(),
-            details: self.details.clone(),
-            scratch: None,
-        }
+        // A clone is a *new* instance: it may diverge from the original
+        // afterwards while reusing the same version numbers, so it must
+        // not share the lineage tag caches key on.
+        Self::wrap(self.inner.clone())
     }
 }
 
@@ -251,7 +86,7 @@ impl CoefficientSketch {
         j0: i32,
         j_max: i32,
     ) -> Result<Self, EstimatorError> {
-        Self::with_basis(Arc::new(WaveletBasis::new(family)?), interval, j0, j_max)
+        TensorSketch::new_1d(family, interval, j0, j_max).map(Self::wrap)
     }
 
     /// Creates an empty sketch reusing an existing basis (avoids
@@ -262,35 +97,14 @@ impl CoefficientSketch {
         j0: i32,
         j_max: i32,
     ) -> Result<Self, EstimatorError> {
-        if interval.0 >= interval.1 || !interval.0.is_finite() || !interval.1.is_finite() {
-            return Err(EstimatorError::InvalidInterval {
-                lo: interval.0,
-                hi: interval.1,
-            });
-        }
-        if j0 < 0 {
-            return Err(EstimatorError::InvalidLevels {
-                message: format!("j0 must be nonnegative, got {j0}"),
-            });
-        }
-        if j_max < j0 {
-            return Err(EstimatorError::InvalidLevels {
-                message: format!("j_max = {j_max} is smaller than j0 = {j0}"),
-            });
-        }
-        let scaling = SketchLevel::new(&basis, interval, j0, Generator::Scaling);
-        let details = (j0..=j_max)
-            .map(|j| SketchLevel::new(&basis, interval, j, Generator::Wavelet))
-            .collect();
-        Ok(Self {
-            basis,
-            interval,
-            count: 0,
+        TensorSketch::with_basis_1d(basis, interval, j0, j_max).map(Self::wrap)
+    }
+
+    fn wrap(inner: TensorSketch) -> Self {
+        Self {
+            inner,
             lineage: next_lineage(),
-            scaling,
-            details,
-            scratch: None,
-        })
+        }
     }
 
     /// Creates an empty sketch on `[0, 1]` sized for roughly `expected_n`
@@ -305,35 +119,32 @@ impl CoefficientSketch {
 
     /// The wavelet basis the sketch accumulates in.
     pub fn basis(&self) -> &Arc<WaveletBasis> {
-        &self.basis
+        self.inner.basis()
     }
 
     /// The estimation interval.
     pub fn interval(&self) -> (f64, f64) {
-        self.interval
+        self.inner.interval(0)
     }
 
     /// Number of observations accumulated.
     pub fn count(&self) -> usize {
-        self.count
+        self.inner.count()
     }
 
     /// Whether the sketch has seen no observations.
     pub fn is_empty(&self) -> bool {
-        self.count == 0
+        self.inner.is_empty()
     }
 
     /// The coarse scaling level `j0`.
     pub fn coarse_level(&self) -> i32 {
-        self.scaling.level
+        self.inner.coarse_level()
     }
 
     /// The highest detail level accumulated.
     pub fn max_level(&self) -> i32 {
-        self.details
-            .last()
-            .map(|l| l.level)
-            .unwrap_or(self.scaling.level)
+        self.inner.max_level()
     }
 
     /// The per-level dirty stamps of the detail levels, ordered from `j0`
@@ -343,7 +154,11 @@ impl CoefficientSketch {
     /// whenever the level's sums may have changed; `0` means the level was
     /// never touched.
     pub fn detail_versions(&self) -> Vec<u64> {
-        self.details.iter().map(|l| l.version).collect()
+        self.details().iter().map(|l| l.version).collect()
+    }
+
+    fn details(&self) -> &[TensorLevel] {
+        &self.inner.levels()[1..]
     }
 
     /// Overwrites this sketch with `source`'s accumulation state, reusing
@@ -353,13 +168,7 @@ impl CoefficientSketch {
     /// keeps its own lineage; its level stamps advance strictly, so
     /// caches keyed to it stay sound.
     pub fn copy_from(&mut self, source: &Self) -> Result<(), EstimatorError> {
-        self.is_compatible(source)?;
-        self.count = source.count;
-        self.scaling.copy_from(&source.scaling);
-        for (mine, theirs) in self.details.iter_mut().zip(&source.details) {
-            mine.copy_from(theirs);
-        }
-        Ok(())
+        self.inner.copy_from(&source.inner)
     }
 
     /// Ingests one observation.
@@ -381,31 +190,7 @@ impl CoefficientSketch {
     /// arguments round once per translation instead of once per
     /// observation).
     pub fn push_batch(&mut self, values: &[f64]) {
-        self.count += values.len();
-        if values.is_empty() {
-            return;
-        }
-        let scratch = self
-            .scratch
-            .get_or_insert_with(|| ScatterScratch::new(&self.basis));
-        let basis = &self.basis;
-        let scaling = &mut self.scaling;
-        let details = &mut self.details;
-        let key = autotune::ChunkKey {
-            kind: autotune::ChunkKind::OneD,
-            support: basis.support_length() as u32,
-            levels: details.len() as u32 + 1,
-        };
-        let mut scatter = |chunk: &[f64]| {
-            scaling.push_chunk(basis, chunk, scratch);
-            for level in details.iter_mut() {
-                level.push_chunk(basis, chunk, scratch);
-            }
-        };
-        let (chunk_size, rest) = autotune::tuned_chunk(key, INGEST_CHUNK, values, &mut scatter);
-        for chunk in rest.chunks(chunk_size) {
-            scatter(chunk);
-        }
+        self.inner.push_scalars(values);
     }
 
     /// The scalar reference implementation of
@@ -416,11 +201,7 @@ impl CoefficientSketch {
     /// bench pin the two against each other. Not for production
     /// ingestion.
     pub fn push_batch_scalar(&mut self, values: &[f64]) {
-        self.count += values.len();
-        self.scaling.push_batch_scalar(&self.basis, values);
-        for level in &mut self.details {
-            level.push_batch_scalar(&self.basis, values);
-        }
+        self.inner.push_scalars_reference(values);
     }
 
     /// Resets the sketch to the empty state — zero observations, zero
@@ -431,12 +212,8 @@ impl CoefficientSketch {
     /// never alias pre- and post-clear contents, and merging a cleared,
     /// untouched level remains the no-op the version guard promises.
     pub fn clear(&mut self) {
-        self.count = 0;
         self.lineage = next_lineage();
-        self.scaling.clear();
-        for level in &mut self.details {
-            level.clear();
-        }
+        self.inner.clear();
     }
 
     /// Ingests many observations via [`push_batch`](Self::push_batch),
@@ -449,30 +226,7 @@ impl CoefficientSketch {
     /// Checks that `other` accumulates the same coefficients as `self`
     /// (same wavelet family, interval and resolution levels).
     pub fn is_compatible(&self, other: &Self) -> Result<(), EstimatorError> {
-        let incompatible = |message: String| EstimatorError::IncompatibleSketches { message };
-        if self.basis.family() != other.basis.family() {
-            return Err(incompatible(format!(
-                "wavelet families differ: {} vs {}",
-                self.basis.family().name(),
-                other.basis.family().name()
-            )));
-        }
-        if self.interval != other.interval {
-            return Err(incompatible(format!(
-                "intervals differ: [{}, {}] vs [{}, {}]",
-                self.interval.0, self.interval.1, other.interval.0, other.interval.1
-            )));
-        }
-        if self.coarse_level() != other.coarse_level() || self.max_level() != other.max_level() {
-            return Err(incompatible(format!(
-                "resolution levels differ: {}..={} vs {}..={}",
-                self.coarse_level(),
-                self.max_level(),
-                other.coarse_level(),
-                other.max_level()
-            )));
-        }
-        Ok(())
+        self.inner.is_compatible(&other.inner)
     }
 
     /// Folds another sketch into this one. After the merge, `self` is
@@ -484,13 +238,7 @@ impl CoefficientSketch {
     /// Fails with [`EstimatorError::IncompatibleSketches`] when the two
     /// sketches do not accumulate the same coefficients.
     pub fn merge(&mut self, other: &Self) -> Result<(), EstimatorError> {
-        self.is_compatible(other)?;
-        self.count += other.count;
-        self.scaling.merge(&other.scaling);
-        for (mine, theirs) in self.details.iter_mut().zip(&other.details) {
-            mine.merge(theirs);
-        }
-        Ok(())
+        self.inner.merge(&other.inner)
     }
 
     /// Folds another sketch into this one with every contribution scaled
@@ -508,14 +256,7 @@ impl CoefficientSketch {
     /// sketches and [`EstimatorError::InvalidParameter`] when `weight` is
     /// negative, NaN or infinite.
     pub fn merge_scaled(&mut self, other: &Self, weight: f64) -> Result<(), EstimatorError> {
-        validate_merge_weight(weight)?;
-        self.is_compatible(other)?;
-        self.count = self.count.saturating_add(scaled_count(other.count, weight));
-        self.scaling.merge_scaled(&other.scaling, weight);
-        for (mine, theirs) in self.details.iter_mut().zip(&other.details) {
-            mine.merge_scaled(theirs, weight);
-        }
-        Ok(())
+        self.inner.merge_scaled(&other.inner, weight)
     }
 
     /// [`copy_from`](Self::copy_from) with every copied sum and the count
@@ -526,14 +267,7 @@ impl CoefficientSketch {
     /// strictly, exactly like `copy_from`. Same weight validation as
     /// `merge_scaled`.
     pub fn copy_scaled_from(&mut self, source: &Self, weight: f64) -> Result<(), EstimatorError> {
-        validate_merge_weight(weight)?;
-        self.is_compatible(source)?;
-        self.count = scaled_count(source.count, weight);
-        self.scaling.copy_scaled_from(&source.scaling, weight);
-        for (mine, theirs) in self.details.iter_mut().zip(&source.details) {
-            mine.copy_scaled_from(theirs, weight);
-        }
-        Ok(())
+        self.inner.copy_scaled_from(&source.inner, weight)
     }
 
     /// The empirical coefficients of everything accumulated so far — the
@@ -541,18 +275,16 @@ impl CoefficientSketch {
     /// sums of squares are shared by [`Arc`], only the coefficient means
     /// are materialised.
     pub fn snapshot(&self) -> Result<EmpiricalCoefficients, EstimatorError> {
-        if self.count == 0 {
+        if self.is_empty() {
             return Err(EstimatorError::EmptySample);
         }
+        let level = |index| self.inner.level_coefficients(index);
         Ok(EmpiricalCoefficients::from_parts(
-            Arc::clone(&self.basis),
-            self.count,
-            self.interval,
-            self.scaling.snapshot(self.count),
-            self.details
-                .iter()
-                .map(|l| l.snapshot(self.count))
-                .collect(),
+            Arc::clone(self.basis()),
+            self.count(),
+            self.interval(),
+            level(0),
+            (1..self.inner.level_count()).map(level).collect(),
         ))
     }
 
@@ -602,9 +334,9 @@ impl CoefficientSketch {
             })
             .collect();
         Ok(WaveletDensityEstimate::from_parts(
-            Arc::clone(&self.basis),
-            self.interval,
-            self.count,
+            Arc::clone(self.basis()),
+            self.interval(),
+            self.count(),
             rule,
             coefficients.scaling().clone(),
             thresholded,
@@ -643,8 +375,9 @@ impl CoefficientSketch {
                 // Best effort: drop the finest remaining (possibly active)
                 // levels until the frame fits, keeping at least the
                 // scaling level and one detail level.
-                while compacted.serialized_len() > max_bytes && compacted.details.len() > 1 {
-                    compacted.details.pop();
+                while compacted.serialized_len() > max_bytes && compacted.details().len() > 1 {
+                    let keep = compacted.details().len() - 1;
+                    compacted.inner.truncate_details(keep);
                 }
             }
         }
@@ -654,7 +387,7 @@ impl CoefficientSketch {
     /// Drops every detail level above the finest one whose cross-validated
     /// active set is nonempty. No-op on an empty sketch.
     fn truncate_inactive_tail(&mut self, rule: ThresholdRule) -> Result<(), EstimatorError> {
-        if self.count == 0 {
+        if self.is_empty() {
             return Ok(());
         }
         let coefficients = self.snapshot()?;
@@ -667,8 +400,8 @@ impl CoefficientSketch {
             .max()
             .unwrap_or(self.coarse_level());
         let keep =
-            ((last_active - self.coarse_level()).max(0) as usize + 1).min(self.details.len());
-        self.details.truncate(keep.max(1));
+            ((last_active - self.coarse_level()).max(0) as usize + 1).min(self.details().len());
+        self.inner.truncate_details(keep.max(1));
         Ok(())
     }
 
@@ -706,20 +439,10 @@ impl CoefficientSketch {
     /// The presence bitmap + present-level payloads shared by the v2 and
     /// v3 frames.
     fn write_v2_body(&self, out: &mut Vec<u8>) {
-        let mut bitmap = vec![0u8; presence_bitmap_len(1 + self.details.len())];
-        for (i, level) in std::iter::once(&self.scaling)
-            .chain(&self.details)
-            .enumerate()
-        {
-            if !level.is_zero() {
-                bitmap[i / 8] |= 1 << (i % 8);
-            }
-        }
-        out.extend_from_slice(&bitmap);
-        for level in std::iter::once(&self.scaling).chain(&self.details) {
-            if !level.is_zero() {
-                write_level(out, level);
-            }
+        let levels = self.inner.levels();
+        write_presence(out, levels.iter().map(|level| !level.is_zero()));
+        for level in levels.iter().filter(|level| !level.is_zero()) {
+            level.write_dense(out);
         }
     }
 
@@ -730,8 +453,8 @@ impl CoefficientSketch {
     pub fn to_bytes_v1(&self) -> Vec<u8> {
         let mut out = Vec::new();
         self.write_header(&mut out, FORMAT_V1);
-        for level in std::iter::once(&self.scaling).chain(&self.details) {
-            write_level(&mut out, level);
+        for level in self.inner.levels() {
+            level.write_dense(&mut out);
         }
         out
     }
@@ -739,12 +462,13 @@ impl CoefficientSketch {
     fn write_header(&self, out: &mut Vec<u8>, version: u16) {
         out.extend_from_slice(MAGIC);
         out.extend_from_slice(&version.to_le_bytes());
-        let (family_tag, order) = encode_family(self.basis.family());
+        let (family_tag, order) = encode_family(self.basis().family());
         out.push(family_tag);
         out.extend_from_slice(&(order as u16).to_le_bytes());
-        out.extend_from_slice(&self.interval.0.to_le_bytes());
-        out.extend_from_slice(&self.interval.1.to_le_bytes());
-        out.extend_from_slice(&(self.count as u64).to_le_bytes());
+        let (lo, hi) = self.interval();
+        out.extend_from_slice(&lo.to_le_bytes());
+        out.extend_from_slice(&hi.to_le_bytes());
+        out.extend_from_slice(&(self.count() as u64).to_le_bytes());
         out.extend_from_slice(&self.coarse_level().to_le_bytes());
         out.extend_from_slice(&self.max_level().to_le_bytes());
     }
@@ -753,13 +477,13 @@ impl CoefficientSketch {
     /// what the byte-budget compaction mode measures against.
     fn serialized_len(&self) -> usize {
         let header = MAGIC.len() + 2 + 3 + 16 + 8 + 8;
-        let bitmap = presence_bitmap_len(1 + self.details.len());
-        let levels: usize = std::iter::once(&self.scaling)
-            .chain(&self.details)
-            .filter(|l| !l.is_zero())
-            .map(|l| 8 + 16 * l.sums.len())
+        let levels = self.inner.levels();
+        let payloads: usize = levels
+            .iter()
+            .filter(|level| !level.is_zero())
+            .map(|level| 8 + 16 * level.sums.len())
             .sum();
-        header + bitmap + levels
+        header + presence_bitmap_len(levels.len()) + payloads
     }
 
     /// Deserializes a sketch previously produced by
@@ -809,21 +533,7 @@ impl CoefficientSketch {
         } else {
             None
         };
-        // Structural validation before anything is sized off the header:
-        // the level range bounds every allocation below (a level at j
-        // holds O(2^j) slots), so an absurd j_max must die here, not in
-        // the allocator.
-        if j0 < 0 || j_max < j0 {
-            return Err(invalid(&format!("invalid level range {j0}..={j_max}")));
-        }
-        if j_max > MAX_SERIALIZED_LEVEL {
-            return Err(invalid(&format!(
-                "max level {j_max} exceeds the wire cap {MAX_SERIALIZED_LEVEL}"
-            )));
-        }
-        if !lo.is_finite() || !hi.is_finite() || lo >= hi {
-            return Err(invalid(&format!("invalid interval [{lo}, {hi}]")));
-        }
+        check_frame_geometry(j0, j_max, &[(lo, hi)])?;
         // Pre-compute the slot count of every level from cheap translation
         // arithmetic and require the remaining payload to fit *exactly*
         // before constructing the sketch: a length prefix claiming more
@@ -838,28 +548,19 @@ impl CoefficientSketch {
             .collect();
         // Level list on the wire: the scaling level at j0, then details
         // j0..=j_max — the scaling and first detail level share a slot
-        // count (same translation range at the same level).
+        // count (same translation range at the same level). v1 frames
+        // ship every level.
         let level_count = 1 + slots.len();
-        let present: Vec<bool> = if version == FORMAT_V1 {
-            vec![true; level_count]
-        } else {
-            let bitmap = reader.take(presence_bitmap_len(level_count))?;
-            let present: Vec<bool> = (0..level_count)
-                .map(|i| bitmap[i / 8] & (1 << (i % 8)) != 0)
-                .collect();
-            // Bits beyond the level count must be clear: set ones would
-            // silently change meaning if a later format ever widens the
-            // bitmap.
-            if (level_count..bitmap.len() * 8).any(|i| bitmap[i / 8] & (1 << (i % 8)) != 0) {
-                return Err(invalid("presence bitmap has bits beyond the level count"));
-            }
-            present
+        let bitmap = match version {
+            FORMAT_V1 => None,
+            _ => Some(read_presence(&mut reader, level_count)?),
         };
+        let present = |index: usize| bitmap.as_ref().map_or(true, |bits| bits[index]);
         let expected: usize = std::iter::once(&slots[0])
             .chain(&slots)
-            .zip(&present)
-            .filter(|(_, &is_present)| is_present)
-            .map(|(&slot_count, _)| 8_usize.saturating_add(slot_count.saturating_mul(16)))
+            .enumerate()
+            .filter(|&(index, _)| present(index))
+            .map(|(_, &slot_count)| 8_usize.saturating_add(slot_count.saturating_mul(16)))
             .fold(0_usize, usize::saturating_add);
         if reader.remaining() != expected {
             return Err(invalid(&format!(
@@ -868,36 +569,9 @@ impl CoefficientSketch {
             )));
         }
         let mut sketch = Self::with_basis(basis, (lo, hi), j0, j_max)?;
-        sketch.count = count;
-        for (level, &is_present) in std::iter::once(&mut sketch.scaling)
-            .chain(&mut sketch.details)
-            .zip(&present)
-        {
-            if is_present {
-                read_level(&mut reader, level)?;
-            }
-            // A freshly deserialized sketch is a new lineage: stamp the
-            // levels that carry mass once; all-zero levels (absent v2
-            // levels, or v1 levels shipped dense as zeros) keep stamp 0
-            // so merging them into another sketch remains the no-op the
-            // version guard promises.
-            level.version = u64::from(is_present && !level.is_zero());
-        }
-        if !reader.is_done() {
-            return Err(invalid("trailing bytes after the last level"));
-        }
-        // Consistency between the count and the level payloads: a sketch
-        // of zero observations has identically zero sums, so a corrupted
-        // count field cannot smuggle phantom mass past an is_empty()
-        // check (and the later division by count).
-        if count == 0 {
-            let has_mass = std::iter::once(&sketch.scaling)
-                .chain(&sketch.details)
-                .any(|level| !level.is_zero());
-            if has_mass {
-                return Err(invalid("count is zero but level sums are nonzero"));
-            }
-        }
+        sketch
+            .inner
+            .read_levels(&mut reader, count, present, TensorLevel::read_dense)?;
         Ok((sketch, window))
     }
 }
@@ -952,25 +626,15 @@ pub enum CompactionPolicy {
     },
 }
 
-/// Untuned default for the observations per internal ingest chunk of
-/// [`CoefficientSketch::push_batch`]: large batches are scattered in
-/// slices so the observation chunk (a few KB) stays cache-resident while
-/// the scaling level and every detail level sweep it, instead of
-/// streaming the whole batch once per level. The first large batch per
-/// basis shape races the candidate sizes on real data and caches the
-/// winner (see [`crate::autotune`]); this constant only serves batches
-/// too small to probe.
-pub(crate) const INGEST_CHUNK: usize = 512;
-
 pub(crate) const MAGIC: &[u8] = b"WDSK";
 const FORMAT_V1: u16 = 1;
 const FORMAT_V2: u16 = 2;
 /// Windowed slice frame: the standard header, then [`WindowSliceMeta`],
 /// then the v2 compact body.
 const FORMAT_V3_WINDOWED: u16 = 3;
-/// Tensor-product frame (see `crate::tensor`): the shared magic/family
-/// prefix, then a dims header, then per-level dense or coefficient-sparse
-/// payloads behind a presence bitmap. Decoded only by
+/// Tensor-product frame of a 2-D sketch (see `crate::tensor`): the shared
+/// magic/family prefix, then a dims header, then per-level dense or
+/// coefficient-sparse payloads behind a presence bitmap. Decoded only by
 /// `TensorSketch::from_bytes`; the 1-D decoder keeps rejecting it.
 pub(crate) const FORMAT_V4_TENSOR: u16 = 4;
 
@@ -1053,14 +717,54 @@ pub(crate) fn presence_bitmap_len(levels: usize) -> usize {
     levels.div_ceil(8)
 }
 
-fn write_level(out: &mut Vec<u8>, level: &SketchLevel) {
-    out.extend_from_slice(&(level.sums.len() as u64).to_le_bytes());
-    for v in &level.sums {
-        out.extend_from_slice(&v.to_le_bytes());
+/// Writes a presence bitmap: one bit per level, set where `present` holds.
+pub(crate) fn write_presence(out: &mut Vec<u8>, present: impl ExactSizeIterator<Item = bool>) {
+    let mut bitmap = vec![0_u8; presence_bitmap_len(present.len())];
+    for (i, _) in present.enumerate().filter(|&(_, is_present)| is_present) {
+        bitmap[i / 8] |= 1 << (i % 8);
     }
-    for v in level.sum_squares.iter() {
-        out.extend_from_slice(&v.to_le_bytes());
+    out.extend_from_slice(&bitmap);
+}
+
+/// Reads the presence bitmap of a frame with `levels` levels. Bits beyond
+/// the level count must be clear: set ones would silently change meaning
+/// if a later format ever widens the bitmap.
+pub(crate) fn read_presence(
+    reader: &mut Reader<'_>,
+    levels: usize,
+) -> Result<Vec<bool>, EstimatorError> {
+    let bitmap = reader.take(presence_bitmap_len(levels))?;
+    let bit = |i: usize| bitmap[i / 8] & (1 << (i % 8)) != 0;
+    if (levels..bitmap.len() * 8).any(bit) {
+        return Err(invalid("presence bitmap has bits beyond the level count"));
     }
+    Ok((0..levels).map(bit).collect())
+}
+
+/// The structural header checks every frame version shares, run before
+/// anything is sized off the header: a valid level range no finer than
+/// [`MAX_SERIALIZED_LEVEL`] (a level at `j` holds `O(2^j)` slots, so an
+/// absurd `j_max` must die here, not in the allocator), then finite,
+/// nonempty intervals.
+pub(crate) fn check_frame_geometry(
+    j0: i32,
+    j_max: i32,
+    intervals: &[(f64, f64)],
+) -> Result<(), EstimatorError> {
+    if j0 < 0 || j_max < j0 {
+        return Err(invalid(&format!("invalid level range {j0}..={j_max}")));
+    }
+    if j_max > MAX_SERIALIZED_LEVEL {
+        return Err(invalid(&format!(
+            "max level {j_max} exceeds the wire cap {MAX_SERIALIZED_LEVEL}"
+        )));
+    }
+    for &(lo, hi) in intervals {
+        if !lo.is_finite() || !hi.is_finite() || lo >= hi {
+            return Err(invalid(&format!("invalid interval [{lo}, {hi}]")));
+        }
+    }
+    Ok(())
 }
 
 pub(crate) fn invalid(message: &str) -> EstimatorError {
@@ -1084,37 +788,6 @@ pub(crate) fn decode_family(tag: u8, order: usize) -> Result<WaveletFamily, Esti
         2 => Ok(WaveletFamily::Symmlet(order)),
         _ => Err(invalid(&format!("unknown wavelet family tag {tag}"))),
     }
-}
-
-fn read_level(reader: &mut Reader<'_>, level: &mut SketchLevel) -> Result<(), EstimatorError> {
-    let len = reader.u64()? as usize;
-    if len != level.sums.len() {
-        return Err(invalid(&format!(
-            "level {} stores {} translations, payload has {len}",
-            level.level,
-            level.sums.len()
-        )));
-    }
-    for slot in &mut level.sums {
-        let value = reader.f64()?;
-        if !value.is_finite() {
-            return Err(invalid(&format!("non-finite sum {value} in level payload")));
-        }
-        *slot = value;
-    }
-    let squares = Arc::make_mut(&mut level.sum_squares);
-    for slot in squares.iter_mut() {
-        let value = reader.f64()?;
-        // Sums of squares are nonnegative by construction; anything else
-        // is corruption and would poison cross-validation downstream.
-        if !value.is_finite() || value < 0.0 {
-            return Err(invalid(&format!(
-                "invalid sum of squares {value} in level payload"
-            )));
-        }
-        *slot = value;
-    }
-    Ok(())
 }
 
 /// A bounds-checked little-endian cursor over a byte slice.
@@ -1269,6 +942,12 @@ mod tests {
             CoefficientSketch::new(WaveletFamily::Symmlet(8), (0.0, 1.0), -1, 1).unwrap_err(),
             EstimatorError::InvalidLevels { .. }
         ));
+        // The 1-D size limit is the level range, not the 2-D slot cap: a
+        // sketch sized for 2^21 rows (levels 2..=21, more than
+        // `MAX_TENSOR_SLOTS` slots) builds. Zeroed slot arrays are
+        // allocated lazily, so this stays cheap.
+        let large = CoefficientSketch::sized_for(1 << 21).unwrap();
+        assert_eq!((large.coarse_level(), large.max_level()), (2, 21));
     }
 
     #[test]

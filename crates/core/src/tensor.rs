@@ -1,25 +1,26 @@
 //! Dimension-generic tensor-product coefficient sketches.
 //!
-//! This module generalises the scalar-indexed [`CoefficientSketch`]
-//! pipeline to `dims ∈ {1, 2}`. A *level* is no longer a single resolution
-//! index: it is keyed by a per-axis `(generator, level)` tuple — the
-//! scaling layer `φ_{j0}⊗φ_{j0}`, the two mixed orientations
-//! `ψ_j⊗φ_{j0}` / `φ_{j0}⊗ψ_j`, and the wavelet–wavelet layers
-//! `ψ_{jx}⊗ψ_{jy}` kept under a hyperbolic budget `jx + jy ≤ budget`
-//! (the standard hyperbolic-cross truncation that keeps the 2-D level-set
-//! blowup polynomial instead of quadratic). Translations within a level
-//! are flattened to a single row-major index `kx·extent_y + ky`, so the
-//! accumulation, merge and CV+threshold machinery operate on flat slot
-//! arrays exactly as in 1-D — and `dims == 1` *is* the 1-D pipeline: the
-//! same level set, the same `LevelAccumulator` scatter path, bitwise
-//! identical sums.
+//! [`TensorSketch`] is the one store of the estimator's accumulation state
+//! for `dims ∈ {1, 2}`. A *level* is keyed by a per-axis
+//! `(generator, level)` tuple — the scaling layer `φ_{j0}⊗φ_{j0}`, the two
+//! mixed orientations `ψ_j⊗φ_{j0}` / `φ_{j0}⊗ψ_j`, and the
+//! wavelet–wavelet layers `ψ_{jx}⊗ψ_{jy}` kept under a hyperbolic budget
+//! `jx + jy ≤ budget` (the standard hyperbolic-cross truncation that keeps
+//! the 2-D level-set blowup polynomial instead of quadratic). Translations
+//! within a level are flattened to a single row-major index
+//! `kx·extent_y + ky`, so the accumulation, merge and CV+threshold
+//! machinery operate on flat slot arrays. A `dims == 1` sketch holds the
+//! scaling level and the detail levels `j0..=j_max` of one axis; it is
+//! the store behind [`CoefficientSketch`], which adds the 1-D estimate,
+//! compaction and v1–v3 frames on top. 2-D sketches are public; 1-D ones
+//! are reached through [`CoefficientSketch`].
 //!
 //! The empirical coefficient of the product basis function
 //! `δ_{jx,kx}(x)·δ_{jy,ky}(y)` is the sample mean of the product, so a
 //! [`TensorSketch`] stores per-slot running sums and sums of squares plus
-//! the observation count — the same mergeable-statistic shape as the 1-D
-//! sketch, which is what lets sharded ingestion, scaled decay merges and
-//! cross-node shipping carry over unchanged.
+//! the observation count: the same mergeable statistic in every
+//! dimension, which is what lets sharded ingestion, scaled decay merges
+//! and cross-node shipping serve both.
 //!
 //! Estimates come out of [`TensorSketch::thresholded`]: each non-scaling
 //! level is handed (flattened) to the level-wise cross-validation of the
@@ -43,25 +44,37 @@ use crate::error::EstimatorError;
 use crate::estimator::{coefficient_window, cv_max_level, default_coarse_level};
 use crate::grid::Grid;
 use crate::sketch::{
-    decode_family, encode_family, invalid, presence_bitmap_len, scaled_count,
-    validate_merge_weight, CompactionPolicy, Reader, FORMAT_V4_TENSOR, INGEST_CHUNK, MAGIC,
-    MAX_SERIALIZED_LEVEL,
+    check_frame_geometry, decode_family, encode_family, invalid, presence_bitmap_len,
+    read_presence, scaled_count, validate_merge_weight, write_presence, CompactionPolicy, Reader,
+    FORMAT_V4_TENSOR, MAGIC,
 };
 use crate::threshold::ThresholdRule;
 use wavedens_wavelets::{WaveletBasis, WaveletFamily};
 
-/// Hard cap on the total number of flattened coefficient slots a tensor
-/// sketch may hold, enforced at construction (and therefore on the wire
-/// decode path, which sizes everything through the same constructor). At
-/// `2^22` slots the slot arrays top out around 64 MB — far above any
+/// Hard cap on the total number of flattened coefficient slots a 2-D
+/// tensor sketch may hold, enforced at construction (and therefore on the
+/// v4 decode path, which sizes everything through the same constructor).
+/// At `2^22` slots the slot arrays top out around 64 MB — far above any
 /// real synopsis, but small enough that a hostile v4 header cannot
-/// provoke a runaway allocation.
+/// provoke a runaway allocation. 1-D sketches are bounded by their level
+/// range instead (and on the wire by `MAX_SERIALIZED_LEVEL` plus the
+/// exact byte-fit check of the 1-D decoder).
 pub const MAX_TENSOR_SLOTS: usize = 1 << 22;
 
 /// Rows per internal scatter chunk of [`TensorSketch::push_pairs`]: the
 /// per-axis gather rows for a chunk this long stay cache-resident while
 /// every tensor level sweeps them.
 const TENSOR_CHUNK: usize = 128;
+
+/// Untuned default for the observations per internal scatter chunk of
+/// the 1-D path ([`CoefficientSketch::push_batch`](crate::CoefficientSketch::push_batch)):
+/// large batches are scattered in slices so the observation chunk (a few
+/// KB) stays cache-resident while the scaling level and every detail
+/// level sweep it, instead of streaming the whole batch once per level.
+/// The first large batch per basis shape races the candidate sizes on
+/// real data and caches the winner (see [`crate::autotune`]); this
+/// constant only serves batches too small to probe.
+const INGEST_CHUNK: usize = 512;
 
 /// Frames whose total mass is below this floor answer zero selectivity
 /// (mirrors the 1-D `CumulativeEstimate` guard).
@@ -102,14 +115,24 @@ impl AxisComponent {
 }
 
 /// One tensor level: a pair of per-axis component indices plus the
-/// flattened row-major slot arrays. Mirrors the 1-D `SketchLevel`
-/// exactly: monotone version stamp, running sums, copy-on-write sums of
-/// squares.
+/// flattened row-major slot arrays.
+///
+/// `sum_squares` sits behind an [`Arc`] so that snapshotting hands
+/// cross-validation a read-only view without copying the vector;
+/// ingestion and merging use copy-on-write ([`Arc::make_mut`]), which
+/// only actually clones when a snapshot from a previous estimate is still
+/// alive.
+///
+/// `version` is a cheap per-level dirty stamp: it moves (strictly
+/// monotonically for any fixed sketch lineage) whenever the level's sums
+/// may have changed, so downstream consumers — the delta-aware
+/// cross-validation cache ([`crate::cv::CvCache`]) in particular — can
+/// recognise unchanged levels without comparing payloads.
 #[derive(Debug, Clone)]
-struct TensorLevel {
+pub(crate) struct TensorLevel {
     component: [usize; 2],
-    version: u64,
-    sums: Vec<f64>,
+    pub(crate) version: u64,
+    pub(crate) sums: Vec<f64>,
     sum_squares: Arc<Vec<f64>>,
 }
 
@@ -129,24 +152,14 @@ impl TensorLevel {
         Arc::make_mut(&mut self.sum_squares).fill(0.0);
     }
 
-    fn merge(&mut self, other: &Self) {
-        debug_assert_eq!(self.sums.len(), other.sums.len());
-        if other.version == 0 {
-            return;
-        }
-        self.version += other.version;
-        for (acc, v) in self.sums.iter_mut().zip(&other.sums) {
-            *acc += v;
-        }
-        let squares = Arc::make_mut(&mut self.sum_squares);
-        for (acc, v) in squares.iter_mut().zip(other.sum_squares.iter()) {
-            *acc += v;
-        }
-    }
-
+    /// Adds `weight ×` another level's sums. At `weight == 1.0` this is
+    /// bitwise a plain addition: IEEE 754 guarantees `1.0 * v == v`
+    /// exactly for every value `v` the sums can hold.
     fn merge_scaled(&mut self, other: &Self, weight: f64) {
         debug_assert_eq!(self.sums.len(), other.sums.len());
         if other.version == 0 {
+            // A never-touched level carries identically zero sums; adding
+            // them would not change the state, so the stamp must not move.
             return;
         }
         self.version += other.version;
@@ -159,17 +172,28 @@ impl TensorLevel {
         }
     }
 
-    fn copy_from(&mut self, source: &Self) {
+    /// Overwrites the level with `weight ×` the source's sums (bitwise a
+    /// copy at `weight == 1.0`).
+    fn copy_scaled_from(&mut self, source: &Self, weight: f64) {
         debug_assert_eq!(self.sums.len(), source.sums.len());
-        // Strict version advance, exactly as the 1-D level copy: the
-        // copied contents are arbitrary relative to whatever this
-        // instance held at any earlier stamp.
+        // The target keeps its own lineage, so its version must *strictly*
+        // advance: the copied contents are arbitrary relative to whatever
+        // this instance held at any earlier stamp. (On the engine's
+        // refresh path `source.version` — the sum of monotone shard
+        // stamps — is the larger term.)
         self.version = source.version.max(self.version + 1);
-        self.sums.copy_from_slice(&source.sums);
-        Arc::make_mut(&mut self.sum_squares).copy_from_slice(&source.sum_squares);
+        for (slot, v) in self.sums.iter_mut().zip(&source.sums) {
+            *slot = weight * v;
+        }
+        let squares = Arc::make_mut(&mut self.sum_squares);
+        for (slot, v) in squares.iter_mut().zip(source.sum_squares.iter()) {
+            *slot = weight * v;
+        }
     }
 
-    fn is_zero(&self) -> bool {
+    /// Whether every stored sum (and sum of squares) is exactly zero — the
+    /// criterion for eliding the level from a compact frame.
+    pub(crate) fn is_zero(&self) -> bool {
         self.sums.iter().all(|v| *v == 0.0) && self.sum_squares.iter().all(|v| *v == 0.0)
     }
 
@@ -179,6 +203,47 @@ impl TensorLevel {
             .zip(self.sum_squares.iter())
             .filter(|(s, q)| **s != 0.0 || **q != 0.0)
             .count()
+    }
+
+    /// Writes the dense level payload every frame version shares: a `u64`
+    /// slot count, the sums, then the sums of squares.
+    pub(crate) fn write_dense(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(&(self.sums.len() as u64).to_le_bytes());
+        for v in self.sums.iter().chain(self.sum_squares.iter()) {
+            out.extend_from_slice(&v.to_le_bytes());
+        }
+    }
+
+    /// Reads a [`write_dense`](Self::write_dense) payload into the level,
+    /// rejecting a slot count other than the level's, non-finite sums and
+    /// negative or non-finite sums of squares.
+    pub(crate) fn read_dense(&mut self, reader: &mut Reader<'_>) -> Result<(), EstimatorError> {
+        let len = reader.u64()? as usize;
+        if len != self.sums.len() {
+            return Err(invalid(&format!(
+                "level stores {} slots, payload has {len}",
+                self.sums.len()
+            )));
+        }
+        for slot in &mut self.sums {
+            let value = reader.f64()?;
+            if !value.is_finite() {
+                return Err(invalid(&format!("non-finite sum {value} in level payload")));
+            }
+            *slot = value;
+        }
+        for slot in Arc::make_mut(&mut self.sum_squares).iter_mut() {
+            let value = reader.f64()?;
+            // Sums of squares are nonnegative by construction; anything
+            // else is corruption and would poison cross-validation.
+            if !value.is_finite() || value < 0.0 {
+                return Err(invalid(&format!(
+                    "invalid sum of squares {value} in level payload"
+                )));
+            }
+            *slot = value;
+        }
+        Ok(())
     }
 }
 
@@ -207,9 +272,8 @@ impl TensorScratch {
     }
 }
 
-/// Scratch storage of a tensor sketch: the 1-D path reuses the exact
-/// scatter scratch of [`CoefficientSketch`](crate::CoefficientSketch),
-/// the 2-D path the per-component gather cache above.
+/// Scratch storage of a tensor sketch: the 1-D path's shared gather row,
+/// or the 2-D path's per-component gather cache above.
 #[derive(Debug)]
 enum Scratch {
     OneD(ScatterScratch),
@@ -219,13 +283,11 @@ enum Scratch {
 /// A mergeable, dimension-generic coefficient sketch over the tensor
 /// product of a 1-D wavelet basis with itself.
 ///
-/// For `dims == 1` the level set, the accumulation path and the stored
-/// sums are **bitwise identical** to
-/// [`CoefficientSketch`](crate::CoefficientSketch) — the 1-D sketch is
-/// literally the `dims == 1` special case of this type. For `dims == 2`
-/// levels are keyed by per-axis level tuples and translations by a
-/// flattened row-major index, and [`thresholded`](Self::thresholded) runs
-/// the same level-wise CV+threshold pipeline over the flattened slots.
+/// For `dims == 2` levels are keyed by per-axis level tuples and
+/// translations by a flattened row-major index, and
+/// [`thresholded`](Self::thresholded) runs the level-wise CV+threshold
+/// pipeline over the flattened slots. A `dims == 1` sketch is the store
+/// behind [`CoefficientSketch`](crate::CoefficientSketch).
 #[derive(Debug)]
 pub struct TensorSketch {
     basis: Arc<WaveletBasis>,
@@ -259,10 +321,9 @@ impl Clone for TensorSketch {
 }
 
 impl TensorSketch {
-    /// Builds a 1-D sketch: same basis, interval, level set and scatter
-    /// path as [`CoefficientSketch`](crate::CoefficientSketch) with the
-    /// same parameters — the `dims == 1` special case.
-    pub fn new_1d(
+    /// Builds a 1-D sketch: the scaling level `coarse_level` and the
+    /// detail levels `coarse_level..=max_level` on `interval`.
+    pub(crate) fn new_1d(
         family: WaveletFamily,
         interval: (f64, f64),
         coarse_level: i32,
@@ -273,7 +334,7 @@ impl TensorSketch {
     }
 
     /// [`new_1d`](Self::new_1d) over an existing (possibly shared) basis.
-    pub fn with_basis_1d(
+    pub(crate) fn with_basis_1d(
         basis: Arc<WaveletBasis>,
         interval: (f64, f64),
         coarse_level: i32,
@@ -404,7 +465,7 @@ impl TensorSketch {
                 axes[0][cx].extent
             };
             total_slots = total_slots.saturating_add(slots);
-            if total_slots > MAX_TENSOR_SLOTS {
+            if dims == 2 && total_slots > MAX_TENSOR_SLOTS {
                 return Err(EstimatorError::InvalidParameter {
                     message: format!(
                         "tensor level set holds more than {MAX_TENSOR_SLOTS} coefficient slots"
@@ -483,17 +544,19 @@ impl TensorSketch {
         self.levels.iter().map(|l| l.sums.len()).sum()
     }
 
-    /// Ingests a batch of scalar observations (`dims == 1` only).
-    ///
-    /// Mirrors [`CoefficientSketch::push_batch`](crate::CoefficientSketch::push_batch)
-    /// instruction for instruction — same chunking, same
-    /// `LevelAccumulator` scatter
-    /// path — so the accumulated sums are bitwise identical to the 1-D
-    /// sketch's.
+    /// The levels in canonical order: for `dims == 1` the scaling level,
+    /// then the detail levels `j0..=j_max`.
+    pub(crate) fn levels(&self) -> &[TensorLevel] {
+        &self.levels
+    }
+
+    /// Ingests a batch of scalar observations (`dims == 1` only) through
+    /// the strided-gather fast path of
+    /// [`CoefficientSketch::push_batch`](crate::CoefficientSketch::push_batch).
     ///
     /// # Panics
     /// If the sketch is 2-dimensional.
-    pub fn push_scalars(&mut self, values: &[f64]) {
+    pub(crate) fn push_scalars(&mut self, values: &[f64]) {
         assert_eq!(self.dims, 1, "push_scalars requires a 1-D tensor sketch");
         self.count += values.len();
         if values.is_empty() {
@@ -505,28 +568,39 @@ impl TensorSketch {
         let Some(Scratch::OneD(scratch)) = self.scratch.as_mut() else {
             unreachable!("1-D scratch just ensured");
         };
-        let basis = &self.basis;
-        let axes = &self.axes;
-        let levels = &mut self.levels;
+        let (basis, axis, levels) = (&self.basis, &self.axes[0], &mut self.levels);
         let key = autotune::ChunkKey {
             kind: autotune::ChunkKind::OneD,
             support: basis.support_length() as u32,
             levels: levels.len() as u32,
         };
         let mut scatter = |chunk: &[f64]| {
-            for level in levels.iter_mut() {
-                let comp = axes[0][level.component[0]];
-                level.version += 1;
-                let accumulator =
-                    LevelAccumulator::new(basis, comp.generator, comp.level, comp.k_start);
-                let squares = Arc::make_mut(&mut level.sum_squares);
-                accumulator.scatter_chunk(chunk, scratch, &mut level.sums, squares);
-            }
+            scatter_1d(basis, axis, levels, |accumulator, sums, squares| {
+                accumulator.scatter_chunk(chunk, scratch, sums, squares)
+            })
         };
         let (chunk_size, rest) = autotune::tuned_chunk(key, INGEST_CHUNK, values, &mut scatter);
         for chunk in rest.chunks(chunk_size) {
             scatter(chunk);
         }
+    }
+
+    /// The scalar reference path of [`push_scalars`](Self::push_scalars)
+    /// (`dims == 1` only): one basis-function evaluation per
+    /// `(observation, translation)` pair; see
+    /// [`CoefficientSketch::push_batch_scalar`](crate::CoefficientSketch::push_batch_scalar).
+    pub(crate) fn push_scalars_reference(&mut self, values: &[f64]) {
+        assert_eq!(self.dims, 1, "push_scalars_reference is 1-D");
+        self.count += values.len();
+        if values.is_empty() {
+            return;
+        }
+        let (basis, axis, levels) = (&self.basis, &self.axes[0], &mut self.levels);
+        scatter_1d(basis, axis, levels, |accumulator, sums, squares| {
+            for &x in values {
+                accumulator.scatter(x, sums, squares);
+            }
+        });
     }
 
     /// Ingests a batch of `(x, y)` observation pairs (`dims == 2` only).
@@ -654,9 +728,10 @@ impl TensorSketch {
         }
     }
 
-    /// Resets the sketch to the empty state in place, keeping every
-    /// allocation (scratch-sketch reuse, as in the 1-D
-    /// [`clear`](crate::CoefficientSketch::clear)).
+    /// Resets the sketch to the empty state in place — zero observations,
+    /// zero sums, every level stamp back to the never-touched 0 — keeping
+    /// every allocation, so one scratch sketch can be reused across many
+    /// scatter-then-merge batches.
     pub fn clear(&mut self) {
         self.count = 0;
         for level in &mut self.levels {
@@ -700,19 +775,18 @@ impl TensorSketch {
 
     /// Merges another sketch accumulated over the same tensor basis;
     /// exactly equivalent to having pushed both observation streams into
-    /// one sketch.
+    /// one sketch (the raw sums and sums of squares add).
     pub fn merge(&mut self, other: &Self) -> Result<(), EstimatorError> {
-        self.is_compatible(other)?;
-        for (mine, theirs) in self.levels.iter_mut().zip(&other.levels) {
-            mine.merge(theirs);
-        }
-        self.count = self.count.saturating_add(other.count);
-        Ok(())
+        self.merge_scaled(other, 1.0)
     }
 
     /// [`merge`](Self::merge) with every contribution scaled by `weight`
-    /// (decayed window folds). At `weight == 1.0` this is bitwise
-    /// `merge`.
+    /// (decayed window folds): a sketch merged at weight `λᵃ` counts as if
+    /// each of its observations appeared `λᵃ` times. The sums, sums of
+    /// squares and the count scale (the count rounds to the nearest
+    /// integer, saturating). At `weight == 1.0` this is bitwise `merge`.
+    /// Fails on incompatible sketches and on a negative, NaN or infinite
+    /// `weight`, leaving `self` untouched.
     pub fn merge_scaled(&mut self, other: &Self, weight: f64) -> Result<(), EstimatorError> {
         validate_merge_weight(weight)?;
         self.is_compatible(other)?;
@@ -724,13 +798,25 @@ impl TensorSketch {
     }
 
     /// Overwrites this sketch with the contents of a compatible source,
-    /// reusing the allocations (the engine's refresh scratch path).
+    /// reusing the allocations (the engine's refresh scratch path). The
+    /// level stamps advance strictly, so caches keyed to the target stay
+    /// sound.
     pub fn copy_from(&mut self, source: &Self) -> Result<(), EstimatorError> {
+        self.copy_scaled_from(source, 1.0)
+    }
+
+    /// [`copy_from`](Self::copy_from) with every copied sum and the count
+    /// scaled by `weight` — windowed refreshes seed a reusable scratch
+    /// sketch with the oldest (most decayed) slice this way before
+    /// [`merge_scaled`](Self::merge_scaled)-folding the newer ones on top.
+    /// Same weight validation as `merge_scaled`.
+    pub fn copy_scaled_from(&mut self, source: &Self, weight: f64) -> Result<(), EstimatorError> {
+        validate_merge_weight(weight)?;
         self.is_compatible(source)?;
         for (mine, theirs) in self.levels.iter_mut().zip(&source.levels) {
-            mine.copy_from(theirs);
+            mine.copy_scaled_from(theirs, weight);
         }
-        self.count = source.count;
+        self.count = scaled_count(source.count, weight);
         Ok(())
     }
 
@@ -744,33 +830,35 @@ impl TensorSketch {
             return Err(EstimatorError::EmptySample);
         }
         Ok((0..self.levels.len())
-            .map(|index| self.pseudo_level(index))
+            .map(|index| self.level_coefficients(index))
             .collect())
     }
 
-    /// The flattened level at `index` as a pseudo-1-D coefficient set.
-    fn pseudo_level(&self, index: usize) -> LevelCoefficients {
+    /// The level at `index` as a 1-D coefficient set (values are
+    /// `sums / n`). A 1-D level keeps its own generator, level and first
+    /// translation; a 2-D level is flattened into a pseudo-1-D set tagged
+    /// with the finest per-axis level of its pair, its slot index starting
+    /// at `k_start = 0`.
+    pub(crate) fn level_coefficients(&self, index: usize) -> LevelCoefficients {
         let level = &self.levels[index];
         let ax = self.axes[0][level.component[0]];
-        let (tag_level, generator) = if self.dims == 2 {
+        let (tag_level, generator, k_start) = if self.dims == 2 {
             let ay = self.axes[1][level.component[1]];
             let wavelet = ax.generator == Generator::Wavelet || ay.generator == Generator::Wavelet;
-            (
-                ax.level.max(ay.level),
-                if wavelet {
-                    Generator::Wavelet
-                } else {
-                    Generator::Scaling
-                },
-            )
+            let generator = if wavelet {
+                Generator::Wavelet
+            } else {
+                Generator::Scaling
+            };
+            (ax.level.max(ay.level), generator, 0)
         } else {
-            (ax.level, ax.generator)
+            (ax.level, ax.generator, ax.k_start)
         };
         let n = self.count as f64;
         LevelCoefficients {
             level: tag_level,
             generator,
-            k_start: 0,
+            k_start,
             values: level.sums.iter().map(|s| s / n).collect(),
             sum_squares: Arc::clone(&level.sum_squares),
         }
@@ -789,7 +877,7 @@ impl TensorSketch {
         let criterion = CvCriterion::recommended_for(rule);
         let mut levels = Vec::with_capacity(self.levels.len());
         for (index, level) in self.levels.iter().enumerate() {
-            let pseudo = self.pseudo_level(index);
+            let pseudo = self.level_coefficients(index);
             let coefficients = if index == 0 {
                 // The scaling layer is never thresholded (same convention
                 // as the 1-D pipeline).
@@ -803,15 +891,11 @@ impl TensorSketch {
                     .collect()
             };
             let surviving = coefficients.iter().filter(|c| **c != 0.0).count();
-            let ay_index = if self.dims == 2 {
-                level.component[1]
-            } else {
-                level.component[0]
-            };
+            let last = self.dims - 1;
             levels.push(EstimateLevel {
                 axes: [
                     self.axes[0][level.component[0]],
-                    self.axes[self.dims - 1][ay_index],
+                    self.axes[last][level.component[last]],
                 ],
                 coefficients,
                 surviving,
@@ -847,7 +931,7 @@ impl TensorSketch {
                 continue;
             }
             let keep = {
-                let pseudo = self.pseudo_level(index);
+                let pseudo = self.level_coefficients(index);
                 let cv = cross_validate_level(&pseudo, n, criterion);
                 if cv.kept == 0 {
                     None
@@ -916,6 +1000,16 @@ impl TensorSketch {
         Ok(compacted)
     }
 
+    /// Keeps the scaling level and the `details` coarsest detail levels of
+    /// a 1-D sketch, lowering `j_max` to match: what 1-D compaction ships.
+    /// The truncated sketch merges only with sketches of the same shape.
+    pub(crate) fn truncate_details(&mut self, details: usize) {
+        debug_assert!(self.dims == 1 && (1..self.levels.len()).contains(&details));
+        self.levels.truncate(1 + details);
+        self.axes[0].truncate(1 + details);
+        self.j_max = self.j0 + details as i32 - 1;
+    }
+
     fn header_len(dims: usize) -> usize {
         // magic + version + family tag + order + dims + count + three
         // level fields + per-axis interval bounds.
@@ -977,21 +1071,11 @@ impl TensorSketch {
             out.extend_from_slice(&lo.to_le_bytes());
             out.extend_from_slice(&hi.to_le_bytes());
         }
-        let mut bitmap = vec![0_u8; presence_bitmap_len(self.levels.len())];
-        for (i, level) in self.levels.iter().enumerate() {
-            if force_dense || !level.is_zero() {
-                bitmap[i / 8] |= 1 << (i % 8);
-            }
-        }
-        out.extend_from_slice(&bitmap);
-        for level in &self.levels {
-            if !force_dense && level.is_zero() {
-                continue;
-            }
-            let slots = level.sums.len();
+        let present = |level: &TensorLevel| force_dense || !level.is_zero();
+        write_presence(&mut out, self.levels.iter().map(present));
+        for level in self.levels.iter().filter(|level| present(level)) {
             let nonzero = level.nonzero_slots();
-            let sparse = !force_dense && 20 * nonzero < 16 * slots;
-            if sparse {
+            if !force_dense && 20 * nonzero < 16 * level.sums.len() {
                 out.push(PAYLOAD_SPARSE);
                 out.extend_from_slice(&(nonzero as u64).to_le_bytes());
                 for (index, (sum, square)) in
@@ -1006,13 +1090,7 @@ impl TensorSketch {
                 }
             } else {
                 out.push(PAYLOAD_DENSE);
-                out.extend_from_slice(&(slots as u64).to_le_bytes());
-                for sum in &level.sums {
-                    out.extend_from_slice(&sum.to_le_bytes());
-                }
-                for square in level.sum_squares.iter() {
-                    out.extend_from_slice(&square.to_le_bytes());
-                }
+                level.write_dense(&mut out);
             }
         }
         out
@@ -1021,7 +1099,10 @@ impl TensorSketch {
     /// Deserializes a v4 tensor frame produced by
     /// [`to_bytes`](Self::to_bytes) or
     /// [`to_bytes_dense`](Self::to_bytes_dense), rebuilding the canonical
-    /// level set from the header parameters. Every structural field is
+    /// level set from the header parameters. v4 frames are 2-D: 1-D
+    /// sketches travel as v1–v3 frames
+    /// ([`CoefficientSketch::to_bytes`](crate::CoefficientSketch::to_bytes)),
+    /// so any other dimension count is rejected. Every structural field is
     /// validated (level range, slot cap, per-level payload bounds, sparse
     /// index monotonicity, finiteness) so a corrupted or hostile frame
     /// can neither panic the reader nor provoke an oversized allocation.
@@ -1040,53 +1121,59 @@ impl TensorSketch {
         let order = reader.u16()? as usize;
         let family = decode_family(family_tag, order)?;
         let dims = reader.u8()? as usize;
-        if !(1..=2).contains(&dims) {
+        if dims != 2 {
             return Err(invalid(&format!(
-                "unsupported tensor dimension count {dims}"
+                "unsupported tensor dimension count {dims} (v4 frames are 2-D)"
             )));
         }
         let count = reader.u64()? as usize;
         let j0 = reader.i32()?;
         let j_max = reader.i32()?;
         let budget = reader.i32()?;
-        if j0 < 0 || j_max < j0 {
-            return Err(invalid(&format!("invalid level range {j0}..={j_max}")));
-        }
-        if j_max > MAX_SERIALIZED_LEVEL {
-            return Err(invalid(&format!(
-                "max level {j_max} exceeds the wire cap {MAX_SERIALIZED_LEVEL}"
-            )));
-        }
         let mut intervals = [(0.0, 1.0); 2];
-        for interval in intervals.iter_mut().take(dims) {
-            let lo = reader.f64()?;
-            let hi = reader.f64()?;
-            if !lo.is_finite() || !hi.is_finite() || lo >= hi {
-                return Err(invalid(&format!("invalid interval [{lo}, {hi}]")));
-            }
-            *interval = (lo, hi);
+        for interval in &mut intervals {
+            *interval = (reader.f64()?, reader.f64()?);
         }
-        if dims == 1 {
-            intervals[1] = intervals[0];
-        }
+        check_frame_geometry(j0, j_max, &intervals)?;
         let basis = Arc::new(WaveletBasis::new(family)?);
         // The constructor re-derives the canonical level set from the
-        // header parameters and enforces the slot cap, bounding every
-        // allocation below.
+        // header parameters and enforces the `MAX_TENSOR_SLOTS` cap,
+        // bounding every allocation below.
         let mut sketch = Self::build(basis, dims, intervals, j0, j_max, budget)
             .map_err(|e| invalid(&format!("frame declares an invalid level set: {e}")))?;
-        sketch.count = count;
-        let level_count = sketch.levels.len();
-        let bitmap = reader.take(presence_bitmap_len(level_count))?.to_vec();
-        if (level_count..bitmap.len() * 8).any(|i| bitmap[i / 8] & (1 << (i % 8)) != 0) {
-            return Err(invalid("presence bitmap has bits beyond the level count"));
-        }
-        for (index, level) in sketch.levels.iter_mut().enumerate() {
-            let is_present = bitmap[index / 8] & (1 << (index % 8)) != 0;
-            if is_present {
-                read_tensor_level(&mut reader, level)?;
+        let present = read_presence(&mut reader, sketch.levels.len())?;
+        sketch.read_levels(
+            &mut reader,
+            count,
+            |index| present[index],
+            read_tensor_level,
+        )?;
+        Ok(sketch)
+    }
+
+    /// The decode tail every frame version shares: reads the payload of
+    /// each level `present` marks through `read`, stamps the levels, then
+    /// requires the frame to end there and a zero `count` to carry no
+    /// mass (so a corrupted count cannot smuggle phantom mass past an
+    /// `is_empty()` check and the later division by the count).
+    pub(crate) fn read_levels(
+        &mut self,
+        reader: &mut Reader<'_>,
+        count: usize,
+        present: impl Fn(usize) -> bool,
+        read: fn(&mut TensorLevel, &mut Reader<'_>) -> Result<(), EstimatorError>,
+    ) -> Result<(), EstimatorError> {
+        self.count = count;
+        for (index, level) in self.levels.iter_mut().enumerate() {
+            if present(index) {
+                read(level, reader)?;
             }
-            level.version = u64::from(is_present && !level.is_zero());
+            // A freshly decoded sketch is a new lineage: stamp the levels
+            // that carry mass once; all-zero levels (absent ones, or
+            // present ones shipped as zeros) keep stamp 0 so merging them
+            // into another sketch remains the no-op the version guard
+            // promises.
+            level.version = u64::from(!level.is_zero());
         }
         if !reader.is_done() {
             return Err(invalid(&format!(
@@ -1094,46 +1181,22 @@ impl TensorSketch {
                 reader.remaining()
             )));
         }
-        if count == 0 && sketch.levels.iter().any(|level| !level.is_zero()) {
+        if count == 0 && self.levels.iter().any(|level| !level.is_zero()) {
             return Err(invalid("count is zero but level sums are nonzero"));
         }
-        Ok(sketch)
+        Ok(())
     }
 }
 
-/// Reads one v4 level payload (dense or sparse) into `level`.
+/// Reads one v4 level payload (a tag byte, then a dense or sparse
+/// payload) into `level`.
 fn read_tensor_level(
-    reader: &mut Reader<'_>,
     level: &mut TensorLevel,
+    reader: &mut Reader<'_>,
 ) -> Result<(), EstimatorError> {
     let slots = level.sums.len();
-    let tag = reader.u8()?;
-    match tag {
-        PAYLOAD_DENSE => {
-            let len = reader.u64()? as usize;
-            if len != slots {
-                return Err(invalid(&format!(
-                    "level stores {slots} slots, dense payload has {len}"
-                )));
-            }
-            for slot in &mut level.sums {
-                let value = reader.f64()?;
-                if !value.is_finite() {
-                    return Err(invalid(&format!("non-finite sum {value} in level payload")));
-                }
-                *slot = value;
-            }
-            let squares = Arc::make_mut(&mut level.sum_squares);
-            for slot in squares.iter_mut() {
-                let value = reader.f64()?;
-                if !value.is_finite() || value < 0.0 {
-                    return Err(invalid(&format!(
-                        "invalid sum of squares {value} in level payload"
-                    )));
-                }
-                *slot = value;
-            }
-        }
+    match reader.u8()? {
+        PAYLOAD_DENSE => level.read_dense(reader),
         PAYLOAD_SPARSE => {
             let nonzero = reader.u64()? as usize;
             if nonzero > slots {
@@ -1167,12 +1230,10 @@ fn read_tensor_level(
                 level.sums[index] = sum;
                 squares[index] = square;
             }
+            Ok(())
         }
-        other => {
-            return Err(invalid(&format!("unknown level payload tag {other}")));
-        }
+        other => Err(invalid(&format!("unknown level payload tag {other}"))),
     }
-    Ok(())
 }
 
 /// The canonical tensor level list derived from `(dims, j0, j_max,
@@ -1213,6 +1274,29 @@ fn component_index(selector: (Generator, i32), j0: i32) -> usize {
     match selector.0 {
         Generator::Scaling => 0,
         Generator::Wavelet => 1 + (selector.1 - j0) as usize,
+    }
+}
+
+/// The one 1-D scatter loop: runs `scatter` on every level of a 1-D
+/// sketch with the level's accumulator and slot arrays, advancing its
+/// stamp.
+fn scatter_1d(
+    basis: &WaveletBasis,
+    axis: &[AxisComponent],
+    levels: &mut [TensorLevel],
+    mut scatter: impl FnMut(&LevelAccumulator<'_>, &mut [f64], &mut [f64]),
+) {
+    for level in levels {
+        let component = axis[level.component[0]];
+        level.version += 1;
+        let accumulator = LevelAccumulator::new(
+            basis,
+            component.generator,
+            component.level,
+            component.k_start,
+        );
+        let squares = Arc::make_mut(&mut level.sum_squares);
+        scatter(&accumulator, &mut level.sums, squares);
     }
 }
 
@@ -1738,6 +1822,24 @@ mod tests {
             corrupted[bit / 8] ^= 1 << (bit % 8);
             let _ = TensorSketch::from_bytes(&corrupted);
         }
+    }
+
+    /// v4 frames are 2-D: a frame declaring `dims = 1` is refused at
+    /// decode instead of reaching the 2-D-only estimate path.
+    #[test]
+    fn one_dimensional_v4_frames_are_rejected() {
+        let mut sketch = TensorSketch::new_1d(WaveletFamily::Haar, (0.0, 1.0), 0, 2).unwrap();
+        sketch.push_scalars(&[0.1, 0.4, 0.7]);
+        let frame = sketch.to_bytes();
+        assert_eq!(
+            frame[MAGIC.len() + 5],
+            1,
+            "the frame declares one dimension"
+        );
+        assert!(matches!(
+            TensorSketch::from_bytes(&frame),
+            Err(EstimatorError::InvalidSerialization { .. })
+        ));
     }
 
     #[test]

@@ -10,7 +10,8 @@
 //!    split points and both thresholding rules.
 //! 2. **The wire format is backward compatible.** Legacy dense v1 frames
 //!    (including a hand-assembled byte fixture) still deserialize, and
-//!    agree with the v2 frame of the same sketch.
+//!    agree with the v2 frame of the same sketch; golden frames pin the
+//!    bytes every writer emits.
 //! 3. **Incremental cross-validation is exact.** Refreshing through the
 //!    [`CvCache`] after every small batch is bitwise identical to
 //!    re-running the full CV pipeline from scratch, however the batches
@@ -18,7 +19,9 @@
 
 use proptest::prelude::*;
 use wavedens::engine::{AttributeSynopsis, CompactionPolicy, SynopsisConfig};
-use wavedens::estimation::{CoefficientSketch, CvCache, ThresholdRule};
+use wavedens::estimation::{
+    CoefficientSketch, CvCache, TensorSketch, ThresholdRule, WindowSliceMeta,
+};
 use wavedens::prelude::*;
 
 fn dependent_sample(n: usize, seed: u64) -> Vec<f64> {
@@ -210,5 +213,150 @@ fn engine_ships_compact_lossless_synopses() {
     let b = roundtrip.evaluate_dense(&grid);
     for (i, (va, vb)) in a.iter().zip(&b).enumerate() {
         assert_eq!(va, vb, "dense evaluation differs at grid point {i}");
+    }
+}
+
+/// The frames the golden test pins: a tiny deterministic 1-D sketch (Haar,
+/// levels 0..=2, eight rows) through every 1-D writer and both compaction
+/// modes, and a tiny 2-D tensor sketch through both v4 writers.
+fn golden_frames() -> Vec<(&'static str, Vec<u8>)> {
+    let rows = [0.1_f64, 0.11, 0.12, 0.13, 0.14, 0.15, 0.62, 0.63];
+    let mut sketch =
+        CoefficientSketch::new(WaveletFamily::Haar, (0.0, 1.0), 0, 2).expect("haar sketch");
+    sketch.push_batch(&rows);
+    let meta = WindowSliceMeta {
+        slice_age: 1,
+        ring_slices: 4,
+        advances: 9,
+        decay_lambda: 0.5,
+    };
+    let compact = |policy| {
+        sketch
+            .compact(policy, ThresholdRule::Hard)
+            .expect("compact")
+            .to_bytes()
+    };
+    let mut joint = TensorSketch::new_2d(WaveletFamily::Haar, (0.0, 1.0), (0.0, 1.0), 0, 2, 0)
+        .expect("haar tensor sketch");
+    joint.push_pairs(&[(0.1, 0.7), (0.9, 0.35)]);
+    vec![
+        ("v2", sketch.to_bytes()),
+        ("v1", sketch.to_bytes_v1()),
+        ("v3", sketch.to_bytes_with_window(&meta)),
+        ("inactive_tail", compact(CompactionPolicy::InactiveTail)),
+        (
+            "byte_budget",
+            compact(CompactionPolicy::ByteBudget { max_bytes: 120 }),
+        ),
+        ("tensor", joint.to_bytes()),
+        ("tensor_dense", joint.to_bytes_dense()),
+    ]
+}
+
+/// The frames [`golden_frames`] produces, as lowercase hex.
+const GOLDEN_FRAMES: [(&str, &str); 7] = [
+    (
+        "v2",
+        concat!(
+            "5744534b02000001000000000000000000000000000000f03f080000000000000000000000020000",
+            "000f0100000000000000010000000000204001000000000020400100000000000000010000000000",
+            "104001000000000020400200000000000000db6cdfcc76f82040ce3b7f669ea00640020000000000",
+            "284002000000000010400400000000000000000000000000d03c0000000000000000000000000000",
+            "00000000000000000000020000000000384000000000000000000200000000002040000000000000",
+            "0000",
+        ),
+    ),
+    (
+        "v1",
+        concat!(
+            "5744534b01000001000000000000000000000000000000f03f080000000000000000000000020000",
+            "00010000000000000001000000000020400100000000002040010000000000000001000000000010",
+            "4001000000000020400200000000000000db6cdfcc76f82040ce3b7f669ea0064002000000000028",
+            "4002000000000010400400000000000000000000000000d03c000000000000000000000000000000",
+            "00000000000000000002000000000038400000000000000000020000000000204000000000000000",
+            "00",
+        ),
+    ),
+    (
+        "v3",
+        concat!(
+            "5744534b03000001000000000000000000000000000000f03f080000000000000000000000020000",
+            "0001000000040000000900000000000000000000000000e03f0f0100000000000000010000000000",
+            "20400100000000002040010000000000000001000000000010400100000000002040020000000000",
+            "0000db6cdfcc76f82040ce3b7f669ea0064002000000000028400200000000001040040000000000",
+            "0000000000000000d03c000000000000000000000000000000000000000000000000020000000000",
+            "3840000000000000000002000000000020400000000000000000",
+        ),
+    ),
+    (
+        "inactive_tail",
+        concat!(
+            "5744534b02000001000000000000000000000000000000f03f080000000000000000000000010000",
+            "00070100000000000000010000000000204001000000000020400100000000000000010000000000",
+            "104001000000000020400200000000000000db6cdfcc76f82040ce3b7f669ea00640020000000000",
+            "28400200000000001040",
+        ),
+    ),
+    (
+        "byte_budget",
+        concat!(
+            "5744534b02000001000000000000000000000000000000f03f080000000000000000000000000000",
+            "00030100000000000000010000000000204001000000000020400100000000000000010000000000",
+            "10400100000000002040",
+        ),
+    ),
+    (
+        "tensor",
+        concat!(
+            "5744534b040000010002020000000000000000000000020000000000000000000000000000000000",
+            "00000000f03f0000000000000000000000000000f03fff0001000000000000000200000000000040",
+            "04000000000000400001000000000000000000000000000000040000000000004000020000000000",
+            "0000cf3b7f669ea0f63fcf3b7f669ea0f6bf03000000000000400300000000000040010200000000",
+            "00000000000000020000000000004004000000000010400300000002000000000000c00400000000",
+            "00104000010000000000000000000000000000000400000000000040000200000000000000cf3b7f",
+            "669ea0f6bfcf3b7f669ea0f63f030000000000004003000000000000400102000000000000000100",
+            "0000020000000000004004000000000010400200000002000000000000c004000000000010400001",
+            "0000000000000002000000000000c00400000000000040",
+        ),
+    ),
+    (
+        "tensor_dense",
+        concat!(
+            "5744534b040000010002020000000000000000000000020000000000000000000000000000000000",
+            "00000000f03f0000000000000000000000000000f03fff0001000000000000000200000000000040",
+            "04000000000000400001000000000000000000000000000000040000000000004000020000000000",
+            "0000cf3b7f669ea0f63fcf3b7f669ea0f6bf03000000000000400300000000000040000400000000",
+            "00000002000000000000400000000000000000000000000000000002000000000000c00400000000",
+            "00104000000000000000000000000000000000040000000000104000010000000000000000000000",
+            "000000000400000000000040000200000000000000cf3b7f669ea0f6bfcf3b7f669ea0f63f030000",
+            "00000000400300000000000040000400000000000000000000000000000002000000000000400200",
+            "0000000000c000000000000000000000000000000000040000000000104004000000000010400000",
+            "00000000000000010000000000000002000000000000c00400000000000040",
+        ),
+    ),
+];
+
+/// The wire bytes of every writer are pinned: v1, v2 and v3 frames of a
+/// tiny 1-D sketch, its compacted frames, and both v4 writers of a tiny
+/// 2-D sketch must match the recorded bytes exactly, and each frame must
+/// decode and re-encode to the same bytes.
+#[test]
+fn frames_match_the_golden_bytes_and_reencode_identically() {
+    let frames = golden_frames();
+    assert_eq!(frames.len(), GOLDEN_FRAMES.len());
+    for ((name, frame), (golden_name, golden)) in frames.iter().zip(GOLDEN_FRAMES) {
+        assert_eq!(*name, golden_name);
+        let hex: String = frame.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(hex, golden, "{name} frame bytes changed");
+        let reencoded = match *name {
+            "v1" => CoefficientSketch::from_bytes(frame).map(|s| s.to_bytes_v1()),
+            "v3" => CoefficientSketch::from_bytes_with_window(frame).map(|(s, meta)| {
+                s.to_bytes_with_window(&meta.expect("v3 frames carry window metadata"))
+            }),
+            "tensor" => TensorSketch::from_bytes(frame).map(|s| s.to_bytes()),
+            "tensor_dense" => TensorSketch::from_bytes(frame).map(|s| s.to_bytes_dense()),
+            _ => CoefficientSketch::from_bytes(frame).map(|s| s.to_bytes()),
+        };
+        assert_eq!(&reencoded.expect("golden frame decodes"), frame, "{name}");
     }
 }
