@@ -272,9 +272,9 @@ fn engine_throughput(c: &mut Criterion) {
         rebuild_max * 1e3,
     );
 
-    // Phase 3 — synopsis size: the paper's n = 8192 workload, dense wire
-    // frames (legacy v1 and current v2) vs the level-truncated compacted
-    // frame the engine ships.
+    // Phase 3 — synopsis size: the paper's n = 8192 workload, the dense
+    // wire frame (every level, dense payloads) vs the level-truncated
+    // compacted frame the engine ships.
     const SIZE_ROWS: usize = 8192;
     let paper_rows = paper_sample(SIZE_ROWS, 77);
     let size_config = SynopsisConfig::default()
@@ -283,17 +283,15 @@ fn engine_throughput(c: &mut Criterion) {
     let size_synopsis = AttributeSynopsis::new(&size_config).expect("synopsis");
     size_synopsis.ingest(&paper_rows);
     let dense = size_synopsis.merged_sketch().expect("merged");
-    let dense_v1_bytes = dense.to_bytes_v1().len();
-    let dense_v2_bytes = dense.to_bytes().len();
+    let dense_bytes = dense.to_bytes_dense().len();
     let compacted_bytes = size_synopsis
         .ship(CompactionPolicy::InactiveTail)
         .expect("ship")
         .len();
-    let compaction_ratio = dense_v1_bytes as f64 / compacted_bytes as f64;
+    let compaction_ratio = dense_bytes as f64 / compacted_bytes as f64;
     println!(
-        "synopsis size at n = {SIZE_ROWS}: dense v1 {dense_v1_bytes} B, dense v2 \
-         {dense_v2_bytes} B, compacted {compacted_bytes} B \
-         ({compaction_ratio:.1}× smaller than dense v1)"
+        "synopsis size at n = {SIZE_ROWS}: dense {dense_bytes} B, compacted \
+         {compacted_bytes} B ({compaction_ratio:.1}× smaller than dense)"
     );
 
     // Phase 4 — refresh latency under repeated small-batch ingest: the
@@ -429,9 +427,9 @@ fn engine_throughput(c: &mut Criterion) {
          \"rebuild_latency_p99_ms\": {:.3},\n    \
          \"rebuild_latency_max_ms\": {:.3}\n  }},\n  \
          \"synopsis_size\": {{\n    \"rows\": {SIZE_ROWS},\n    \
-         \"dense_v1_bytes\": {dense_v1_bytes},\n    \"dense_v2_bytes\": {dense_v2_bytes},\n    \
+         \"dense_bytes\": {dense_bytes},\n    \
          \"compacted_bytes\": {compacted_bytes},\n    \
-         \"compaction_ratio_over_dense_v1\": {compaction_ratio:.2}\n  }},\n  \
+         \"compaction_ratio_over_dense\": {compaction_ratio:.2}\n  }},\n  \
          \"incremental_refresh\": {{\n    \"base_rows\": {SIZE_ROWS},\n    \
          \"batches\": {REFRESH_BATCHES},\n    \"rows_per_batch\": {BATCH_ROWS},\n    \
          \"full_cv_seconds\": {full_refresh_seconds:.6},\n    \

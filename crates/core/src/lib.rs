@@ -28,6 +28,7 @@
 //!   (per-level sums, sums of squares, count): sketches of data partitions
 //!   merge into exactly the single-stream state and (de)serialize to a
 //!   compact binary form for shipping between nodes;
+//! * [`codec`] — the one wire format of every sketch, 1-D and 2-D;
 //! * [`streaming`] — an online variant maintaining the coefficients
 //!   incrementally (exactly equivalent to a batch fit), a thin layer over
 //!   [`sketch`];
@@ -65,6 +66,7 @@
 #![warn(missing_docs)]
 
 pub(crate) mod autotune;
+pub mod codec;
 pub mod coefficients;
 pub mod cv;
 pub mod dense;
@@ -95,7 +97,9 @@ pub use kernel::{BandwidthRule, Kernel, KernelDensityEstimate, KernelDensityEsti
 pub use risk::{integrated_squared_error, lp_distance, RiskAccumulator};
 pub use sketch::{CoefficientSketch, CompactionPolicy};
 pub use streaming::StreamingWaveletEstimator;
-pub use tensor::{TensorCumulative, TensorEstimate, TensorSketch, MAX_TENSOR_SLOTS};
+pub use tensor::{
+    TensorCumulative, TensorEstimate, TensorSketch, MAX_COEFFICIENT_SLOTS, MAX_TENSOR_SLOTS,
+};
 pub use threshold::{ThresholdProfile, ThresholdRule, ThresholdSelection};
 pub use window::{WindowPolicy, WindowSliceMeta, WindowedSketch, DEFAULT_DECAY_SLICES};
 

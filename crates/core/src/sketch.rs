@@ -19,14 +19,16 @@
 //! layers over it, and the `wavedens-engine` crate builds sharded ingest
 //! and multi-attribute synopsis catalogs on top. The sums themselves live
 //! in a `dims = 1` [`TensorSketch`], the one store, scatter and merge
-//! code of every sketch; this module adds the 1-D estimate, compaction
-//! and wire frames.
+//! code of every sketch; this module adds the 1-D estimate and
+//! compaction.
 //!
 //! Sketches also (de)serialize to a compact little-endian binary form
 //! ([`to_bytes`](CoefficientSketch::to_bytes) /
-//! [`from_bytes`](CoefficientSketch::from_bytes)) so synopses can be
-//! shipped between nodes and merged where they land.
+//! [`from_bytes`](CoefficientSketch::from_bytes), the one format of
+//! [`crate::codec`]) so synopses can be shipped between nodes and merged
+//! where they land.
 
+use crate::codec;
 use crate::coefficients::EmpiricalCoefficients;
 use crate::cv::{cross_validate, cross_validate_cached, CrossValidationResult, CvCache};
 use crate::error::EstimatorError;
@@ -86,7 +88,7 @@ impl CoefficientSketch {
         j0: i32,
         j_max: i32,
     ) -> Result<Self, EstimatorError> {
-        TensorSketch::new_1d(family, interval, j0, j_max).map(Self::wrap)
+        Self::with_basis(Arc::new(WaveletBasis::new(family)?), interval, j0, j_max)
     }
 
     /// Creates an empty sketch reusing an existing basis (avoids
@@ -109,7 +111,8 @@ impl CoefficientSketch {
 
     /// Creates an empty sketch on `[0, 1]` sized for roughly `expected_n`
     /// observations with the paper's defaults (Symmlet 8, level rules of
-    /// Theorem 3.1 / Section 5.1).
+    /// Theorem 3.1 / Section 5.1). Fails from `2^22` rows on, where the
+    /// level set outgrows [`MAX_COEFFICIENT_SLOTS`](crate::MAX_COEFFICIENT_SLOTS).
     pub fn sized_for(expected_n: usize) -> Result<Self, EstimatorError> {
         let n = expected_n.max(2);
         let j0 = crate::estimator::default_coarse_level(n, 8);
@@ -158,7 +161,7 @@ impl CoefficientSketch {
     }
 
     fn details(&self) -> &[TensorLevel] {
-        &self.inner.levels()[1..]
+        &self.inner.levels[1..]
     }
 
     /// Overwrites this sketch with `source`'s accumulation state, reusing
@@ -375,9 +378,9 @@ impl CoefficientSketch {
                 // Best effort: drop the finest remaining (possibly active)
                 // levels until the frame fits, keeping at least the
                 // scaling level and one detail level.
-                while compacted.serialized_len() > max_bytes && compacted.details().len() > 1 {
-                    let keep = compacted.details().len() - 1;
-                    compacted.inner.truncate_details(keep);
+                let keep = codec::levels_within(&compacted.inner, max_bytes);
+                if keep < compacted.inner.levels.len() {
+                    compacted.inner.truncate_details(keep - 1);
                 }
             }
         }
@@ -405,174 +408,44 @@ impl CoefficientSketch {
         Ok(())
     }
 
-    /// Serializes the sketch to the current (v2) compact little-endian
-    /// binary frame: magic + version header, wavelet family, interval,
-    /// count, level range, a per-level **presence bitmap**, then the raw
-    /// sums and sums of squares of every *present* level. Levels whose
-    /// sums and sums of squares are identically zero — empty sketches,
-    /// boundary levels no observation ever touched, and the zero tail a
-    /// [`compact`](Self::compact)ed sketch would otherwise ship dense —
-    /// are recorded as a single cleared bit and restored as zeros.
+    /// Serializes the sketch to a compact [frame](crate::codec): all-zero
+    /// levels are one cleared bitmap bit, the others ship dense or
+    /// coefficient-sparse, whichever is smaller.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.serialized_len());
-        self.write_header(&mut out, FORMAT_V2);
-        self.write_v2_body(&mut out);
-        out
+        codec::encode(&self.inner, None, false)
     }
 
-    /// Serializes the sketch as a **windowed slice frame** (v3): the v2
-    /// compact body prefixed by the window metadata in `meta` — slice age,
-    /// ring size, advance counter and decay factor — so a receiver can
-    /// place the slice in its own ring. Existing
-    /// [`from_bytes`](Self::from_bytes) consumers read the frame as a
-    /// plain sketch (the metadata is skipped);
-    /// [`from_bytes_with_window`](Self::from_bytes_with_window) also
-    /// returns the metadata.
+    /// Serializes with every level present and dense payloads — the
+    /// uncompacted baseline compaction ratios are measured against.
+    /// [`from_bytes`](Self::from_bytes) reads it like any other frame.
+    pub fn to_bytes_dense(&self) -> Vec<u8> {
+        codec::encode(&self.inner, None, true)
+    }
+
+    /// [`to_bytes`](Self::to_bytes) with the window block set to `meta`, so
+    /// a receiver can place the slice in its own ring;
+    /// [`from_bytes`](Self::from_bytes) validates and drops the metadata,
+    /// [`from_bytes_with_window`](Self::from_bytes_with_window) returns it.
     pub fn to_bytes_with_window(&self, meta: &WindowSliceMeta) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.serialized_len() + WINDOW_META_LEN);
-        self.write_header(&mut out, FORMAT_V3_WINDOWED);
-        write_window_meta(&mut out, meta);
-        self.write_v2_body(&mut out);
-        out
+        codec::encode(&self.inner, Some(meta), false)
     }
 
-    /// The presence bitmap + present-level payloads shared by the v2 and
-    /// v3 frames.
-    fn write_v2_body(&self, out: &mut Vec<u8>) {
-        let levels = self.inner.levels();
-        write_presence(out, levels.iter().map(|level| !level.is_zero()));
-        for level in levels.iter().filter(|level| !level.is_zero()) {
-            level.write_dense(out);
-        }
-    }
-
-    /// Serializes the sketch to the legacy v1 frame (every level shipped
-    /// dense, no presence bitmap), for interoperability with nodes still
-    /// on the previous wire format. [`from_bytes`](Self::from_bytes) reads
-    /// both frames.
-    pub fn to_bytes_v1(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        self.write_header(&mut out, FORMAT_V1);
-        for level in self.inner.levels() {
-            level.write_dense(&mut out);
-        }
-        out
-    }
-
-    fn write_header(&self, out: &mut Vec<u8>, version: u16) {
-        out.extend_from_slice(MAGIC);
-        out.extend_from_slice(&version.to_le_bytes());
-        let (family_tag, order) = encode_family(self.basis().family());
-        out.push(family_tag);
-        out.extend_from_slice(&(order as u16).to_le_bytes());
-        let (lo, hi) = self.interval();
-        out.extend_from_slice(&lo.to_le_bytes());
-        out.extend_from_slice(&hi.to_le_bytes());
-        out.extend_from_slice(&(self.count() as u64).to_le_bytes());
-        out.extend_from_slice(&self.coarse_level().to_le_bytes());
-        out.extend_from_slice(&self.max_level().to_le_bytes());
-    }
-
-    /// Exact length of the v2 frame [`to_bytes`](Self::to_bytes) emits —
-    /// what the byte-budget compaction mode measures against.
-    fn serialized_len(&self) -> usize {
-        let header = MAGIC.len() + 2 + 3 + 16 + 8 + 8;
-        let levels = self.inner.levels();
-        let payloads: usize = levels
-            .iter()
-            .filter(|level| !level.is_zero())
-            .map(|level| 8 + 16 * level.sums.len())
-            .sum();
-        header + presence_bitmap_len(levels.len()) + payloads
-    }
-
-    /// Deserializes a sketch previously produced by
-    /// [`to_bytes`](Self::to_bytes) (v2, presence bitmap), the legacy
-    /// dense v1 writer ([`to_bytes_v1`](Self::to_bytes_v1)), **or** the
-    /// windowed slice writer
-    /// ([`to_bytes_with_window`](Self::to_bytes_with_window), v3 — the
-    /// window metadata is validated and discarded), rebuilding the wavelet
-    /// basis from the encoded family. Fails with
-    /// [`EstimatorError::InvalidSerialization`] on any malformed input;
-    /// every structural field — level range, interval, per-level payload
-    /// sizes — is validated against the buffer *before* the level vectors
-    /// are allocated, so a corrupted or hostile frame can neither panic
-    /// the reader nor provoke an oversized allocation.
+    /// Deserializes a frame of a 1-D sketch. A 2-D frame, a frame of
+    /// another version, or any corrupted or hostile one is rejected with
+    /// [`EstimatorError::InvalidSerialization`] — never a panic or an
+    /// oversized allocation.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, EstimatorError> {
         Ok(Self::from_bytes_with_window(bytes)?.0)
     }
 
     /// [`from_bytes`](Self::from_bytes), additionally returning the
-    /// [`WindowSliceMeta`] when the frame is a windowed slice (v3);
-    /// `None` for plain v1/v2 frames.
+    /// [`WindowSliceMeta`] when the frame is a windowed slice; `None` for
+    /// plain frames.
     pub fn from_bytes_with_window(
         bytes: &[u8],
     ) -> Result<(Self, Option<WindowSliceMeta>), EstimatorError> {
-        let mut reader = Reader::new(bytes);
-        let magic = reader.take(MAGIC.len())?;
-        if magic != MAGIC {
-            return Err(invalid("bad magic bytes"));
-        }
-        let version = reader.u16()?;
-        if !matches!(version, FORMAT_V1 | FORMAT_V2 | FORMAT_V3_WINDOWED) {
-            return Err(invalid(&format!(
-                "unsupported format version {version} \
-                 (expected {FORMAT_V1}, {FORMAT_V2} or {FORMAT_V3_WINDOWED})"
-            )));
-        }
-        let family_tag = reader.u8()?;
-        let order = reader.u16()? as usize;
-        let family = decode_family(family_tag, order)?;
-        let lo = reader.f64()?;
-        let hi = reader.f64()?;
-        let count = reader.u64()? as usize;
-        let j0 = reader.i32()?;
-        let j_max = reader.i32()?;
-        let window = if version == FORMAT_V3_WINDOWED {
-            Some(read_window_meta(&mut reader)?)
-        } else {
-            None
-        };
-        check_frame_geometry(j0, j_max, &[(lo, hi)])?;
-        // Pre-compute the slot count of every level from cheap translation
-        // arithmetic and require the remaining payload to fit *exactly*
-        // before constructing the sketch: a length prefix claiming more
-        // coefficients than the buffer holds is rejected while the frame
-        // is still just bytes.
-        let basis = Arc::new(WaveletBasis::new(family)?);
-        let slots: Vec<usize> = (j0..=j_max)
-            .map(|level| {
-                let range = basis.translations_covering(level, lo, hi);
-                (*range.end() - *range.start() + 1).max(0) as usize
-            })
-            .collect();
-        // Level list on the wire: the scaling level at j0, then details
-        // j0..=j_max — the scaling and first detail level share a slot
-        // count (same translation range at the same level). v1 frames
-        // ship every level.
-        let level_count = 1 + slots.len();
-        let bitmap = match version {
-            FORMAT_V1 => None,
-            _ => Some(read_presence(&mut reader, level_count)?),
-        };
-        let present = |index: usize| bitmap.as_ref().map_or(true, |bits| bits[index]);
-        let expected: usize = std::iter::once(&slots[0])
-            .chain(&slots)
-            .enumerate()
-            .filter(|&(index, _)| present(index))
-            .map(|(_, &slot_count)| 8_usize.saturating_add(slot_count.saturating_mul(16)))
-            .fold(0_usize, usize::saturating_add);
-        if reader.remaining() != expected {
-            return Err(invalid(&format!(
-                "level payloads hold {} bytes, header implies {expected}",
-                reader.remaining()
-            )));
-        }
-        let mut sketch = Self::with_basis(basis, (lo, hi), j0, j_max)?;
-        sketch
-            .inner
-            .read_levels(&mut reader, count, present, TensorLevel::read_dense)?;
-        Ok((sketch, window))
+        let (inner, window) = codec::decode(bytes, 1)?;
+        Ok((Self::wrap(inner), window))
     }
 }
 
@@ -607,7 +480,7 @@ pub fn for_each_batch<I: IntoIterator<Item = f64>>(values: I, mut flush: impl Fn
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CompactionPolicy {
     /// No truncation: every accumulated level is kept (all-zero levels
-    /// are still elided by the v2 frame's presence bitmap).
+    /// are still elided by the frame's presence bitmap).
     Dense,
     /// Drop every detail level above the finest one whose cross-validated
     /// active set is nonempty. Lossless: the truncated levels were
@@ -625,29 +498,6 @@ pub enum CompactionPolicy {
         max_bytes: usize,
     },
 }
-
-pub(crate) const MAGIC: &[u8] = b"WDSK";
-const FORMAT_V1: u16 = 1;
-const FORMAT_V2: u16 = 2;
-/// Windowed slice frame: the standard header, then [`WindowSliceMeta`],
-/// then the v2 compact body.
-const FORMAT_V3_WINDOWED: u16 = 3;
-/// Tensor-product frame of a 2-D sketch (see `crate::tensor`): the shared
-/// magic/family prefix, then a dims header, then per-level dense or
-/// coefficient-sparse payloads behind a presence bitmap. Decoded only by
-/// `TensorSketch::from_bytes`; the 1-D decoder keeps rejecting it.
-pub(crate) const FORMAT_V4_TENSOR: u16 = 4;
-
-/// Hard cap on the detail level a wire frame may declare. A level at `j`
-/// holds `O(2^j)` coefficient slots, so the cap bounds what a hostile
-/// header can make [`CoefficientSketch::from_bytes`] allocate (~2 × 8 GB
-/// of slots at 30 — far above any real synopsis, which the exact
-/// byte-fit check then rejects long before allocation anyway, since such
-/// a payload cannot actually be present).
-pub(crate) const MAX_SERIALIZED_LEVEL: i32 = 30;
-
-/// Serialized size of [`WindowSliceMeta`] in a v3 frame.
-const WINDOW_META_LEN: usize = 4 + 4 + 8 + 8;
 
 /// Rejects scale weights that would corrupt the sums: decay weights must
 /// be finite and nonnegative (zero is allowed — it merges nothing, which
@@ -672,177 +522,11 @@ pub(crate) fn scaled_count(count: usize, weight: f64) -> usize {
     (weight * count as f64).round() as usize
 }
 
-fn write_window_meta(out: &mut Vec<u8>, meta: &WindowSliceMeta) {
-    out.extend_from_slice(&meta.slice_age.to_le_bytes());
-    out.extend_from_slice(&meta.ring_slices.to_le_bytes());
-    out.extend_from_slice(&meta.advances.to_le_bytes());
-    out.extend_from_slice(&meta.decay_lambda.to_le_bytes());
-}
-
-fn read_window_meta(reader: &mut Reader<'_>) -> Result<WindowSliceMeta, EstimatorError> {
-    let slice_age = reader.u32()?;
-    let ring_slices = reader.u32()?;
-    let advances = reader.u64()?;
-    let decay_lambda = reader.f64()?;
-    if ring_slices == 0 {
-        return Err(invalid("windowed frame declares a zero-slice ring"));
-    }
-    if slice_age >= ring_slices {
-        return Err(invalid(&format!(
-            "slice age {slice_age} outside the {ring_slices}-slice ring"
-        )));
-    }
-    if !decay_lambda.is_finite() || decay_lambda <= 0.0 || decay_lambda > 1.0 {
-        return Err(invalid(&format!(
-            "decay factor {decay_lambda} outside (0, 1]"
-        )));
-    }
-    Ok(WindowSliceMeta {
-        slice_age,
-        ring_slices,
-        advances,
-        decay_lambda,
-    })
-}
-
 /// Issues process-unique sketch lineage tags (see
 /// `CoefficientSketch::lineage`).
 fn next_lineage() -> u64 {
     static LINEAGE: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(1);
     LINEAGE.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
-}
-
-/// Bytes needed for one presence bit per level.
-pub(crate) fn presence_bitmap_len(levels: usize) -> usize {
-    levels.div_ceil(8)
-}
-
-/// Writes a presence bitmap: one bit per level, set where `present` holds.
-pub(crate) fn write_presence(out: &mut Vec<u8>, present: impl ExactSizeIterator<Item = bool>) {
-    let mut bitmap = vec![0_u8; presence_bitmap_len(present.len())];
-    for (i, _) in present.enumerate().filter(|&(_, is_present)| is_present) {
-        bitmap[i / 8] |= 1 << (i % 8);
-    }
-    out.extend_from_slice(&bitmap);
-}
-
-/// Reads the presence bitmap of a frame with `levels` levels. Bits beyond
-/// the level count must be clear: set ones would silently change meaning
-/// if a later format ever widens the bitmap.
-pub(crate) fn read_presence(
-    reader: &mut Reader<'_>,
-    levels: usize,
-) -> Result<Vec<bool>, EstimatorError> {
-    let bitmap = reader.take(presence_bitmap_len(levels))?;
-    let bit = |i: usize| bitmap[i / 8] & (1 << (i % 8)) != 0;
-    if (levels..bitmap.len() * 8).any(bit) {
-        return Err(invalid("presence bitmap has bits beyond the level count"));
-    }
-    Ok((0..levels).map(bit).collect())
-}
-
-/// The structural header checks every frame version shares, run before
-/// anything is sized off the header: a valid level range no finer than
-/// [`MAX_SERIALIZED_LEVEL`] (a level at `j` holds `O(2^j)` slots, so an
-/// absurd `j_max` must die here, not in the allocator), then finite,
-/// nonempty intervals.
-pub(crate) fn check_frame_geometry(
-    j0: i32,
-    j_max: i32,
-    intervals: &[(f64, f64)],
-) -> Result<(), EstimatorError> {
-    if j0 < 0 || j_max < j0 {
-        return Err(invalid(&format!("invalid level range {j0}..={j_max}")));
-    }
-    if j_max > MAX_SERIALIZED_LEVEL {
-        return Err(invalid(&format!(
-            "max level {j_max} exceeds the wire cap {MAX_SERIALIZED_LEVEL}"
-        )));
-    }
-    for &(lo, hi) in intervals {
-        if !lo.is_finite() || !hi.is_finite() || lo >= hi {
-            return Err(invalid(&format!("invalid interval [{lo}, {hi}]")));
-        }
-    }
-    Ok(())
-}
-
-pub(crate) fn invalid(message: &str) -> EstimatorError {
-    EstimatorError::InvalidSerialization {
-        message: message.to_string(),
-    }
-}
-
-pub(crate) fn encode_family(family: WaveletFamily) -> (u8, usize) {
-    match family {
-        WaveletFamily::Haar => (0, 1),
-        WaveletFamily::Daubechies(n) => (1, n),
-        WaveletFamily::Symmlet(n) => (2, n),
-    }
-}
-
-pub(crate) fn decode_family(tag: u8, order: usize) -> Result<WaveletFamily, EstimatorError> {
-    match tag {
-        0 => Ok(WaveletFamily::Haar),
-        1 => Ok(WaveletFamily::Daubechies(order)),
-        2 => Ok(WaveletFamily::Symmlet(order)),
-        _ => Err(invalid(&format!("unknown wavelet family tag {tag}"))),
-    }
-}
-
-/// A bounds-checked little-endian cursor over a byte slice.
-pub(crate) struct Reader<'a> {
-    bytes: &'a [u8],
-    offset: usize,
-}
-
-impl<'a> Reader<'a> {
-    pub(crate) fn new(bytes: &'a [u8]) -> Self {
-        Self { bytes, offset: 0 }
-    }
-
-    pub(crate) fn take(&mut self, n: usize) -> Result<&'a [u8], EstimatorError> {
-        let end = self
-            .offset
-            .checked_add(n)
-            .filter(|&end| end <= self.bytes.len())
-            .ok_or_else(|| invalid("payload truncated"))?;
-        let slice = &self.bytes[self.offset..end];
-        self.offset = end;
-        Ok(slice)
-    }
-
-    pub(crate) fn u8(&mut self) -> Result<u8, EstimatorError> {
-        Ok(self.take(1)?[0])
-    }
-
-    pub(crate) fn u16(&mut self) -> Result<u16, EstimatorError> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().expect("len 2")))
-    }
-
-    pub(crate) fn u32(&mut self) -> Result<u32, EstimatorError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("len 4")))
-    }
-
-    pub(crate) fn i32(&mut self) -> Result<i32, EstimatorError> {
-        Ok(i32::from_le_bytes(self.take(4)?.try_into().expect("len 4")))
-    }
-
-    pub(crate) fn u64(&mut self) -> Result<u64, EstimatorError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("len 8")))
-    }
-
-    pub(crate) fn f64(&mut self) -> Result<f64, EstimatorError> {
-        Ok(f64::from_le_bytes(self.take(8)?.try_into().expect("len 8")))
-    }
-
-    pub(crate) fn remaining(&self) -> usize {
-        self.bytes.len() - self.offset
-    }
-
-    pub(crate) fn is_done(&self) -> bool {
-        self.offset == self.bytes.len()
-    }
 }
 
 #[cfg(test)]
@@ -942,10 +626,10 @@ mod tests {
             CoefficientSketch::new(WaveletFamily::Symmlet(8), (0.0, 1.0), -1, 1).unwrap_err(),
             EstimatorError::InvalidLevels { .. }
         ));
-        // The 1-D size limit is the level range, not the 2-D slot cap: a
-        // sketch sized for 2^21 rows (levels 2..=21, more than
-        // `MAX_TENSOR_SLOTS` slots) builds. Zeroed slot arrays are
-        // allocated lazily, so this stays cheap.
+        // The 1-D slot cap is `MAX_COEFFICIENT_SLOTS`, not the 2-D
+        // `MAX_TENSOR_SLOTS`: a sketch sized for 2^21 rows (levels
+        // 2..=21, more than `MAX_TENSOR_SLOTS` slots) builds. Zeroed slot
+        // arrays are allocated lazily, so this stays cheap.
         let large = CoefficientSketch::sized_for(1 << 21).unwrap();
         assert_eq!((large.coarse_level(), large.max_level()), (2, 21));
     }
@@ -957,7 +641,7 @@ mod tests {
             CoefficientSketch::new(WaveletFamily::Symmlet(8), (0.0, 1.0), 1, 6).unwrap();
         sketch.push_batch(&data);
         let bytes = sketch.to_bytes();
-        assert_eq!(bytes.len(), sketch.serialized_len());
+        assert_eq!(bytes.len(), codec::encoded_len(&sketch.inner));
         let restored = CoefficientSketch::from_bytes(&bytes).unwrap();
         assert_eq!(restored.count(), sketch.count());
         assert_eq!(restored.interval(), sketch.interval());
@@ -1008,27 +692,36 @@ mod tests {
         assert!(CoefficientSketch::from_bytes(&bad).is_err());
         // A corrupted count (zero) with intact nonzero level sums must
         // not deserialize into a sketch that claims to be empty: the
-        // count field sits at bytes 25..33 of the header.
+        // count field sits at bytes 11..19 of the header.
         let mut bad = bytes.clone();
-        bad[25..33].copy_from_slice(&0_u64.to_le_bytes());
+        bad[11..19].copy_from_slice(&0_u64.to_le_bytes());
         assert!(CoefficientSketch::from_bytes(&bad).is_err());
-        // Non-finite sums are rejected; the first scaling sum starts
-        // right after the header (41 bytes), the presence bitmap (1 byte
-        // for the three levels of this sketch) and the level length (8).
+        // Non-finite sums are rejected. The header is 47 bytes, the
+        // presence bitmap 1 byte (three levels); the scaling level's
+        // payload tag (dense) sits at 48 and its first sum follows its
+        // `u64` length at 57.
+        assert_eq!(bytes[48], 0, "the scaling level ships dense");
         let mut bad = bytes.clone();
-        bad[50..58].copy_from_slice(&f64::NAN.to_le_bytes());
+        bad[57..65].copy_from_slice(&f64::NAN.to_le_bytes());
         assert!(CoefficientSketch::from_bytes(&bad).is_err());
         // Negative sums of squares are rejected (they are sums of squares
         // of reals). The squares block follows the sums block.
-        let squares_offset = 50 + 8 * sketch.snapshot().unwrap().scaling().len();
+        let squares_offset = 57 + 8 * sketch.snapshot().unwrap().scaling().len();
         let mut bad = bytes.clone();
         bad[squares_offset..squares_offset + 8].copy_from_slice(&(-1.0_f64).to_le_bytes());
         assert!(CoefficientSketch::from_bytes(&bad).is_err());
         // Presence-bitmap bits beyond the level count must be clear (the
-        // sketch has 3 levels, so bits 3..8 of byte 41 are reserved).
+        // sketch has 3 levels, so bits 3..8 of byte 47 are reserved).
         let mut bad = bytes.clone();
-        bad[41] |= 1 << 5;
+        bad[47] |= 1 << 5;
         assert!(CoefficientSketch::from_bytes(&bad).is_err());
+        // The dims byte (9) must say 1-D, and a 1-D frame's hyperbolic
+        // budget (bytes 27..31) must be zero.
+        for (offset, value) in [(9, 0), (9, 3), (27, 4)] {
+            let mut bad = bytes.clone();
+            bad[offset] = value;
+            assert!(CoefficientSketch::from_bytes(&bad).is_err());
+        }
     }
 
     #[test]
@@ -1233,29 +926,108 @@ mod tests {
     }
 
     #[test]
-    fn v1_frames_are_still_readable() {
+    fn dense_frames_restore_like_compact_ones() {
         let mut sketch =
             CoefficientSketch::new(WaveletFamily::Symmlet(8), (0.0, 1.0), 1, 6).unwrap();
         sketch.push_batch(&sample(300, 19));
-        let v1 = sketch.to_bytes_v1();
-        let v2 = sketch.to_bytes();
-        assert_eq!(u16::from_le_bytes([v1[4], v1[5]]), 1);
-        assert_eq!(u16::from_le_bytes([v2[4], v2[5]]), 2);
-        let from_v1 = CoefficientSketch::from_bytes(&v1).unwrap();
-        let from_v2 = CoefficientSketch::from_bytes(&v2).unwrap();
-        assert_eq!(from_v1.count(), sketch.count());
-        let a = from_v1.estimate(ThresholdRule::Soft).unwrap();
-        let b = from_v2.estimate(ThresholdRule::Soft).unwrap();
+        let dense = sketch.to_bytes_dense();
+        let compact = sketch.to_bytes();
+        assert!(dense.len() >= compact.len());
+        let from_dense = CoefficientSketch::from_bytes(&dense).unwrap();
+        let from_compact = CoefficientSketch::from_bytes(&compact).unwrap();
+        assert_eq!(from_dense.count(), sketch.count());
+        assert_eq!(from_dense.to_bytes(), compact);
+        let a = from_dense.estimate(ThresholdRule::Soft).unwrap();
+        let b = from_compact.estimate(ThresholdRule::Soft).unwrap();
         let c = sketch.estimate(ThresholdRule::Soft).unwrap();
         for i in 0..=100 {
             let x = i as f64 / 100.0;
-            assert_eq!(a.evaluate(x), c.evaluate(x), "v1 mismatch at {x}");
-            assert_eq!(b.evaluate(x), c.evaluate(x), "v2 mismatch at {x}");
+            assert_eq!(a.evaluate(x), c.evaluate(x), "dense mismatch at {x}");
+            assert_eq!(b.evaluate(x), c.evaluate(x), "compact mismatch at {x}");
         }
-        // v1 truncations are rejected like v2 ones.
-        for len in [0, 10, 40, v1.len() - 1] {
-            assert!(CoefficientSketch::from_bytes(&v1[..len]).is_err());
+        // Dense truncations are rejected like compact ones.
+        for len in [0, 10, 40, dense.len() - 1] {
+            assert!(CoefficientSketch::from_bytes(&dense[..len]).is_err());
         }
+    }
+
+    /// Absent levels cost one bitmap bit on the wire but their full slot
+    /// count in memory, so the decoder caps the slots a header implies
+    /// before it allocates, at the cap construction applies: a hand-built
+    /// 51-byte frame declaring levels 0..=30 (about 2^31 slots, 32 GiB of
+    /// sums and squares) with every level absent is refused, a level set
+    /// decodes exactly when it builds, and the largest default sketch that
+    /// builds round-trips its dense and windowed frames.
+    #[test]
+    fn frames_implying_too_many_slots_are_rejected() {
+        // An empty Haar sketch on [0, 1] with levels 0..=j_max, every
+        // level absent.
+        let frame = |j_max: i32| {
+            let mut frame = b"WDSK".to_vec();
+            frame.extend_from_slice(&codec::FORMAT_VERSION.to_le_bytes());
+            frame.push(0); // Haar
+            frame.extend_from_slice(&1_u16.to_le_bytes());
+            frame.extend_from_slice(&[1, 0]); // dims 1, no window block
+            frame.extend_from_slice(&0_u64.to_le_bytes()); // count
+            for field in [0, j_max, 0] {
+                frame.extend_from_slice(&field.to_le_bytes()); // j0, j_max, budget
+            }
+            frame.extend_from_slice(&0.0_f64.to_le_bytes());
+            frame.extend_from_slice(&1.0_f64.to_le_bytes());
+            frame.resize(frame.len() + (j_max as usize + 2).div_ceil(8), 0);
+            frame
+        };
+        let refused_by_the_cap = |bytes: &[u8]| {
+            matches!(
+                CoefficientSketch::from_bytes(bytes),
+                Err(EstimatorError::InvalidSerialization { message })
+                    if message.contains("more than 8388608 coefficient slots")
+            )
+        };
+        let hostile = frame(30);
+        assert_eq!(hostile.len(), 51);
+        assert!(refused_by_the_cap(&hostile));
+        // Haar levels 0..=22 hold exactly 2^23 slots, levels 0..=23 twice
+        // that: the first builds and decodes, the second does neither.
+        let haar = |j_max| CoefficientSketch::new(WaveletFamily::Haar, (0.0, 1.0), 0, j_max);
+        assert_eq!(haar(22).unwrap().to_bytes(), frame(22));
+        assert_eq!(
+            CoefficientSketch::from_bytes(&frame(22))
+                .unwrap()
+                .max_level(),
+            22
+        );
+        assert!(matches!(
+            haar(23).unwrap_err(),
+            EstimatorError::InvalidParameter { .. }
+        ));
+        assert!(refused_by_the_cap(&frame(23)));
+        // The largest sketch `sized_for` builds (levels 2..=21, 2^22 + 294
+        // slots) ships frames every receiver reads: the empty frame, the
+        // uncompacted dense frame and the windowed frame a ring slice ships.
+        let empty = CoefficientSketch::sized_for(1 << 21).unwrap().to_bytes();
+        assert!(CoefficientSketch::from_bytes(&empty).unwrap().is_empty());
+        let mut large = CoefficientSketch::sized_for((1 << 22) - 1).unwrap();
+        assert_eq!((large.coarse_level(), large.max_level()), (2, 21));
+        large.push_batch(&sample(200, 17));
+        let restored = CoefficientSketch::from_bytes(&large.to_bytes_dense()).unwrap();
+        assert_eq!(restored.to_bytes(), large.to_bytes());
+        let meta = WindowSliceMeta {
+            slice_age: 1,
+            ring_slices: 4,
+            advances: 9,
+            decay_lambda: 1.0,
+        };
+        let (restored, window) =
+            CoefficientSketch::from_bytes_with_window(&large.to_bytes_with_window(&meta)).unwrap();
+        assert_eq!(window, Some(meta));
+        assert_eq!(restored.to_bytes(), large.to_bytes());
+        // One row more and the sketch fails when it is built, not when a
+        // receiver decodes its frames.
+        assert!(matches!(
+            CoefficientSketch::sized_for(1 << 22).unwrap_err(),
+            EstimatorError::InvalidParameter { .. }
+        ));
     }
 
     #[test]
@@ -1271,8 +1043,8 @@ mod tests {
         let restored = CoefficientSketch::from_bytes(&bytes).unwrap();
         assert!(restored.is_empty());
         assert_eq!(restored.max_level(), 9);
-        // The dense v1 frame of the same empty sketch ships every zero.
-        assert!(empty.to_bytes_v1().len() > 10_000);
+        // The dense frame of the same empty sketch ships every zero.
+        assert!(empty.to_bytes_dense().len() > 10_000);
     }
 
     #[test]
@@ -1375,37 +1147,44 @@ mod tests {
             decay_lambda: 0.875,
         };
         let frame = sketch.to_bytes_with_window(&meta);
-        assert_eq!(u16::from_le_bytes([frame[4], frame[5]]), 3);
+        assert_eq!(frame[10], 1, "the window flag is set");
         let (restored, restored_meta) = CoefficientSketch::from_bytes_with_window(&frame).unwrap();
         assert_eq!(restored_meta, Some(meta));
         assert_eq!(restored.count(), 300);
         assert_eq!(restored.to_bytes(), sketch.to_bytes());
-        // Plain v2 frames carry no metadata.
+        // Plain frames carry no metadata.
         let (_, none_meta) = CoefficientSketch::from_bytes_with_window(&sketch.to_bytes()).unwrap();
         assert_eq!(none_meta, None);
         // Corrupted metadata fields are rejected: the 24-byte window block
-        // follows the 41-byte header (slice_age, ring_slices, advances,
-        // decay_lambda).
+        // follows the window flag at byte 10 (slice_age, ring_slices,
+        // advances, decay_lambda).
         let mut bad = frame.clone();
-        bad[45..49].copy_from_slice(&0_u32.to_le_bytes()); // ring_slices = 0
+        bad[15..19].copy_from_slice(&0_u32.to_le_bytes()); // ring_slices = 0
         assert!(CoefficientSketch::from_bytes(&bad).is_err());
         let mut bad = frame.clone();
-        bad[41..45].copy_from_slice(&9_u32.to_le_bytes()); // slice_age ≥ ring
+        bad[11..15].copy_from_slice(&9_u32.to_le_bytes()); // slice_age ≥ ring
         assert!(CoefficientSketch::from_bytes(&bad).is_err());
         let mut bad = frame.clone();
-        bad[57..65].copy_from_slice(&2.0_f64.to_le_bytes()); // λ out of (0, 1]
+        bad[27..35].copy_from_slice(&2.0_f64.to_le_bytes()); // λ out of (0, 1]
+        assert!(CoefficientSketch::from_bytes(&bad).is_err());
+        // The flag is 0 or 1.
+        let mut bad = frame.clone();
+        bad[10] = 2;
         assert!(CoefficientSketch::from_bytes(&bad).is_err());
     }
 
     /// Mini-fuzz over the decoder: every single-bit flip and every
-    /// truncation of valid v1, v2 and v3 frames must come back as
-    /// `Ok`/`Err` — never a panic, and never an absurd allocation (the
-    /// decoder validates the level geometry against the byte length
+    /// truncation of valid dense, compact and windowed 1-D frames must
+    /// come back as `Ok`/`Err` from both faces — never a panic, and never
+    /// an absurd allocation (the decoder caps the slots the header implies
     /// before sizing any buffer).
     #[test]
     fn frame_decoder_survives_bit_flips_and_truncations() {
-        let mut sketch = CoefficientSketch::new(WaveletFamily::Haar, (0.0, 1.0), 0, 2).unwrap();
-        sketch.push_batch(&sample(64, 36));
+        // Rows crowd into [0, 1/4), so the finer levels are mostly zero
+        // and the compact frames carry coefficient-sparse payloads too.
+        let mut sketch = CoefficientSketch::new(WaveletFamily::Haar, (0.0, 1.0), 0, 3).unwrap();
+        let rows: Vec<f64> = sample(64, 36).iter().map(|x| x / 4.0).collect();
+        sketch.push_batch(&rows);
         let meta = WindowSliceMeta {
             slice_age: 0,
             ring_slices: 4,
@@ -1413,13 +1192,19 @@ mod tests {
             decay_lambda: 1.0,
         };
         let frames = [
-            sketch.to_bytes_v1(),
+            sketch.to_bytes_dense(),
             sketch.to_bytes(),
             sketch.to_bytes_with_window(&meta),
         ];
+        // Every level carries mass, so the compact frame can only be
+        // smaller than the dense one through coefficient-sparse payloads.
+        let snapshot = sketch.snapshot().unwrap();
+        let mut levels = std::iter::once(snapshot.scaling()).chain(snapshot.details());
+        assert!(levels.all(|level| level.values.iter().any(|v| *v != 0.0)));
+        assert!(frames[1].len() < frames[0].len());
         for frame in &frames {
             for len in 0..frame.len() {
-                let _ = CoefficientSketch::from_bytes(&frame[..len]);
+                assert!(CoefficientSketch::from_bytes(&frame[..len]).is_err());
             }
             for offset in 0..frame.len() {
                 for bit in 0..8 {
@@ -1430,6 +1215,7 @@ mod tests {
                         // must still decode into a self-consistent sketch.
                         let _ = restored.count();
                     }
+                    let _ = TensorSketch::from_bytes(&mutated);
                 }
             }
         }

@@ -11,9 +11,10 @@
 //! `kx·extent_y + ky`, so the accumulation, merge and CV+threshold
 //! machinery operate on flat slot arrays. A `dims == 1` sketch holds the
 //! scaling level and the detail levels `j0..=j_max` of one axis; it is
-//! the store behind [`CoefficientSketch`], which adds the 1-D estimate,
-//! compaction and v1–v3 frames on top. 2-D sketches are public; 1-D ones
-//! are reached through [`CoefficientSketch`].
+//! the store behind [`CoefficientSketch`], which adds the 1-D estimate
+//! and compaction on top. 2-D sketches are public; 1-D ones are reached
+//! through [`CoefficientSketch`]. Both travel in the one wire format of
+//! [`crate::codec`].
 //!
 //! The empirical coefficient of the product basis function
 //! `δ_{jx,kx}(x)·δ_{jy,ky}(y)` is the sample mean of the product, so a
@@ -35,6 +36,7 @@
 use std::sync::Arc;
 
 use crate::autotune;
+use crate::codec;
 use crate::coefficients::{
     active_translations, max_active_translations, Generator, LevelAccumulator, LevelCoefficients,
     ScatterScratch,
@@ -43,23 +45,25 @@ use crate::cv::{cross_validate_level, CvCriterion};
 use crate::error::EstimatorError;
 use crate::estimator::{coefficient_window, cv_max_level, default_coarse_level};
 use crate::grid::Grid;
-use crate::sketch::{
-    check_frame_geometry, decode_family, encode_family, invalid, presence_bitmap_len,
-    read_presence, scaled_count, validate_merge_weight, write_presence, CompactionPolicy, Reader,
-    FORMAT_V4_TENSOR, MAGIC,
-};
+use crate::sketch::{scaled_count, validate_merge_weight, CompactionPolicy};
 use crate::threshold::ThresholdRule;
 use wavedens_wavelets::{WaveletBasis, WaveletFamily};
 
 /// Hard cap on the total number of flattened coefficient slots a 2-D
-/// tensor sketch may hold, enforced at construction (and therefore on the
-/// v4 decode path, which sizes everything through the same constructor).
-/// At `2^22` slots the slot arrays top out around 64 MB — far above any
-/// real synopsis, but small enough that a hostile v4 header cannot
-/// provoke a runaway allocation. 1-D sketches are bounded by their level
-/// range instead (and on the wire by `MAX_SERIALIZED_LEVEL` plus the
-/// exact byte-fit check of the 1-D decoder).
+/// tensor sketch may hold. At `2^22` slots the slot arrays top out
+/// around 64 MB — far above any real synopsis. Construction and
+/// [decoding](crate::codec) enforce it alike, before any level is
+/// allocated.
 pub const MAX_TENSOR_SLOTS: usize = 1 << 22;
+
+/// Hard cap on the total number of coefficient slots a 1-D
+/// [`CoefficientSketch`](crate::CoefficientSketch) may hold, enforced
+/// like [`MAX_TENSOR_SLOTS`] at construction and decoding. At `2^23`
+/// slots (128 MB of sums and squares) it admits
+/// [`sized_for`](crate::CoefficientSketch::sized_for) up to `2^22 - 1`
+/// rows (levels 2..=21) and refuses larger sizes when the sketch is
+/// built, so every sketch that builds also decodes.
+pub const MAX_COEFFICIENT_SLOTS: usize = 1 << 23;
 
 /// Rows per internal scatter chunk of [`TensorSketch::push_pairs`]: the
 /// per-axis gather rows for a chunk this long stay cache-resident while
@@ -79,11 +83,6 @@ const INGEST_CHUNK: usize = 512;
 /// Frames whose total mass is below this floor answer zero selectivity
 /// (mirrors the 1-D `CumulativeEstimate` guard).
 const TOTAL_MASS_FLOOR: f64 = 1e-12;
-
-/// Payload-type tag of a dense v4 level payload.
-const PAYLOAD_DENSE: u8 = 0;
-/// Payload-type tag of a coefficient-sparse v4 level payload.
-const PAYLOAD_SPARSE: u8 = 1;
 
 /// One per-axis basis factor: a generator (`φ` or `ψ`) at one resolution
 /// level, with the translation range covering that axis' interval.
@@ -133,7 +132,7 @@ pub(crate) struct TensorLevel {
     component: [usize; 2],
     pub(crate) version: u64,
     pub(crate) sums: Vec<f64>,
-    sum_squares: Arc<Vec<f64>>,
+    pub(crate) sum_squares: Arc<Vec<f64>>,
 }
 
 impl TensorLevel {
@@ -197,53 +196,12 @@ impl TensorLevel {
         self.sums.iter().all(|v| *v == 0.0) && self.sum_squares.iter().all(|v| *v == 0.0)
     }
 
-    fn nonzero_slots(&self) -> usize {
+    pub(crate) fn nonzero_slots(&self) -> usize {
         self.sums
             .iter()
             .zip(self.sum_squares.iter())
             .filter(|(s, q)| **s != 0.0 || **q != 0.0)
             .count()
-    }
-
-    /// Writes the dense level payload every frame version shares: a `u64`
-    /// slot count, the sums, then the sums of squares.
-    pub(crate) fn write_dense(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&(self.sums.len() as u64).to_le_bytes());
-        for v in self.sums.iter().chain(self.sum_squares.iter()) {
-            out.extend_from_slice(&v.to_le_bytes());
-        }
-    }
-
-    /// Reads a [`write_dense`](Self::write_dense) payload into the level,
-    /// rejecting a slot count other than the level's, non-finite sums and
-    /// negative or non-finite sums of squares.
-    pub(crate) fn read_dense(&mut self, reader: &mut Reader<'_>) -> Result<(), EstimatorError> {
-        let len = reader.u64()? as usize;
-        if len != self.sums.len() {
-            return Err(invalid(&format!(
-                "level stores {} slots, payload has {len}",
-                self.sums.len()
-            )));
-        }
-        for slot in &mut self.sums {
-            let value = reader.f64()?;
-            if !value.is_finite() {
-                return Err(invalid(&format!("non-finite sum {value} in level payload")));
-            }
-            *slot = value;
-        }
-        for slot in Arc::make_mut(&mut self.sum_squares).iter_mut() {
-            let value = reader.f64()?;
-            // Sums of squares are nonnegative by construction; anything
-            // else is corruption and would poison cross-validation.
-            if !value.is_finite() || value < 0.0 {
-                return Err(invalid(&format!(
-                    "invalid sum of squares {value} in level payload"
-                )));
-            }
-            *slot = value;
-        }
-        Ok(())
     }
 }
 
@@ -296,9 +254,11 @@ pub struct TensorSketch {
     j0: i32,
     j_max: i32,
     budget: i32,
-    count: usize,
+    pub(crate) count: usize,
     axes: [Vec<AxisComponent>; 2],
-    levels: Vec<TensorLevel>,
+    /// The levels in canonical order (see `enumerate_levels`): for
+    /// `dims == 1` the scaling level, then the detail levels `j0..=j_max`.
+    pub(crate) levels: Vec<TensorLevel>,
     scratch: Option<Scratch>,
 }
 
@@ -321,26 +281,15 @@ impl Clone for TensorSketch {
 }
 
 impl TensorSketch {
-    /// Builds a 1-D sketch: the scaling level `coarse_level` and the
-    /// detail levels `coarse_level..=max_level` on `interval`.
-    pub(crate) fn new_1d(
-        family: WaveletFamily,
-        interval: (f64, f64),
-        coarse_level: i32,
-        max_level: i32,
-    ) -> Result<Self, EstimatorError> {
-        let basis = Arc::new(WaveletBasis::new(family)?);
-        Self::with_basis_1d(basis, interval, coarse_level, max_level)
-    }
-
-    /// [`new_1d`](Self::new_1d) over an existing (possibly shared) basis.
+    /// Builds a 1-D sketch: the scaling level `j0` and the detail levels
+    /// `j0..=j_max` on `interval`.
     pub(crate) fn with_basis_1d(
         basis: Arc<WaveletBasis>,
         interval: (f64, f64),
-        coarse_level: i32,
-        max_level: i32,
+        j0: i32,
+        j_max: i32,
     ) -> Result<Self, EstimatorError> {
-        Self::build(basis, 1, [interval, interval], coarse_level, max_level, 0)
+        Self::build(basis, 1, [interval; 2], j0, j_max, 0)
     }
 
     /// Builds a 2-D tensor-product sketch over `interval_x × interval_y`.
@@ -403,7 +352,11 @@ impl TensorSketch {
         Self::new_2d(family, (0.0, 1.0), (0.0, 1.0), j0, j_max, j0 + j_max)
     }
 
-    fn build(
+    /// Builds the canonical level set of `(dims, j0, j_max, budget)`,
+    /// refusing more slots in total than the cap of its dimension count
+    /// ([`MAX_COEFFICIENT_SLOTS`] or [`MAX_TENSOR_SLOTS`]) before it
+    /// allocates any level.
+    pub(crate) fn build(
         basis: Arc<WaveletBasis>,
         dims: usize,
         intervals: [(f64, f64); 2],
@@ -449,31 +402,33 @@ impl TensorSketch {
                 ));
             }
         }
-        let mut levels = Vec::new();
+        let slot_cap = if dims == 1 {
+            MAX_COEFFICIENT_SLOTS
+        } else {
+            MAX_TENSOR_SLOTS
+        };
+        let mut shapes = Vec::new();
         let mut total_slots = 0_usize;
         for selector in enumerate_levels(dims, j0, j_max, budget) {
             let cx = component_index(selector[0], j0);
             let cy = component_index(selector[1], j0);
             let slots = if dims == 2 {
-                axes[0][cx]
-                    .extent
-                    .checked_mul(axes[1][cy].extent)
-                    .ok_or_else(|| EstimatorError::InvalidParameter {
-                        message: "tensor level slot count overflows".to_string(),
-                    })?
+                axes[0][cx].extent.saturating_mul(axes[1][cy].extent)
             } else {
                 axes[0][cx].extent
             };
             total_slots = total_slots.saturating_add(slots);
-            if dims == 2 && total_slots > MAX_TENSOR_SLOTS {
+            if total_slots > slot_cap {
                 return Err(EstimatorError::InvalidParameter {
-                    message: format!(
-                        "tensor level set holds more than {MAX_TENSOR_SLOTS} coefficient slots"
-                    ),
+                    message: format!("level set holds more than {slot_cap} coefficient slots"),
                 });
             }
-            levels.push(TensorLevel::new([cx, cy], slots));
+            shapes.push(([cx, cy], slots));
         }
+        let levels = shapes
+            .into_iter()
+            .map(|(component, slots)| TensorLevel::new(component, slots))
+            .collect();
         Ok(Self {
             basis,
             dims,
@@ -542,12 +497,6 @@ impl TensorSketch {
     /// Total flattened coefficient slots across all levels.
     pub fn total_slots(&self) -> usize {
         self.levels.iter().map(|l| l.sums.len()).sum()
-    }
-
-    /// The levels in canonical order: for `dims == 1` the scaling level,
-    /// then the detail levels `j0..=j_max`.
-    pub(crate) fn levels(&self) -> &[TensorLevel] {
-        &self.levels
     }
 
     /// Ingests a batch of scalar observations (`dims == 1` only) through
@@ -990,10 +939,9 @@ impl TensorSketch {
             CompactionPolicy::InactiveTail => compacted.zero_inactive_levels(rule)?,
             CompactionPolicy::ByteBudget { max_bytes } => {
                 compacted.zero_inactive_levels(rule)?;
-                let mut index = compacted.levels.len();
-                while compacted.serialized_len() > max_bytes && index > 1 {
-                    index -= 1;
-                    compacted.levels[index].clear();
+                let keep = codec::levels_within(&compacted, max_bytes);
+                for level in &mut compacted.levels[keep..] {
+                    level.clear();
                 }
             }
         }
@@ -1010,229 +958,30 @@ impl TensorSketch {
         self.j_max = self.j0 + details as i32 - 1;
     }
 
-    fn header_len(dims: usize) -> usize {
-        // magic + version + family tag + order + dims + count + three
-        // level fields + per-axis interval bounds.
-        MAGIC.len() + 2 + 1 + 2 + 1 + 8 + 3 * 4 + dims * 16
-    }
-
-    /// The cheaper of the two payload encodings for one level: dense
-    /// (`u64` slot count + per-slot sum and sum of squares) or
-    /// coefficient-sparse (`u64` nonzero count + per-entry `u32` slot
-    /// index, sum, sum of squares).
-    fn payload_len(level: &TensorLevel) -> usize {
-        let dense = 8 + 16 * level.sums.len();
-        let sparse = 8 + 20 * level.nonzero_slots();
-        dense.min(sparse)
-    }
-
     /// Exact length of [`to_bytes`](Self::to_bytes).
     pub fn serialized_len(&self) -> usize {
-        let mut len = Self::header_len(self.dims) + presence_bitmap_len(self.levels.len());
-        for level in &self.levels {
-            if level.is_zero() {
-                continue;
-            }
-            len += 1 + Self::payload_len(level);
-        }
-        len
+        codec::encoded_len(self)
     }
 
-    /// Serializes the sketch as a compact v4 tensor frame: the shared
-    /// magic/family prefix, a dims header, the level-set parameters (the
-    /// canonical level list is derived from them, so no level directory
-    /// ships), a presence bitmap eliding all-zero levels, and per level
-    /// the cheaper of a dense or coefficient-sparse payload. Lossless:
-    /// [`from_bytes`](Self::from_bytes) reproduces the slot arrays
-    /// bit for bit.
+    /// Serializes the sketch as a compact [frame](crate::codec): all-zero
+    /// levels elided, the others dense or coefficient-sparse, whichever is
+    /// smaller. Lossless, bit for bit.
     pub fn to_bytes(&self) -> Vec<u8> {
-        self.encode(false)
+        codec::encode(self, None, false)
     }
 
     /// Serializes with every level present and dense payloads — the
     /// uncompacted baseline the compaction ratio is measured against.
     pub fn to_bytes_dense(&self) -> Vec<u8> {
-        self.encode(true)
+        codec::encode(self, None, true)
     }
 
-    fn encode(&self, force_dense: bool) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(MAGIC);
-        out.extend_from_slice(&FORMAT_V4_TENSOR.to_le_bytes());
-        let (family_tag, order) = encode_family(self.basis.family());
-        out.push(family_tag);
-        out.extend_from_slice(&(order as u16).to_le_bytes());
-        out.push(self.dims as u8);
-        out.extend_from_slice(&(self.count as u64).to_le_bytes());
-        out.extend_from_slice(&self.j0.to_le_bytes());
-        out.extend_from_slice(&self.j_max.to_le_bytes());
-        out.extend_from_slice(&self.budget.to_le_bytes());
-        for &(lo, hi) in self.intervals.iter().take(self.dims) {
-            out.extend_from_slice(&lo.to_le_bytes());
-            out.extend_from_slice(&hi.to_le_bytes());
-        }
-        let present = |level: &TensorLevel| force_dense || !level.is_zero();
-        write_presence(&mut out, self.levels.iter().map(present));
-        for level in self.levels.iter().filter(|level| present(level)) {
-            let nonzero = level.nonzero_slots();
-            if !force_dense && 20 * nonzero < 16 * level.sums.len() {
-                out.push(PAYLOAD_SPARSE);
-                out.extend_from_slice(&(nonzero as u64).to_le_bytes());
-                for (index, (sum, square)) in
-                    level.sums.iter().zip(level.sum_squares.iter()).enumerate()
-                {
-                    if *sum == 0.0 && *square == 0.0 {
-                        continue;
-                    }
-                    out.extend_from_slice(&(index as u32).to_le_bytes());
-                    out.extend_from_slice(&sum.to_le_bytes());
-                    out.extend_from_slice(&square.to_le_bytes());
-                }
-            } else {
-                out.push(PAYLOAD_DENSE);
-                level.write_dense(&mut out);
-            }
-        }
-        out
-    }
-
-    /// Deserializes a v4 tensor frame produced by
-    /// [`to_bytes`](Self::to_bytes) or
-    /// [`to_bytes_dense`](Self::to_bytes_dense), rebuilding the canonical
-    /// level set from the header parameters. v4 frames are 2-D: 1-D
-    /// sketches travel as v1–v3 frames
-    /// ([`CoefficientSketch::to_bytes`](crate::CoefficientSketch::to_bytes)),
-    /// so any other dimension count is rejected. Every structural field is
-    /// validated (level range, slot cap, per-level payload bounds, sparse
-    /// index monotonicity, finiteness) so a corrupted or hostile frame
-    /// can neither panic the reader nor provoke an oversized allocation.
+    /// Deserializes a frame of a 2-D sketch. A 1-D frame, like any
+    /// corrupted or hostile one, is rejected with
+    /// [`EstimatorError::InvalidSerialization`] — never a panic or an
+    /// oversized allocation.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, EstimatorError> {
-        let mut reader = Reader::new(bytes);
-        if reader.take(MAGIC.len())? != MAGIC {
-            return Err(invalid("bad magic bytes"));
-        }
-        let version = reader.u16()?;
-        if version != FORMAT_V4_TENSOR {
-            return Err(invalid(&format!(
-                "unsupported tensor frame version {version} (expected {FORMAT_V4_TENSOR})"
-            )));
-        }
-        let family_tag = reader.u8()?;
-        let order = reader.u16()? as usize;
-        let family = decode_family(family_tag, order)?;
-        let dims = reader.u8()? as usize;
-        if dims != 2 {
-            return Err(invalid(&format!(
-                "unsupported tensor dimension count {dims} (v4 frames are 2-D)"
-            )));
-        }
-        let count = reader.u64()? as usize;
-        let j0 = reader.i32()?;
-        let j_max = reader.i32()?;
-        let budget = reader.i32()?;
-        let mut intervals = [(0.0, 1.0); 2];
-        for interval in &mut intervals {
-            *interval = (reader.f64()?, reader.f64()?);
-        }
-        check_frame_geometry(j0, j_max, &intervals)?;
-        let basis = Arc::new(WaveletBasis::new(family)?);
-        // The constructor re-derives the canonical level set from the
-        // header parameters and enforces the `MAX_TENSOR_SLOTS` cap,
-        // bounding every allocation below.
-        let mut sketch = Self::build(basis, dims, intervals, j0, j_max, budget)
-            .map_err(|e| invalid(&format!("frame declares an invalid level set: {e}")))?;
-        let present = read_presence(&mut reader, sketch.levels.len())?;
-        sketch.read_levels(
-            &mut reader,
-            count,
-            |index| present[index],
-            read_tensor_level,
-        )?;
-        Ok(sketch)
-    }
-
-    /// The decode tail every frame version shares: reads the payload of
-    /// each level `present` marks through `read`, stamps the levels, then
-    /// requires the frame to end there and a zero `count` to carry no
-    /// mass (so a corrupted count cannot smuggle phantom mass past an
-    /// `is_empty()` check and the later division by the count).
-    pub(crate) fn read_levels(
-        &mut self,
-        reader: &mut Reader<'_>,
-        count: usize,
-        present: impl Fn(usize) -> bool,
-        read: fn(&mut TensorLevel, &mut Reader<'_>) -> Result<(), EstimatorError>,
-    ) -> Result<(), EstimatorError> {
-        self.count = count;
-        for (index, level) in self.levels.iter_mut().enumerate() {
-            if present(index) {
-                read(level, reader)?;
-            }
-            // A freshly decoded sketch is a new lineage: stamp the levels
-            // that carry mass once; all-zero levels (absent ones, or
-            // present ones shipped as zeros) keep stamp 0 so merging them
-            // into another sketch remains the no-op the version guard
-            // promises.
-            level.version = u64::from(!level.is_zero());
-        }
-        if !reader.is_done() {
-            return Err(invalid(&format!(
-                "{} trailing bytes after the last level",
-                reader.remaining()
-            )));
-        }
-        if count == 0 && self.levels.iter().any(|level| !level.is_zero()) {
-            return Err(invalid("count is zero but level sums are nonzero"));
-        }
-        Ok(())
-    }
-}
-
-/// Reads one v4 level payload (a tag byte, then a dense or sparse
-/// payload) into `level`.
-fn read_tensor_level(
-    level: &mut TensorLevel,
-    reader: &mut Reader<'_>,
-) -> Result<(), EstimatorError> {
-    let slots = level.sums.len();
-    match reader.u8()? {
-        PAYLOAD_DENSE => level.read_dense(reader),
-        PAYLOAD_SPARSE => {
-            let nonzero = reader.u64()? as usize;
-            if nonzero > slots {
-                return Err(invalid(&format!(
-                    "sparse payload declares {nonzero} entries for {slots} slots"
-                )));
-            }
-            let squares = Arc::make_mut(&mut level.sum_squares);
-            let mut previous: Option<usize> = None;
-            for _ in 0..nonzero {
-                let index = reader.u32()? as usize;
-                if index >= slots {
-                    return Err(invalid(&format!(
-                        "sparse entry index {index} outside {slots} slots"
-                    )));
-                }
-                if previous.is_some_and(|p| index <= p) {
-                    return Err(invalid("sparse entry indices must be strictly increasing"));
-                }
-                previous = Some(index);
-                let sum = reader.f64()?;
-                if !sum.is_finite() {
-                    return Err(invalid(&format!("non-finite sum {sum} in sparse payload")));
-                }
-                let square = reader.f64()?;
-                if !square.is_finite() || square < 0.0 {
-                    return Err(invalid(&format!(
-                        "invalid sum of squares {square} in sparse payload"
-                    )));
-                }
-                level.sums[index] = sum;
-                squares[index] = square;
-            }
-            Ok(())
-        }
-        other => Err(invalid(&format!("unknown level payload tag {other}"))),
+        Ok(codec::decode(bytes, 2)?.0)
     }
 }
 
@@ -1241,19 +990,19 @@ fn read_tensor_level(
 /// then `ψ_{jx}⊗ψ_{jy}` under the hyperbolic cut, each block in
 /// ascending level order. The wire format relies on this list being a
 /// pure function of the four header parameters.
-fn enumerate_levels(dims: usize, j0: i32, j_max: i32, budget: i32) -> Vec<[(Generator, i32); 2]> {
+pub(crate) fn enumerate_levels(
+    dims: usize,
+    j0: i32,
+    j_max: i32,
+    budget: i32,
+) -> Vec<[(Generator, i32); 2]> {
     let scaling = (Generator::Scaling, j0);
-    let mut levels = Vec::new();
-    if dims == 1 {
-        levels.push([scaling, scaling]);
-        for j in j0..=j_max {
-            levels.push([(Generator::Wavelet, j), scaling]);
-        }
-        return levels;
-    }
-    levels.push([scaling, scaling]);
+    let mut levels = vec![[scaling, scaling]];
     for j in j0..=j_max {
         levels.push([(Generator::Wavelet, j), scaling]);
+    }
+    if dims == 1 {
+        return levels;
     }
     for j in j0..=j_max {
         levels.push([scaling, (Generator::Wavelet, j)]);
@@ -1661,7 +1410,8 @@ mod tests {
             a.merge(&b),
             Err(EstimatorError::IncompatibleSketches { .. })
         ));
-        let c = TensorSketch::new_1d(WaveletFamily::Symmlet(8), (0.0, 1.0), 1, 4).unwrap();
+        let basis = Arc::new(WaveletBasis::new(WaveletFamily::Symmlet(8)).unwrap());
+        let c = TensorSketch::with_basis_1d(basis, (0.0, 1.0), 1, 4).unwrap();
         assert!(matches!(
             a.merge(&c),
             Err(EstimatorError::IncompatibleSketches { .. })
@@ -1810,7 +1560,7 @@ mod tests {
         let mut padded = bytes.clone();
         padded.push(0);
         assert!(TensorSketch::from_bytes(&padded).is_err());
-        // A 1-D v2 frame is not a tensor frame, and a v4 frame is not a
+        // A 1-D frame is not a tensor frame, and a tensor frame is not a
         // 1-D frame.
         let mut one_d = CoefficientSketch::sized_for(256).unwrap();
         one_d.push_batch(&[0.5; 64]);
@@ -1824,22 +1574,31 @@ mod tests {
         }
     }
 
-    /// v4 frames are 2-D: a frame declaring `dims = 1` is refused at
-    /// decode instead of reaching the 2-D-only estimate path.
+    /// Each face decodes only its own dims: a 1-D frame is refused by
+    /// `TensorSketch::from_bytes` instead of reaching the 2-D-only
+    /// estimate path, and a 2-D frame by `CoefficientSketch::from_bytes`.
     #[test]
-    fn one_dimensional_v4_frames_are_rejected() {
-        let mut sketch = TensorSketch::new_1d(WaveletFamily::Haar, (0.0, 1.0), 0, 2).unwrap();
+    fn frames_of_the_other_dims_are_rejected() {
+        let basis = Arc::new(WaveletBasis::new(WaveletFamily::Haar).unwrap());
+        let mut sketch = TensorSketch::with_basis_1d(basis, (0.0, 1.0), 0, 2).unwrap();
         sketch.push_scalars(&[0.1, 0.4, 0.7]);
-        let frame = sketch.to_bytes();
-        assert_eq!(
-            frame[MAGIC.len() + 5],
-            1,
-            "the frame declares one dimension"
-        );
+        let one_d = sketch.to_bytes();
+        assert_eq!(one_d[9], 1, "the frame declares one dimension");
+        assert!(CoefficientSketch::from_bytes(&one_d).is_ok());
         assert!(matches!(
-            TensorSketch::from_bytes(&frame),
+            TensorSketch::from_bytes(&one_d),
             Err(EstimatorError::InvalidSerialization { .. })
         ));
+        let mut joint = small_2d();
+        joint.push_pairs(&pairs(50, 9, 0.1));
+        for two_d in [joint.to_bytes(), joint.to_bytes_dense()] {
+            assert_eq!(two_d[9], 2, "the frame declares two dimensions");
+            assert!(TensorSketch::from_bytes(&two_d).is_ok());
+            assert!(matches!(
+                CoefficientSketch::from_bytes(&two_d),
+                Err(EstimatorError::InvalidSerialization { .. })
+            ));
+        }
     }
 
     #[test]
@@ -1880,5 +1639,21 @@ mod tests {
             TensorSketch::new_2d(WaveletFamily::Symmlet(8), (0.0, 1.0), (0.0, 1.0), 1, 14, 28)
                 .is_err()
         );
+        // Decoding applies the same cap: Haar levels up to 20 hold exactly
+        // 2^22 slots and build and decode; the same frame declaring
+        // `j_max = 21` (2^23 slots, same bitmap length) is refused for its
+        // slot count, like the sketch it describes.
+        let haar =
+            |j_max| TensorSketch::new_2d(WaveletFamily::Haar, (0.0, 1.0), (0.0, 1.0), 0, j_max, 0);
+        let fits = haar(20).unwrap().to_bytes();
+        assert_eq!(TensorSketch::from_bytes(&fits).unwrap().max_level(), 20);
+        assert!(haar(21).is_err());
+        let mut over = fits;
+        over[23..27].copy_from_slice(&21_i32.to_le_bytes()); // j_max
+        assert!(matches!(
+            TensorSketch::from_bytes(&over),
+            Err(EstimatorError::InvalidSerialization { message })
+                if message.contains("more than 4194304 coefficient slots")
+        ));
     }
 }

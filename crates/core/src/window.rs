@@ -106,9 +106,9 @@ impl WindowPolicy {
     }
 }
 
-/// Window metadata carried by a shipped slice frame (v3), so a receiver
-/// can place the slice in its own ring — or ignore it and read the frame
-/// as a plain sketch.
+/// Window metadata carried by a shipped slice frame (the window block of
+/// the [wire format](crate::codec)), so a receiver can place the slice in
+/// its own ring — or ignore it and read the frame as a plain sketch.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WindowSliceMeta {
     /// How many advances old the slice was when shipped (0 = the slice
@@ -325,7 +325,7 @@ impl WindowedSketch {
         Ok(merged)
     }
 
-    /// Serializes the slice `age` advances old as a windowed v3 frame
+    /// Serializes the slice `age` advances old as a windowed frame
     /// carrying [`WindowSliceMeta`]. Receivers without window support
     /// read it as a plain sketch via `CoefficientSketch::from_bytes`.
     pub fn ship_slice(&self, age: usize, policy: WindowPolicy) -> Result<Vec<u8>, EstimatorError> {
@@ -523,7 +523,7 @@ mod tests {
         let frame = ring.ship_slice(1, policy).unwrap();
         let (slice, meta) = CoefficientSketch::from_bytes_with_window(&frame).unwrap();
         assert_eq!(slice.count(), 150);
-        let meta = meta.expect("v3 frames carry window metadata");
+        let meta = meta.expect("windowed frames carry window metadata");
         assert_eq!(meta.slice_age, 1);
         assert_eq!(meta.ring_slices, 3);
         assert_eq!(meta.advances, 1);

@@ -315,7 +315,7 @@ impl SynopsisCatalog {
     }
 
     /// Serializes a registered pair's merged, `policy`-compacted tensor
-    /// sketch to the v4 wire frame ([`JointSynopsis::ship`]).
+    /// sketch to the wire frame ([`JointSynopsis::ship`]).
     pub fn ship_pair(
         &self,
         first: &str,

@@ -26,7 +26,9 @@ pub struct SynopsisConfig {
     /// the paper's STCV).
     pub rule: ThresholdRule,
     /// Rough number of rows the sketch levels are sized for (the paper's
-    /// level rules need an anticipated sample size; default 4096).
+    /// level rules need an anticipated sample size; default 4096). An
+    /// attribute synopsis fails to build from `2^22` rows on, where its
+    /// levels outgrow [`wavedens_core::MAX_COEFFICIENT_SLOTS`].
     pub expected_rows: usize,
     /// Number of ingest shards (default: the machine's available
     /// parallelism).
@@ -383,8 +385,8 @@ impl<S: SynopsisSketch> Synopsis<S> {
     }
 
     /// Serializes the merged, `policy`-compacted accumulation state to the
-    /// binary wire frame (v2 for 1-D sketches, v4 for tensor sketches) —
-    /// what one node sends another so the sketch can be restored with
+    /// binary wire frame (one format for 1-D and tensor sketches, see
+    /// `wavedens_core::codec`) — what one node sends another so the sketch can be restored with
     /// `from_bytes` and merged (or estimated) where it lands.
     pub fn ship(&self, policy: CompactionPolicy) -> Result<Vec<u8>, EstimatorError> {
         Ok(self.compacted_sketch(policy)?.to_bytes())
@@ -573,8 +575,9 @@ impl Synopsis<CoefficientSketch> {
     }
 
     /// Ships the current (age-0) time slice of a windowed synopsis as a
-    /// windowed v3 wire frame (slice metadata + compact sketch body);
-    /// receivers without window support restore it as a plain sketch.
+    /// windowed wire frame (the compact frame with its window block set);
+    /// receivers that have no use for the window restore it as a plain
+    /// sketch.
     /// Fails with [`EstimatorError::InvalidParameter`] on a landmark
     /// synopsis.
     pub fn ship_window_slice(&self) -> Result<Vec<u8>, EstimatorError> {
@@ -690,6 +693,18 @@ pub(crate) mod tests {
         fn query_cached(synopsis: &AttributeSynopsis, lo: f64, hi: f64) -> Option<f64> {
             synopsis.selectivity_cached(lo, hi)
         }
+    }
+
+    /// A synopsis too large for its frames to decode fails when it is
+    /// configured: the sketch's slot cap is the decoder's, so a synopsis
+    /// that builds never ships a frame its receivers refuse.
+    #[test]
+    fn synopses_too_large_to_ship_fail_at_configuration() {
+        assert!(AttributeSynopsis::new(&config(1).with_expected_rows((1 << 22) - 1)).is_ok());
+        assert!(matches!(
+            AttributeSynopsis::new(&config(1).with_expected_rows(1 << 22)),
+            Err(EstimatorError::InvalidParameter { .. })
+        ));
     }
 
     #[test]
@@ -892,10 +907,10 @@ pub(crate) mod tests {
         let dense = synopsis.merged_sketch().unwrap();
         let shipped = synopsis.ship(CompactionPolicy::InactiveTail).unwrap();
         assert!(
-            shipped.len() * 5 <= dense.to_bytes_v1().len(),
+            shipped.len() * 5 <= dense.to_bytes_dense().len(),
             "shipped {} bytes vs dense {}",
             shipped.len(),
-            dense.to_bytes_v1().len()
+            dense.to_bytes_dense().len()
         );
         let restored = CoefficientSketch::from_bytes(&shipped).unwrap();
         let a = restored.estimate(synopsis.rule()).unwrap();

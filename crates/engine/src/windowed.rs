@@ -97,7 +97,7 @@ impl ShardedIngest<WindowedSketch> {
     }
 
     /// Ships the current (age-0) time slice merged across all shards as a
-    /// windowed v3 frame. Receivers with window support place it in their
+    /// windowed frame. Receivers with window support place it in their
     /// own ring via `CoefficientSketch::from_bytes_with_window`; plain
     /// `from_bytes` consumers read it as an ordinary sketch.
     pub fn ship_current_slice(&self) -> Result<Vec<u8>, EstimatorError> {
@@ -236,7 +236,7 @@ mod tests {
         assert_eq!(windowed.merged().unwrap().count(), 400);
     }
 
-    /// The current slice ships as a v3 frame that plain consumers read as
+    /// The current slice ships as a windowed frame that plain consumers read as
     /// an ordinary sketch and windowed consumers read with metadata.
     #[test]
     fn current_slice_ships_and_restores() {

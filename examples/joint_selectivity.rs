@@ -114,8 +114,8 @@ fn main() {
         "joint synopsis should beat the independence assumption by >= 3x, got {improvement:.2}x"
     );
 
-    // The joint sketch ships between nodes like the 1-D ones: the v4
-    // tensor frame stores hard-threshold survivors coefficient-sparse, so
+    // The joint sketch ships between nodes like the 1-D ones, in the same
+    // frame format: it stores hard-threshold survivors coefficient-sparse, so
     // the compacted frame is a fraction of the dense encoding and the
     // restored sketch estimates identically.
     let pair = catalog.pair("pairs.x", "pairs.y").expect("registered pair");

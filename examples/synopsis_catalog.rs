@@ -111,7 +111,7 @@ fn main() {
     let dense_bytes = attribute
         .merged_sketch()
         .expect("merge")
-        .to_bytes_v1()
+        .to_bytes_dense()
         .len();
     let shipped = catalog
         .ship(attributes[0], CompactionPolicy::InactiveTail)

@@ -106,25 +106,25 @@ fn main() {
         "cold-regime mass must order window < decay < lifetime: {cold:?}"
     );
 
-    // The current slice of a windowed attribute ships as a v3 frame. A
-    // window-aware peer restores the slice *and* its ring coordinates; a
-    // legacy peer decodes the same bytes as a plain sketch.
+    // The current slice of a windowed attribute ships as a windowed frame.
+    // A window-aware peer restores the slice *and* its ring coordinates; a
+    // peer without a ring decodes the same bytes as a plain sketch.
     let frame = catalog
         .ship_window_slice("clicks.latency@window")
         .expect("windowed attribute");
     let (slice, meta) =
         CoefficientSketch::from_bytes_with_window(&frame).expect("window-aware decode");
-    let meta = meta.expect("v3 frames carry window metadata");
-    let legacy = CoefficientSketch::from_bytes(&frame).expect("legacy decode");
+    let meta = meta.expect("windowed frames carry window metadata");
+    let plain = CoefficientSketch::from_bytes(&frame).expect("plain decode");
     println!(
         "\nshipped current slice: {} bytes, {} rows, age {}/{} at advance {} \
-         (legacy decode agrees: {})",
+         (plain decode agrees: {})",
         frame.len(),
         slice.count(),
         meta.slice_age,
         meta.ring_slices,
         meta.advances,
-        legacy.count() == slice.count()
+        plain.count() == slice.count()
     );
     assert_eq!(slice.count(), rows_per_epoch);
     assert_eq!(meta.advances, 2);

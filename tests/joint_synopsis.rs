@@ -179,18 +179,19 @@ fn joint_beats_the_independence_assumption_by_3x() {
     );
 }
 
-/// Mini-fuzz over the v4 tensor frame decoder, mirroring the 1-D
+/// Mini-fuzz over the frame decoder on 2-D frames, mirroring the 1-D
 /// `frame_decoder_survives_bit_flips_and_truncations`: every truncation
 /// and every single-bit flip of valid sparse and dense tensor frames
-/// must come back as `Ok`/`Err` — never a panic, and never an absurd
-/// allocation (the decoder validates slot geometry against
-/// `MAX_TENSOR_SLOTS` and the byte length before sizing any buffer).
+/// must come back as `Ok`/`Err` from both faces — never a panic, and
+/// never an absurd allocation (the decoder caps the slots the header
+/// implies at the construction cap, `MAX_TENSOR_SLOTS` for 2-D, before
+/// sizing any buffer).
 #[test]
 fn tensor_frame_decoder_survives_bit_flips_and_truncations() {
     // Small Haar geometry, mirroring the 1-D mini-fuzz in
     // `core::sketch`: the flip loop decodes the frame once per bit, so
     // the frames must stay in the kilobyte range. The compacted frame
-    // exercises the coefficient-sparse v4 payload, the dense one the
+    // exercises the coefficient-sparse payload, the dense one the
     // full-slot payload.
     let mut sketch = TensorSketch::new_2d(
         wavedens::wavelets::WaveletFamily::Haar,
@@ -211,7 +212,7 @@ fn tensor_frame_decoder_survives_bit_flips_and_truncations() {
     let frames = [compacted.to_bytes(), sketch.to_bytes_dense()];
     for frame in &frames {
         for len in 0..frame.len() {
-            let _ = TensorSketch::from_bytes(&frame[..len]);
+            assert!(TensorSketch::from_bytes(&frame[..len]).is_err());
         }
         for offset in 0..frame.len() {
             for bit in 0..8 {
@@ -224,6 +225,7 @@ fn tensor_frame_decoder_survives_bit_flips_and_truncations() {
                     assert_eq!(restored.dims(), 2);
                     let _ = restored.total_slots();
                 }
+                let _ = wavedens::estimation::CoefficientSketch::from_bytes(&mutated);
             }
         }
     }

@@ -11,8 +11,8 @@
 //!    exponential-decay fold is built from `merge_scaled`, whose weight-1
 //!    path is bitwise the plain `merge`.
 //! 3. **Window slices ship.** A windowed attribute's current slice
-//!    serializes to a v3 frame that a window-aware receiver restores with
-//!    its metadata — and a legacy receiver reads as a plain sketch.
+//!    serializes to a windowed frame that a window-aware receiver restores
+//!    with its metadata — and a plain receiver reads as a plain sketch.
 //! 4. **Windows track drift that a lifetime sketch averages away.** Under
 //!    a regime change the windowed synopsis converges to the new
 //!    distribution while the landmark synopsis stays blended.
@@ -129,9 +129,9 @@ fn decay_mass_follows_the_geometric_weights() {
     assert_eq!(merged.count(), 400 + 200 + 100);
 }
 
-/// A windowed attribute ships its current slice as a v3 frame: a
-/// window-aware receiver restores sketch + metadata, a legacy receiver
-/// reads the same bytes as a plain sketch.
+/// A windowed attribute ships its current slice as a windowed frame: a
+/// window-aware receiver restores sketch + metadata, a receiver without a
+/// ring reads the same bytes as a plain sketch.
 #[test]
 fn current_slice_ships_and_restores_with_metadata() {
     let config = SynopsisConfig::default()
@@ -144,11 +144,11 @@ fn current_slice_ships_and_restores_with_metadata() {
     synopsis.ingest(&dependent_sample(300, 81));
 
     let frame = synopsis.ship_window_slice().expect("ship");
-    // Legacy path: the frame is a readable sketch of the current slice.
-    let plain = CoefficientSketch::from_bytes(&frame).expect("legacy decode");
+    // Plain path: the frame is a readable sketch of the current slice.
+    let plain = CoefficientSketch::from_bytes(&frame).expect("plain decode");
     assert_eq!(plain.count(), 300);
     // Window-aware path: the metadata places the slice in the sender's ring.
-    let (slice, meta) = CoefficientSketch::from_bytes_with_window(&frame).expect("v3 decode");
+    let (slice, meta) = CoefficientSketch::from_bytes_with_window(&frame).expect("windowed decode");
     assert_eq!(slice.to_bytes(), plain.to_bytes());
     let meta: WindowSliceMeta = meta.expect("windowed frames carry metadata");
     assert_eq!(meta.slice_age, 0);
