@@ -33,6 +33,14 @@
 //! construction enforces too) and a lower bound on the payload bytes
 //! before it allocates a level.
 //!
+//! The frame names the wavelet family but not the depth of the `φ`/`ψ`
+//! table the sums were accumulated with: a decoded sketch always sits on
+//! the process-wide default-depth basis of its family
+//! ([`WaveletBasis::shared`]), so every decode of one family shares one
+//! table. A sketch accumulated over a table of another depth (built with
+//! [`WaveletBasis::with_table_levels`]) encodes, but its decoded copy
+//! refuses to merge with the original, because the two tables differ.
+//!
 //! [`CoefficientSketch`]: crate::CoefficientSketch
 //! [`MAX_COEFFICIENT_SLOTS`]: crate::MAX_COEFFICIENT_SLOTS
 //! [`MAX_TENSOR_SLOTS`]: crate::MAX_TENSOR_SLOTS
@@ -269,7 +277,7 @@ pub(crate) fn decode(
     }
     // The constructor derives the level set from the header and refuses
     // more slots than construction allows before it allocates any level.
-    let basis = Arc::new(WaveletBasis::new(family)?);
+    let basis = WaveletBasis::shared(family)?;
     let mut sketch = TensorSketch::build(basis, dims, intervals, j0, j_max, budget)
         .map_err(|e| invalid(&format!("frame declares an invalid level set: {e}")))?;
     sketch.count = count;

@@ -123,8 +123,11 @@ impl WaveletDensityEstimator {
         self
     }
 
-    /// Reuses an existing wavelet basis (avoids re-tabulating `φ`/`ψ` when
-    /// fitting many estimators, e.g. in Monte-Carlo loops).
+    /// Fits over a caller-supplied basis, e.g. one built with a
+    /// non-default table depth. Without it, [`fit`](Self::fit) uses the
+    /// process-wide default-depth basis of the family
+    /// ([`WaveletBasis::shared`]), so this is not needed to avoid
+    /// re-tabulating `φ`/`ψ` across many fits.
     pub fn with_basis(mut self, basis: Arc<WaveletBasis>) -> Self {
         self.family = basis.family();
         self.basis = Some(basis);
@@ -161,7 +164,7 @@ impl WaveletDensityEstimator {
         let n = data.len();
         let basis = match &self.basis {
             Some(basis) => Arc::clone(basis),
-            None => Arc::new(WaveletBasis::new(self.family)?),
+            None => WaveletBasis::shared(self.family)?,
         };
         let vanishing = basis.vanishing_moments();
         let j0 = self
@@ -332,6 +335,11 @@ impl WaveletDensityEstimate {
         }
     }
 
+    /// The wavelet basis the estimate is expanded in.
+    pub fn basis(&self) -> &Arc<WaveletBasis> {
+        &self.basis
+    }
+
     /// Evaluates the estimate at a point.
     pub fn evaluate(&self, x: f64) -> f64 {
         let mut total = level_sum(
@@ -438,7 +446,7 @@ impl WaveletDensityEstimate {
     /// identical to the uncached sweep (the cached values are exactly the
     /// interpolated factors the uncached path multiplies by).
     pub fn evaluate_dense_cached(&self, grid: &Grid, cache: &mut DenseEvalCache) -> Vec<f64> {
-        cache.validate(self.basis.family(), grid);
+        cache.validate(&self.basis, grid);
         let mut values = vec![0.0_f64; grid.len()];
         accumulate_dense_cached(
             &self.basis,
@@ -640,17 +648,17 @@ fn accumulate_dense(
 /// Cache of basis-function values on one fixed dense grid, keyed by
 /// `(level, translation, generator)`.
 ///
-/// The factors `δ_{j,k}(grid_i)` depend only on the wavelet family and the
-/// grid — not on the data — so across the engine's refreshes of one
-/// synopsis they are computed once and replayed as a multiply-accumulate.
-/// The cache is invalidated automatically when it is used with a
-/// different family or grid. Memory is bounded by the union of surviving
-/// coefficients ever evaluated: each row stores one `f64` per grid point
-/// under the coefficient's compact support (fine levels have
-/// correspondingly short rows).
+/// The factors `δ_{j,k}(grid_i)` depend only on the wavelet family, its
+/// table depth and the grid — not on the data — so across the engine's
+/// refreshes of one synopsis they are computed once and replayed as a
+/// multiply-accumulate. The cache is invalidated automatically when it is
+/// used with a different family, table depth or grid. Memory is bounded
+/// by the union of surviving coefficients ever evaluated: each row stores
+/// one `f64` per grid point under the coefficient's compact support (fine
+/// levels have correspondingly short rows).
 #[derive(Debug, Clone, Default)]
 pub struct DenseEvalCache {
-    key: Option<(WaveletFamily, u64, u64, usize)>,
+    key: Option<(WaveletFamily, u32, u64, u64, usize)>,
     rows: std::collections::HashMap<(i32, i64, bool), CachedRow>,
 }
 
@@ -673,9 +681,15 @@ impl DenseEvalCache {
         self.rows.len()
     }
 
-    /// Clears the cache when the family or grid changed.
-    fn validate(&mut self, family: WaveletFamily, grid: &Grid) {
-        let key = (family, grid.lo().to_bits(), grid.hi().to_bits(), grid.len());
+    /// Clears the cache when the family, table depth or grid changed.
+    fn validate(&mut self, basis: &WaveletBasis, grid: &Grid) {
+        let key = (
+            basis.family(),
+            basis.table().levels(),
+            grid.lo().to_bits(),
+            grid.hi().to_bits(),
+            grid.len(),
+        );
         if self.key != Some(key) {
             self.rows.clear();
             self.key = Some(key);
@@ -967,6 +981,35 @@ mod tests {
         let other = Grid::new(0.0, 1.0, 129);
         let cached = fit.evaluate_dense_cached(&other, &mut cache);
         assert_eq!(cached, fit.evaluate_dense(&other));
+    }
+
+    #[test]
+    fn dense_cache_separates_table_depths_of_one_family() {
+        // Same family and grid, different table depths: the rows of the
+        // coarse table must not be replayed for the default-depth fit.
+        let data = sine_sample(768, 15);
+        let coarse =
+            Arc::new(WaveletBasis::with_table_levels(WaveletFamily::Symmlet(8), 6).unwrap());
+        let fits = [
+            WaveletDensityEstimator::stcv()
+                .with_basis(coarse)
+                .fit(&data)
+                .unwrap(),
+            WaveletDensityEstimator::stcv().fit(&data).unwrap(),
+        ];
+        let mut cache = DenseEvalCache::new();
+        for (which, fit) in ["depth 6", "default depth"].iter().zip(&fits) {
+            let cached = fit.cumulative_cached(4097, &mut cache);
+            let plain = fit.cumulative(4097);
+            for i in 0..=256 {
+                let x = i as f64 / 256.0;
+                assert_eq!(
+                    cached.cdf(x).to_bits(),
+                    plain.cdf(x).to_bits(),
+                    "{which}, x = {x}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -81,18 +81,22 @@ impl Clone for CoefficientSketch {
 
 impl CoefficientSketch {
     /// Creates an empty sketch on `interval` with scaling level `j0` and
-    /// detail levels `j0..=j_max`.
+    /// detail levels `j0..=j_max`, over the process-wide default-depth
+    /// basis of `family` ([`WaveletBasis::shared`]).
     pub fn new(
         family: WaveletFamily,
         interval: (f64, f64),
         j0: i32,
         j_max: i32,
     ) -> Result<Self, EstimatorError> {
-        Self::with_basis(Arc::new(WaveletBasis::new(family)?), interval, j0, j_max)
+        Self::with_basis(WaveletBasis::shared(family)?, interval, j0, j_max)
     }
 
-    /// Creates an empty sketch reusing an existing basis (avoids
-    /// re-tabulating `φ`/`ψ` when many sketches share one).
+    /// Creates an empty sketch over a caller-supplied basis, e.g. one
+    /// built with a non-default table depth. [`new`](Self::new) already
+    /// shares one table per family, so this is not needed to avoid
+    /// re-tabulating `φ`/`ψ`. Sketches merge only with sketches whose
+    /// basis has the same family and table depth.
     pub fn with_basis(
         basis: Arc<WaveletBasis>,
         interval: (f64, f64),

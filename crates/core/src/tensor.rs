@@ -306,9 +306,8 @@ impl TensorSketch {
         max_level: i32,
         budget: i32,
     ) -> Result<Self, EstimatorError> {
-        let basis = Arc::new(WaveletBasis::new(family)?);
         Self::with_basis_2d(
-            basis,
+            WaveletBasis::shared(family)?,
             interval_x,
             interval_y,
             coarse_level,
@@ -689,7 +688,8 @@ impl TensorSketch {
     }
 
     /// Checks that `other` accumulates the same tensor coefficients as
-    /// `self` (same family, dimensions, intervals, levels and budget).
+    /// `self` (same family, table depth, dimensions, intervals, levels and
+    /// budget).
     pub fn is_compatible(&self, other: &Self) -> Result<(), EstimatorError> {
         let mismatch = |message: String| EstimatorError::IncompatibleSketches { message };
         if self.basis.family() != other.basis.family() {
@@ -697,6 +697,12 @@ impl TensorSketch {
                 "wavelet families differ: {:?} vs {:?}",
                 self.basis.family(),
                 other.basis.family()
+            )));
+        }
+        let (depth, other_depth) = (self.basis.table().levels(), other.basis.table().levels());
+        if depth != other_depth {
+            return Err(mismatch(format!(
+                "table depths differ: {depth} vs {other_depth}"
             )));
         }
         if self.dims != other.dims {
@@ -1414,6 +1420,20 @@ mod tests {
         let c = TensorSketch::with_basis_1d(basis, (0.0, 1.0), 1, 4).unwrap();
         assert!(matches!(
             a.merge(&c),
+            Err(EstimatorError::IncompatibleSketches { .. })
+        ));
+        // Same family and level set, but sums drawn from a coarser table.
+        let coarse =
+            Arc::new(WaveletBasis::with_table_levels(WaveletFamily::Symmlet(8), 6).unwrap());
+        let mut shallow = CoefficientSketch::with_basis(coarse, (0.0, 1.0), 2, 5).unwrap();
+        let mut default =
+            CoefficientSketch::new(WaveletFamily::Symmlet(8), (0.0, 1.0), 2, 5).unwrap();
+        assert!(matches!(
+            default.merge(&shallow),
+            Err(EstimatorError::IncompatibleSketches { .. })
+        ));
+        assert!(matches!(
+            shallow.merge(&default),
             Err(EstimatorError::IncompatibleSketches { .. })
         ));
     }

@@ -7,7 +7,6 @@
 
 use crate::config::ExperimentConfig;
 use crate::mc::{mean, run_replications, standard_deviation};
-use std::sync::Arc;
 use wavedens_core::{
     cross_validate_with, CvCriterion, EmpiricalCoefficients, Grid, KernelDensityEstimator,
     RiskAccumulator, ThresholdRule, ThresholdSelection, WaveletBasis, WaveletDensityEstimator,
@@ -20,10 +19,6 @@ use wavedens_processes::{
 
 /// Number of grid points used for integrated risks on `[0, 1]`.
 const RISK_GRID_POINTS: usize = 401;
-
-fn shared_basis() -> Arc<WaveletBasis> {
-    Arc::new(WaveletBasis::new(WaveletFamily::Symmlet(8)).expect("sym8 is supported"))
-}
 
 /// Summary of a cross-validated wavelet estimator on one dependence case
 /// (drives Tables 1–2 and Figures 1–4).
@@ -66,7 +61,6 @@ pub fn case_mise(
     let target = SineUniformMixture::paper();
     let grid = Grid::new(0.0, 1.0, RISK_GRID_POINTS);
     let truth = grid.evaluate(|x| target.pdf(x));
-    let basis = shared_basis();
 
     struct RepResult {
         ise: f64,
@@ -84,7 +78,6 @@ pub fn case_mise(
         |_, rng| {
             let data = case.simulate(&target, config.sample_size, rng);
             let estimate = WaveletDensityEstimator::new(rule, ThresholdSelection::CrossValidation)
-                .with_basis(Arc::clone(&basis))
                 .fit(&data)
                 .expect("fit cannot fail on valid data");
             let curve = estimate.evaluate_on(&grid);
@@ -174,7 +167,6 @@ pub fn kernel_comparison_curves(
     let target = GaussianMixture::paper_bimodal();
     let grid = Grid::new(0.0, 1.0, RISK_GRID_POINTS);
     let truth = grid.evaluate(|x| target.pdf(x));
-    let basis = shared_basis();
 
     let results = run_replications(
         config.replications,
@@ -183,7 +175,6 @@ pub fn kernel_comparison_curves(
         |_, rng| {
             let data = case.simulate(&target, config.sample_size, rng);
             let wavelet = WaveletDensityEstimator::stcv()
-                .with_basis(Arc::clone(&basis))
                 .fit(&data)
                 .expect("wavelet fit");
             let rot = KernelDensityEstimator::rule_of_thumb()
@@ -250,7 +241,6 @@ pub fn lp_risk_profile(
     let target = GaussianMixture::paper_bimodal();
     let grid = Grid::new(0.0, 1.0, RISK_GRID_POINTS);
     let truth = grid.evaluate(|x| target.pdf(x));
-    let basis = shared_basis();
     let p_vec = p_values.to_vec();
 
     let results = run_replications(
@@ -260,7 +250,6 @@ pub fn lp_risk_profile(
         |_, rng| {
             let data = case.simulate(&target, config.sample_size, rng);
             let wavelet = WaveletDensityEstimator::stcv()
-                .with_basis(Arc::clone(&basis))
                 .fit(&data)
                 .expect("wavelet fit")
                 .evaluate_on(&grid);
@@ -334,7 +323,6 @@ pub fn lsv_study(config: &ExperimentConfig, alpha: f64, moment_orders: usize) ->
     // The paper restricts the study to [0.01, 1] where the invariant density
     // is bounded.
     let grid = Grid::new(0.01, 1.0, RISK_GRID_POINTS);
-    let basis = shared_basis();
 
     let results = run_replications(
         config.replications,
@@ -343,7 +331,6 @@ pub fn lsv_study(config: &ExperimentConfig, alpha: f64, moment_orders: usize) ->
         |_, rng| {
             let data = process.simulate(config.sample_size, rng);
             let wavelet = WaveletDensityEstimator::stcv()
-                .with_basis(Arc::clone(&basis))
                 .with_interval(0.01, 1.0)
                 .fit(&data)
                 .expect("wavelet fit")
@@ -408,7 +395,6 @@ pub fn rate_study(
     let target = SineUniformMixture::paper();
     let grid = Grid::new(0.0, 1.0, RISK_GRID_POINTS);
     let truth = grid.evaluate(|x| target.pdf(x));
-    let basis = shared_basis();
 
     sample_sizes
         .iter()
@@ -420,7 +406,6 @@ pub fn rate_study(
                 |_, rng| {
                     let data = case.simulate(&target, n, rng);
                     let wavelet = WaveletDensityEstimator::stcv()
-                        .with_basis(Arc::clone(&basis))
                         .fit(&data)
                         .expect("wavelet fit")
                         .evaluate_on(&grid);
@@ -465,7 +450,6 @@ pub fn threshold_ablation(
     let target = SineUniformMixture::paper();
     let grid = Grid::new(0.0, 1.0, RISK_GRID_POINTS);
     let truth = grid.evaluate(|x| target.pdf(x));
-    let basis = shared_basis();
 
     #[derive(Clone, Copy)]
     enum Variant {
@@ -510,7 +494,8 @@ pub fn threshold_ablation(
                             let j0 = wavedens_core::default_coarse_level(data.len(), 8);
                             let j_star = wavedens_core::cv_max_level(data.len());
                             let coeffs = EmpiricalCoefficients::compute(
-                                Arc::clone(&basis),
+                                WaveletBasis::shared(WaveletFamily::Symmlet(8))
+                                    .expect("sym8 is supported"),
                                 &data,
                                 (0.0, 1.0),
                                 j0,
@@ -522,7 +507,6 @@ pub fn threshold_ablation(
                                 rule,
                                 ThresholdSelection::Fixed(cv.thresholds().levels),
                             )
-                            .with_basis(Arc::clone(&basis))
                             .with_levels(Some(j0), Some(j_star))
                             .fit(&data)
                             .expect("fit")
@@ -531,12 +515,10 @@ pub fn threshold_ablation(
                             ThresholdRule::Hard,
                             ThresholdSelection::Theoretical { kappa },
                         )
-                        .with_basis(Arc::clone(&basis))
                         .with_levels(None, Some(wavedens_core::cv_max_level(data.len())))
                         .fit(&data)
                         .expect("fit"),
                         Variant::Linear(level) => WaveletDensityEstimator::linear_projection(level)
-                            .with_basis(Arc::clone(&basis))
                             .fit(&data)
                             .expect("fit"),
                     };

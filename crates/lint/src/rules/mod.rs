@@ -16,6 +16,7 @@
 use crate::report::Violation;
 use crate::scan::SourceFile;
 
+mod basis_interned;
 mod bench_honesty;
 mod decode_alloc;
 mod error_doc;
@@ -136,6 +137,19 @@ pub fn all_rules() -> &'static [Rule] {
                         shard scaling is meaningless on it). Every bench that writes a \
                         `BENCH_*.json` must record `std::thread::available_parallelism` in it.",
             check: bench_honesty::check,
+        },
+        Rule {
+            name: "basis-interned",
+            summary: "no WaveletBasis::new outside crates/wavelets, tests and benches",
+            rationale: "Every `WaveletBasis::new` call re-runs the cascade tabulation: a few \
+                        milliseconds and ≈1.9 MB of φ/ψ tables for Symmlet 8, paid again by \
+                        each synopsis registration, decoded frame or basis-less fit that \
+                        calls it. The tables are immutable and depend only on the family, so \
+                        `WaveletBasis::shared(family)` keeps one per family for the life of \
+                        the process and hands out clones of one `Arc`. Outside the wavelets \
+                        crate, take the default-depth basis from `shared`; a table of another \
+                        depth comes from `WaveletBasis::with_table_levels`.",
+            check: basis_interned::check,
         },
     ]
 }

@@ -257,6 +257,42 @@ fn bench_honesty_accepts_recorded_parallelism_and_non_bench_files() {
 }
 
 #[test]
+fn basis_interned_fires_on_fresh_default_tables() {
+    let firing = "fn basis() -> Arc<WaveletBasis> {\n\
+                  \x20   Arc::new(WaveletBasis::new(WaveletFamily::Symmlet(8)).unwrap())\n}\n";
+    assert_eq!(
+        fired("crates/core/src/sketch.rs", firing),
+        ["basis-interned"]
+    );
+    let qualified = "fn basis() -> wavedens_core::WaveletBasis {\n\
+                     \x20   wavedens_core::WaveletBasis::new(WaveletFamily::Haar).unwrap()\n}\n";
+    assert_eq!(fired("examples/demo.rs", qualified), ["basis-interned"]);
+}
+
+#[test]
+fn basis_interned_accepts_shared_explicit_depths_and_exempt_code() {
+    let shared = "fn basis() -> Arc<WaveletBasis> {\n\
+                  \x20   WaveletBasis::shared(WaveletFamily::Symmlet(8)).unwrap()\n}\n";
+    assert_eq!(fired("crates/core/src/sketch.rs", shared), [""; 0]);
+    let depth = "fn basis() -> WaveletBasis {\n\
+                 \x20   WaveletBasis::with_table_levels(WaveletFamily::Symmlet(8), 6).unwrap()\n}\n";
+    assert_eq!(fired("crates/core/src/sketch.rs", depth), [""; 0]);
+
+    let fresh = "fn basis() -> WaveletBasis { WaveletBasis::new(WaveletFamily::Haar).unwrap() }\n";
+    // The wavelets crate owns the constructor; tests and benches may
+    // build fresh tables.
+    assert_eq!(fired("crates/wavelets/src/tensor.rs", fresh), [""; 0]);
+    assert_eq!(fired("tests/demo.rs", fresh), [""; 0]);
+    assert_eq!(fired("crates/bench/benches/demo.rs", fresh), [""; 0]);
+    let in_test = format!("#[cfg(test)]\nmod tests {{\n    {fresh}}}\n");
+    assert_eq!(fired("crates/core/src/sketch.rs", &in_test), [""; 0]);
+    // A mention in a comment or string is not a call.
+    let mentioned = "// WaveletBasis::new(family) re-tabulates\n\
+                     fn f() -> &'static str { \"WaveletBasis::new(\" }\n";
+    assert_eq!(fired("crates/core/src/sketch.rs", mentioned), [""; 0]);
+}
+
+#[test]
 fn waivers_suppress_with_justification_only() {
     // Justified waiver on the violation's own line: suppressed.
     let same_line = "fn f() { std::thread::spawn(|| {}); } \

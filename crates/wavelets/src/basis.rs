@@ -9,6 +9,30 @@
 use crate::cascade::{WaveletTable, DEFAULT_TABLE_LEVELS};
 use crate::filters::{FilterError, OrthonormalFilter, WaveletFamily};
 use std::ops::RangeInclusive;
+use std::sync::{Arc, OnceLock};
+
+/// Number of supported families: Haar, Daubechies 2–10 and Symmlet 4–10.
+const FAMILY_SLOTS: usize = 17;
+
+/// One process-wide default-depth table per family, filled on first use.
+type SharedSlot = OnceLock<Result<Arc<WaveletBasis>, FilterError>>;
+
+static SHARED: [SharedSlot; FAMILY_SLOTS] = {
+    // The array-repeat seed only; `[const { .. }; N]` needs Rust 1.79.
+    #[allow(clippy::declare_interior_mutable_const)]
+    const EMPTY: SharedSlot = OnceLock::new();
+    [EMPTY; FAMILY_SLOTS]
+};
+
+/// The slot of a supported family; an unsupported order is an error.
+fn slot_index(family: WaveletFamily) -> Result<usize, FilterError> {
+    family.validate()?;
+    Ok(match family {
+        WaveletFamily::Haar => 0,
+        WaveletFamily::Daubechies(n) => n - 1,
+        WaveletFamily::Symmlet(n) => n + 6,
+    })
+}
 
 /// A ready-to-evaluate wavelet basis: the filter plus tabulated `φ`/`ψ`.
 ///
@@ -20,15 +44,37 @@ pub struct WaveletBasis {
 }
 
 impl WaveletBasis {
-    /// Builds the basis for `family` at the default table resolution.
+    /// Builds a fresh basis for `family` at the default table resolution.
+    ///
+    /// Every call re-runs the cascade tabulation (a few milliseconds and
+    /// ≈1.9 MB of tables for `Symmlet(8)`). Code that only needs *the*
+    /// default-depth basis of a family should call
+    /// [`shared`](Self::shared), which keeps at most one table per family
+    /// for the life of the process.
     pub fn new(family: WaveletFamily) -> Result<Self, FilterError> {
         Ok(Self {
             table: WaveletTable::with_levels(family, DEFAULT_TABLE_LEVELS)?,
         })
     }
 
-    /// Builds the basis with an explicit dyadic table depth (spacing
-    /// `2^-levels`).
+    /// The process-wide default-depth basis of `family`.
+    ///
+    /// The first call for a family builds its table (as
+    /// [`new`](Self::new) does); every later call returns a clone of the
+    /// same `Arc`, so sketches, estimators and decoded frames of one
+    /// family share one immutable table. Concurrent first calls block
+    /// until the one build finishes and then all get that `Arc`. Memory
+    /// is bounded by one table per supported family, ≈1.9 MB for
+    /// `Symmlet(8)`. An unsupported order is rejected before any table
+    /// is touched, with the error [`new`](Self::new) returns.
+    pub fn shared(family: WaveletFamily) -> Result<Arc<Self>, FilterError> {
+        SHARED[slot_index(family)?]
+            .get_or_init(|| Self::new(family).map(Arc::new))
+            .clone()
+    }
+
+    /// Builds a fresh, unshared basis with an explicit dyadic table depth
+    /// (spacing `2^-levels`).
     pub fn with_table_levels(family: WaveletFamily, levels: u32) -> Result<Self, FilterError> {
         Ok(Self {
             table: WaveletTable::with_levels(family, levels)?,
@@ -211,6 +257,45 @@ mod tests {
                 .fold(0.0_f64, f64::max);
             assert!(max > 0.0, "k={k} contributes nothing on [0,1]");
         }
+    }
+
+    #[test]
+    fn every_supported_family_has_its_own_slot() {
+        let mut families = vec![WaveletFamily::Haar];
+        families.extend((2..=10).map(WaveletFamily::Daubechies));
+        families.extend((4..=10).map(WaveletFamily::Symmlet));
+        let mut slots: Vec<usize> = families.iter().map(|&f| slot_index(f).unwrap()).collect();
+        slots.sort_unstable();
+        assert_eq!(slots, (0..FAMILY_SLOTS).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn unsupported_orders_fill_no_slot() {
+        let haar = WaveletBasis::shared(WaveletFamily::Haar).unwrap();
+        assert_eq!(haar.table().levels(), DEFAULT_TABLE_LEVELS);
+        for family in [
+            WaveletFamily::Daubechies(11),
+            WaveletFamily::Daubechies(1),
+            WaveletFamily::Symmlet(3),
+            WaveletFamily::Symmlet(11),
+        ] {
+            assert!(slot_index(family).is_err());
+            assert_eq!(
+                WaveletBasis::shared(family).unwrap_err(),
+                WaveletBasis::new(family).unwrap_err()
+            );
+        }
+        // Only supported families ever reach a slot: every filled slot
+        // (Haar's at least) holds a basis of the family that maps to it.
+        let mut filled = 0;
+        for (slot, cell) in SHARED.iter().enumerate() {
+            if let Some(entry) = cell.get() {
+                let basis = entry.as_ref().expect("supported families build");
+                assert_eq!(slot_index(basis.family()), Ok(slot));
+                filled += 1;
+            }
+        }
+        assert!(filled >= 1);
     }
 
     #[test]

@@ -65,7 +65,7 @@ impl WaveletFamily {
     }
 
     /// Validates the order of the family.
-    fn validate(self) -> Result<(), FilterError> {
+    pub(crate) fn validate(self) -> Result<(), FilterError> {
         match self {
             WaveletFamily::Haar => Ok(()),
             WaveletFamily::Daubechies(n) if (2..=10).contains(&n) => Ok(()),

@@ -29,7 +29,8 @@
 //! ```
 //! use wavedens_wavelets::{WaveletBasis, WaveletFamily};
 //!
-//! let basis = WaveletBasis::new(WaveletFamily::Symmlet(8)).unwrap();
+//! // The process-wide Symmlet 8 table: built once, shared by every caller.
+//! let basis = WaveletBasis::shared(WaveletFamily::Symmlet(8)).unwrap();
 //! // ψ_{3,2}(0.4) = 2^{3/2} ψ(2^3·0.4 − 2)
 //! let value = basis.psi_jk(3, 2, 0.4);
 //! assert!(value.is_finite());

@@ -29,10 +29,11 @@ pub struct TensorBasis {
 }
 
 impl TensorBasis {
-    /// Builds a tensor basis for `family` with the default table resolution.
+    /// The tensor basis over the process-wide default-resolution table of
+    /// `family` (see [`WaveletBasis::shared`]).
     pub fn new(family: WaveletFamily) -> Result<Self, FilterError> {
         Ok(Self {
-            axis: Arc::new(WaveletBasis::new(family)?),
+            axis: WaveletBasis::shared(family)?,
         })
     }
 
