@@ -49,8 +49,7 @@ pub struct LevelCoefficients {
     /// Empirical coefficients, `values[m] = δ̂_{j, k_start + m}`.
     pub values: Vec<f64>,
     /// Per-coefficient sums of squares `Σ_i δ_{j,k}(X_i)²`, shared via
-    /// [`Arc`] so that snapshotting a streaming estimator does not copy
-    /// the vector (cross-validation only ever reads it).
+    /// [`Arc`] so that snapshotting a sketch does not copy the vector (cross-validation only ever reads it).
     pub sum_squares: Arc<Vec<f64>>,
 }
 
@@ -185,7 +184,7 @@ impl EmpiricalCoefficients {
 }
 
 /// The clamped range of translations `k` with `δ_{j,k}(x) ≠ 0`; shared by
-/// the batch coefficient accumulation, the streaming running sums, the
+/// the batch coefficient accumulation, the sketch's running sums, the
 /// pointwise estimate evaluation *and* the whole-chunk scatter driver
 /// inside `wavedens-wavelets` (where the canonical derivation now lives),
 /// so the paths cannot drift apart.
@@ -193,8 +192,8 @@ pub(crate) use wavedens_wavelets::cascade::active_translations;
 
 /// Scatters observations into the running sums (and sums of squares) of
 /// one resolution level — the shared inner loop of
-/// [`crate::sketch::CoefficientSketch`] ingestion (and therefore of both
-/// the batch and the streaming coefficient paths layered on it).
+/// [`crate::sketch::CoefficientSketch`] ingestion (and therefore of the
+/// batch coefficient path layered on it).
 ///
 /// The per-level dilation constants — `2^j`, `√(2^j)`, the support length
 /// — are hoisted into the struct so that batched ingestion pays them once

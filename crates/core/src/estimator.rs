@@ -307,9 +307,9 @@ pub struct WaveletDensityEstimate {
 }
 
 impl WaveletDensityEstimate {
-    /// Assembles an estimate from precomputed parts (used by the streaming
-    /// estimator). The caller is responsible for consistency between the
-    /// parts.
+    /// Assembles an estimate from precomputed parts (used by
+    /// [`CoefficientSketch::estimate`](crate::CoefficientSketch::estimate)).
+    /// The caller is responsible for consistency between the parts.
     #[allow(clippy::too_many_arguments)]
     pub fn from_parts(
         basis: Arc<WaveletBasis>,

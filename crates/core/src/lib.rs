@@ -29,9 +29,6 @@
 //!   merge into exactly the single-stream state and (de)serialize to a
 //!   compact binary form for shipping between nodes;
 //! * [`codec`] — the one wire format of every sketch, 1-D and 2-D;
-//! * [`streaming`] — an online variant maintaining the coefficients
-//!   incrementally (exactly equivalent to a batch fit), a thin layer over
-//!   [`sketch`];
 //! * [`tensor`] — dimension-generic tensor-product sketches
 //!   ([`TensorSketch`]): levels keyed by per-axis level tuples, flattened
 //!   row-major translation storage, hyperbolic-budget 2-D level sets, and
@@ -39,9 +36,11 @@
 //!   by inclusion–exclusion. It is the one sketch store: a
 //!   [`CoefficientSketch`] is a thin 1-D face over a `dims == 1`
 //!   tensor sketch;
-//! * [`window`] — windowed and decaying sketch rings ([`WindowedSketch`])
-//!   for streaming workloads: time-sliced sketches retire wholesale so
-//!   the synopsis tracks the *recent* distribution without subtraction;
+//! * [`window`] — the [`MergeableSketch`] contract of the 1-D and 2-D
+//!   sketches, and windowed and decaying rings of either
+//!   ([`WindowedSketch`]) for streaming workloads: time-sliced sketches
+//!   retire wholesale so a synopsis tracks the *recent* distribution
+//!   without subtraction;
 //! * [`grid`], [`error`] — shared utilities.
 //!
 //! ## Quick start
@@ -76,7 +75,6 @@ pub mod grid;
 pub mod kernel;
 pub mod risk;
 pub mod sketch;
-pub mod streaming;
 pub mod tensor;
 pub mod threshold;
 pub mod window;
@@ -96,12 +94,13 @@ pub use grid::Grid;
 pub use kernel::{BandwidthRule, Kernel, KernelDensityEstimate, KernelDensityEstimator};
 pub use risk::{integrated_squared_error, lp_distance, RiskAccumulator};
 pub use sketch::{CoefficientSketch, CompactionPolicy};
-pub use streaming::StreamingWaveletEstimator;
 pub use tensor::{
     TensorCumulative, TensorEstimate, TensorSketch, MAX_COEFFICIENT_SLOTS, MAX_TENSOR_SLOTS,
 };
 pub use threshold::{ThresholdProfile, ThresholdRule, ThresholdSelection};
-pub use window::{WindowPolicy, WindowSliceMeta, WindowedSketch, DEFAULT_DECAY_SLICES};
+pub use window::{
+    MergeableSketch, WindowPolicy, WindowSliceMeta, WindowedSketch, DEFAULT_DECAY_SLICES,
+};
 
 // Re-export the wavelet substrate so downstream users need a single import.
 pub use wavedens_wavelets as wavelets;

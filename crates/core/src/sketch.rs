@@ -14,9 +14,10 @@
 //!
 //! This module separates that accumulation state ([`CoefficientSketch`])
 //! from model selection (cross-validation + thresholding, still performed
-//! downstream on a [`snapshot`](CoefficientSketch::snapshot)). Both the
-//! streaming estimator and the batch coefficient construction are thin
-//! layers over it, and the `wavedens-engine` crate builds sharded ingest
+//! downstream on a [`snapshot`](CoefficientSketch::snapshot)). Streaming
+//! ingestion ([`push`](CoefficientSketch::push),
+//! [`extend`](CoefficientSketch::extend)) and the batch coefficient
+//! construction are thin layers over it, and the `wavedens-engine` crate builds sharded ingest
 //! and multi-attribute synopsis catalogs on top. The sums themselves live
 //! in a `dims = 1` [`TensorSketch`], the one store, scatter and merge
 //! code of every sketch; this module adds the 1-D estimate and
@@ -1223,5 +1224,89 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn estimate_matches_batch_fit_on_dependent_data() {
+        // A sketch fed as a stream must give the batch fit on the same
+        // levels: weakly dependent inserts with a non-uniform marginal,
+        // both rules. The two paths share the CV and thresholding code but
+        // build the coefficients differently, so the estimates must agree
+        // to numerical round-off everywhere, not just at a few points.
+        use crate::estimator::WaveletDensityEstimator;
+        use crate::threshold::ThresholdSelection;
+        use wavedens_processes::{DependenceCase, SineUniformMixture};
+        let n = 800;
+        let mut rng = seeded_rng(21);
+        let data = DependenceCase::NonCausalMa.simulate(&SineUniformMixture::paper(), n, &mut rng);
+        let j0 = crate::estimator::default_coarse_level(n, 8);
+        let j_max = crate::estimator::cv_max_level(n);
+        for rule in [ThresholdRule::Hard, ThresholdRule::Soft] {
+            let mut sketch =
+                CoefficientSketch::new(WaveletFamily::Symmlet(8), (0.0, 1.0), j0, j_max).unwrap();
+            sketch.extend(data.iter().copied());
+            let online = sketch.estimate(rule).unwrap();
+            let batch = WaveletDensityEstimator::new(rule, ThresholdSelection::CrossValidation)
+                .with_levels(Some(j0), Some(j_max))
+                .fit(&data)
+                .unwrap();
+            let grid = crate::grid::Grid::new(0.0, 1.0, 257);
+            let online_values = online.evaluate_on(&grid);
+            let batch_values = batch.evaluate_on(&grid);
+            for (i, (a, b)) in online_values.iter().zip(&batch_values).enumerate() {
+                assert!(
+                    (a - b).abs() < 1e-9,
+                    "{rule:?}: sketch and batch disagree at grid point {i}: {a} vs {b}"
+                );
+            }
+            assert!((online.integral() - batch.integral()).abs() < 1e-9);
+            assert_eq!(online.highest_level(), batch.highest_level());
+            assert_eq!(online.sample_size(), batch.sample_size());
+        }
+    }
+
+    #[test]
+    fn estimate_improves_as_data_arrives() {
+        let mut sketch = CoefficientSketch::sized_for(2048).unwrap();
+        let data = sample(2048, 9);
+        sketch.extend(data[..128].iter().copied());
+        let early = sketch.estimate(ThresholdRule::Soft).unwrap();
+        sketch.extend(data[128..].iter().copied());
+        let late = sketch.estimate(ThresholdRule::Soft).unwrap();
+        let grid = crate::grid::Grid::new(0.05, 0.95, 91);
+        let truth: Vec<f64> = grid.evaluate(|_| 1.0);
+        let err = |est: &WaveletDensityEstimate| {
+            grid.integrate_abs_power(&est.evaluate_on(&grid), &truth, 2.0)
+        };
+        assert!(
+            err(&late) < err(&early) + 1e-12,
+            "error should not grow with more data: {} -> {}",
+            err(&early),
+            err(&late)
+        );
+        assert_eq!(sketch.count(), 2048);
+    }
+
+    #[test]
+    fn snapshots_share_sum_squares_without_copying() {
+        let mut sketch = CoefficientSketch::sized_for(256).unwrap();
+        sketch.push_batch(&sample(256, 15));
+        // Two successive estimates without intervening pushes must share
+        // the same sum-of-squares allocation (Arc, not clone).
+        let first = sketch.estimate(ThresholdRule::Soft).unwrap();
+        let second = sketch.estimate(ThresholdRule::Soft).unwrap();
+        let a = &first.scaling_coefficients().sum_squares;
+        let b = &second.scaling_coefficients().sum_squares;
+        assert!(
+            Arc::ptr_eq(a, b),
+            "re-estimation should not reallocate sum_squares"
+        );
+        // Pushing after a snapshot copy-on-writes instead of corrupting
+        // the outstanding snapshot.
+        let before: Vec<f64> = first.scaling_coefficients().sum_squares.to_vec();
+        sketch.push(0.5);
+        assert_eq!(*first.scaling_coefficients().sum_squares, before);
+        let third = sketch.estimate(ThresholdRule::Soft).unwrap();
+        assert!(!Arc::ptr_eq(a, &third.scaling_coefficients().sum_squares));
     }
 }

@@ -47,6 +47,7 @@ use crate::estimator::{coefficient_window, cv_max_level, default_coarse_level};
 use crate::grid::Grid;
 use crate::sketch::{scaled_count, validate_merge_weight, CompactionPolicy};
 use crate::threshold::ThresholdRule;
+use crate::window::WindowSliceMeta;
 use wavedens_wavelets::{WaveletBasis, WaveletFamily};
 
 /// Hard cap on the total number of flattened coefficient slots a 2-D
@@ -982,12 +983,27 @@ impl TensorSketch {
         codec::encode(self, None, true)
     }
 
+    /// [`to_bytes`](Self::to_bytes) with the window block set to `meta`,
+    /// so a receiver can place the slice in its own ring.
+    pub fn to_bytes_with_window(&self, meta: &WindowSliceMeta) -> Vec<u8> {
+        codec::encode(self, Some(meta), false)
+    }
+
     /// Deserializes a frame of a 2-D sketch. A 1-D frame, like any
     /// corrupted or hostile one, is rejected with
     /// [`EstimatorError::InvalidSerialization`] — never a panic or an
     /// oversized allocation.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, EstimatorError> {
-        Ok(codec::decode(bytes, 2)?.0)
+        Ok(Self::from_bytes_with_window(bytes)?.0)
+    }
+
+    /// [`from_bytes`](Self::from_bytes), additionally returning the
+    /// [`WindowSliceMeta`] when the frame is a windowed slice; `None` for
+    /// plain frames.
+    pub fn from_bytes_with_window(
+        bytes: &[u8],
+    ) -> Result<(Self, Option<WindowSliceMeta>), EstimatorError> {
+        codec::decode(bytes, 2)
     }
 }
 

@@ -1,7 +1,9 @@
-//! Windowed and decaying sketch rings for streaming workloads.
+//! Windowed and decaying sketch rings for streaming workloads, and the
+//! [`MergeableSketch`] contract the rings (and the engine's sharded
+//! ingest) are generic over.
 //!
-//! A [`CoefficientSketch`] can only merge — its sums add, never subtract —
-//! so a single lifetime sketch models an append-forever stream and drifts
+//! A mergeable sketch can only merge — its sums add, never subtract — so
+//! a single lifetime sketch models an append-forever stream and drifts
 //! arbitrarily far from the *current* distribution under updates, deletes
 //! or regime changes. The classic fix needs no subtraction at all:
 //! time-slice the stream into a fixed ring of per-slice sketches
@@ -9,7 +11,9 @@
 //! [`advance`](WindowedSketch::advance), and answer queries from a fold
 //! over the live slices. "Subtracting" expired rows is just *not merging
 //! their slice*, so the numerics stay the plain nonnegative-weight sums
-//! the paper's estimator is built on.
+//! the paper's estimator is built on. The ring holds 1-D
+//! [`CoefficientSketch`] slices by default and [`TensorSketch`] slices
+//! for the lag pairs `(X_t, X_{t+h})` of a joint synopsis.
 //!
 //! Two windowed read policies share the ring:
 //!
@@ -19,14 +23,17 @@
 //!   fresh ring fed only those rows would hold.
 //! * **Exponential decay** ([`WindowPolicy::ExponentialDecay`]): merge the
 //!   slice of age `a` at weight `λᵃ` via
-//!   [`CoefficientSketch::merge_scaled`], smoothly down-weighting history
+//!   [`MergeableSketch::merge_scaled`], smoothly down-weighting history
 //!   instead of cliff-dropping it.
 //!
 //! [`WindowPolicy::Landmark`] is the no-window policy the rest of the
-//! stack defaults to (one lifetime sketch, no ring).
+//! stack defaults to: one lifetime sketch, kept as a one-slice ring that
+//! never advances.
 
 use crate::error::EstimatorError;
 use crate::sketch::CoefficientSketch;
+use crate::tensor::TensorSketch;
+use std::fmt::Debug;
 
 /// Ring size used for [`WindowPolicy::ExponentialDecay`], where the
 /// policy itself does not fix one: at 16 slices the oldest live slice
@@ -123,7 +130,122 @@ pub struct WindowSliceMeta {
     pub decay_lambda: f64,
 }
 
-/// A fixed ring of time-sliced [`CoefficientSketch`]es.
+/// The accumulation-state contract rings and sharded ingestion rely on:
+/// a sketch whose state is a plain sum of per-row contributions, so that
+/// any partition of the rows across instances merges back into exactly
+/// the single-stream state. Implemented by the 1-D [`CoefficientSketch`]
+/// (rows are scalars) and the 2-D [`TensorSketch`] (rows are `(x, y)`
+/// pairs), which is what lets one ring and one ingest structure serve
+/// both marginal and joint synopses.
+pub trait MergeableSketch: Clone + Send + Sync + Debug {
+    /// One observation: `f64` for marginal sketches, `(f64, f64)` for
+    /// joint ones.
+    type Row: Copy + Send + Sync;
+
+    /// Observations accumulated so far.
+    fn count(&self) -> usize;
+
+    /// Whether no observation has been accumulated.
+    fn is_empty(&self) -> bool {
+        self.count() == 0
+    }
+
+    /// Resets to the empty state in place, keeping allocations.
+    fn clear(&mut self);
+
+    /// Accumulates a batch of rows.
+    fn push_rows(&mut self, rows: &[Self::Row]);
+
+    /// Checks that `other` accumulates the same coefficients.
+    fn is_compatible(&self, other: &Self) -> Result<(), EstimatorError>;
+
+    /// Adds `weight ×` a compatible sketch's accumulation state; bitwise
+    /// [`merge`](Self::merge) at weight 1.
+    fn merge_scaled(&mut self, other: &Self, weight: f64) -> Result<(), EstimatorError>;
+
+    /// Overwrites this sketch with `weight ×` a compatible source,
+    /// reusing allocations; bitwise a plain copy at weight 1.
+    fn copy_scaled_from(&mut self, source: &Self, weight: f64) -> Result<(), EstimatorError>;
+
+    /// Merges a compatible sketch (addition of accumulation state).
+    fn merge(&mut self, other: &Self) -> Result<(), EstimatorError> {
+        self.merge_scaled(other, 1.0)
+    }
+
+    /// Serializes the sketch as a frame carrying `meta` in its window
+    /// block (see [`crate::codec`]).
+    fn to_bytes_with_window(&self, meta: &WindowSliceMeta) -> Vec<u8>;
+}
+
+impl MergeableSketch for CoefficientSketch {
+    type Row = f64;
+
+    fn count(&self) -> usize {
+        CoefficientSketch::count(self)
+    }
+
+    fn clear(&mut self) {
+        CoefficientSketch::clear(self);
+    }
+
+    fn push_rows(&mut self, rows: &[f64]) {
+        self.push_batch(rows);
+    }
+
+    fn is_compatible(&self, other: &Self) -> Result<(), EstimatorError> {
+        CoefficientSketch::is_compatible(self, other)
+    }
+
+    fn merge_scaled(&mut self, other: &Self, weight: f64) -> Result<(), EstimatorError> {
+        CoefficientSketch::merge_scaled(self, other, weight)
+    }
+
+    fn copy_scaled_from(&mut self, source: &Self, weight: f64) -> Result<(), EstimatorError> {
+        CoefficientSketch::copy_scaled_from(self, source, weight)
+    }
+
+    fn to_bytes_with_window(&self, meta: &WindowSliceMeta) -> Vec<u8> {
+        CoefficientSketch::to_bytes_with_window(self, meta)
+    }
+}
+
+/// Joint (2-D) sketches slice and shard exactly like marginal ones; rows
+/// are `(x, y)` pairs, so the sketch must be 2-dimensional
+/// ([`TensorSketch::push_pairs`] checks).
+impl MergeableSketch for TensorSketch {
+    type Row = (f64, f64);
+
+    fn count(&self) -> usize {
+        TensorSketch::count(self)
+    }
+
+    fn clear(&mut self) {
+        TensorSketch::clear(self);
+    }
+
+    fn push_rows(&mut self, rows: &[(f64, f64)]) {
+        self.push_pairs(rows);
+    }
+
+    fn is_compatible(&self, other: &Self) -> Result<(), EstimatorError> {
+        TensorSketch::is_compatible(self, other)
+    }
+
+    fn merge_scaled(&mut self, other: &Self, weight: f64) -> Result<(), EstimatorError> {
+        TensorSketch::merge_scaled(self, other, weight)
+    }
+
+    fn copy_scaled_from(&mut self, source: &Self, weight: f64) -> Result<(), EstimatorError> {
+        TensorSketch::copy_scaled_from(self, source, weight)
+    }
+
+    fn to_bytes_with_window(&self, meta: &WindowSliceMeta) -> Vec<u8> {
+        TensorSketch::to_bytes_with_window(self, meta)
+    }
+}
+
+/// A fixed ring of time-sliced mergeable sketches: 1-D
+/// [`CoefficientSketch`]es by default, [`TensorSketch`]es for joints.
 ///
 /// All ingestion lands in the *current* slice;
 /// [`advance`](Self::advance) rotates the ring, retiring the oldest
@@ -133,8 +255,8 @@ pub struct WindowSliceMeta {
 /// wrapped once, only the slices actually started are live, so a young
 /// ring never dilutes its estimate with never-used empty slices' stamps.
 #[derive(Debug, Clone)]
-pub struct WindowedSketch {
-    slices: Vec<CoefficientSketch>,
+pub struct WindowedSketch<S = CoefficientSketch> {
+    slices: Vec<S>,
     /// Index of the current (age-0) slice.
     head: usize,
     /// Number of live slices: `1..=slices.len()`, growing by one per
@@ -144,11 +266,11 @@ pub struct WindowedSketch {
     advances: u64,
 }
 
-impl WindowedSketch {
+impl<S: MergeableSketch> WindowedSketch<S> {
     /// Creates a ring of `slices` empty clones of `template`. The
     /// template must itself be empty (a ring adopting half-accumulated
     /// state would mis-attribute those rows to the current time slice).
-    pub fn new(template: &CoefficientSketch, slices: usize) -> Result<Self, EstimatorError> {
+    pub fn new(template: &S, slices: usize) -> Result<Self, EstimatorError> {
         if slices == 0 {
             return Err(EstimatorError::InvalidParameter {
                 message: "a windowed sketch needs at least one slice".to_string(),
@@ -163,7 +285,7 @@ impl WindowedSketch {
             });
         }
         Ok(Self {
-            slices: (0..slices).map(|_| template.clone()).collect(),
+            slices: vec![template.clone(); slices],
             head: 0,
             live: 1,
             advances: 0,
@@ -173,10 +295,7 @@ impl WindowedSketch {
     /// Creates the ring a policy calls for. Fails on
     /// [`WindowPolicy::Landmark`] (no ring to build) and on invalid
     /// policy parameters.
-    pub fn from_policy(
-        template: &CoefficientSketch,
-        policy: WindowPolicy,
-    ) -> Result<Self, EstimatorError> {
+    pub fn from_policy(template: &S, policy: WindowPolicy) -> Result<Self, EstimatorError> {
         policy.validate()?;
         let slices = policy
             .ring_slices()
@@ -217,18 +336,18 @@ impl WindowedSketch {
 
     /// Read-only view of the slice `age` advances old (0 = current);
     /// `None` when the ring holds no slice that old yet.
-    pub fn slice(&self, age: usize) -> Option<&CoefficientSketch> {
+    pub fn slice(&self, age: usize) -> Option<&S> {
         (age < self.live).then(|| &self.slices[self.slot(age)])
     }
 
     /// Ingests a batch into the current slice.
-    pub fn push_batch(&mut self, values: &[f64]) {
-        self.slices[self.head].push_batch(values);
+    pub fn push_batch(&mut self, rows: &[S::Row]) {
+        self.slices[self.head].push_rows(rows);
     }
 
     /// Merges an already-accumulated sketch into the current slice (the
     /// engine's scatter-outside-the-lock ingest lands batches this way).
-    pub fn merge_into_current(&mut self, other: &CoefficientSketch) -> Result<(), EstimatorError> {
+    pub fn merge_into_current(&mut self, other: &S) -> Result<(), EstimatorError> {
         self.slices[self.head].merge(other)
     }
 
@@ -256,10 +375,7 @@ impl WindowedSketch {
     /// retired slice back *uncleaned* — so a caller holding a lock can
     /// rotate in O(1) and do the `clear()` outside the critical section
     /// (the engine's `advance_all` short-critical-section pattern).
-    pub fn advance_swap(
-        &mut self,
-        replacement: CoefficientSketch,
-    ) -> Result<CoefficientSketch, EstimatorError> {
+    pub fn advance_swap(&mut self, replacement: S) -> Result<S, EstimatorError> {
         if !replacement.is_empty() {
             return Err(EstimatorError::InvalidParameter {
                 message: format!(
@@ -277,21 +393,23 @@ impl WindowedSketch {
         Ok(std::mem::replace(&mut self.slices[self.head], replacement))
     }
 
-    /// Overwrites `target` with the policy-weighted fold of the live
-    /// slices (oldest first, so the most-decayed contributions accumulate
-    /// while small). Reuses `target`'s allocations; its level stamps
-    /// advance strictly, so caches keyed to it stay sound across
-    /// advances.
+    /// Folds the live slices through `policy` into `target`, oldest first
+    /// (so the most-decayed contributions accumulate while small):
+    /// overwriting `target` when `overwrite`, adding to its contents
+    /// otherwise — what a multi-shard engine uses to fold several rings
+    /// into one query sketch. Reuses `target`'s allocations; an
+    /// overwrite advances its level stamps strictly, so caches keyed to
+    /// it stay sound across advances.
     pub fn merge_window_into(
         &self,
-        target: &mut CoefficientSketch,
+        target: &mut S,
         policy: WindowPolicy,
+        overwrite: bool,
     ) -> Result<(), EstimatorError> {
         policy.validate()?;
         for (i, age) in (0..self.live).rev().enumerate() {
-            let slice = &self.slices[self.slot(age)];
-            let weight = policy.weight(age);
-            if i == 0 {
+            let (slice, weight) = (&self.slices[self.slot(age)], policy.weight(age));
+            if overwrite && i == 0 {
                 target.copy_scaled_from(slice, weight)?;
             } else {
                 target.merge_scaled(slice, weight)?;
@@ -300,34 +418,19 @@ impl WindowedSketch {
         Ok(())
     }
 
-    /// Folds the live slices *into* an existing accumulation (no
-    /// overwrite) — what a multi-shard engine uses to fold several rings
-    /// into one query sketch.
-    pub fn merge_window_append(
-        &self,
-        target: &mut CoefficientSketch,
-        policy: WindowPolicy,
-    ) -> Result<(), EstimatorError> {
-        policy.validate()?;
-        for age in (0..self.live).rev() {
-            target.merge_scaled(&self.slices[self.slot(age)], policy.weight(age))?;
-        }
-        Ok(())
-    }
-
     /// The policy-weighted merged window as a standalone sketch. For
     /// [`WindowPolicy::SlidingSlices`] this is exactly the mergeable
     /// sketch over the surviving rows; for
     /// [`WindowPolicy::ExponentialDecay`] each slice enters at `λᵃ`.
-    pub fn merged_window(&self, policy: WindowPolicy) -> Result<CoefficientSketch, EstimatorError> {
+    pub fn merged_window(&self, policy: WindowPolicy) -> Result<S, EstimatorError> {
         let mut merged = self.slices[self.head].clone();
-        self.merge_window_into(&mut merged, policy)?;
+        self.merge_window_into(&mut merged, policy, true)?;
         Ok(merged)
     }
 
     /// Serializes the slice `age` advances old as a windowed frame
     /// carrying [`WindowSliceMeta`]. Receivers without window support
-    /// read it as a plain sketch via `CoefficientSketch::from_bytes`.
+    /// read it as a plain sketch (`from_bytes`).
     pub fn ship_slice(&self, age: usize, policy: WindowPolicy) -> Result<Vec<u8>, EstimatorError> {
         policy.validate()?;
         let slice = self
@@ -506,9 +609,9 @@ mod tests {
             .unwrap();
         // 200·λ⁰ + 400·λ¹ at λ = 1/2.
         assert_eq!(merged.count(), 200 + 200);
-        // merge_window_append folds *into* existing mass instead.
+        // Without `overwrite` the fold adds *into* existing mass instead.
         let mut acc = merged.clone();
-        ring.merge_window_append(&mut acc, WindowPolicy::ExponentialDecay(0.5))
+        ring.merge_window_into(&mut acc, WindowPolicy::ExponentialDecay(0.5), false)
             .unwrap();
         assert_eq!(acc.count(), 800);
     }
@@ -532,5 +635,96 @@ mod tests {
         assert_eq!(CoefficientSketch::from_bytes(&frame).unwrap().count(), 150);
         // Shipping a slice the ring does not hold yet fails cleanly.
         assert!(ring.ship_slice(2, policy).is_err());
+    }
+
+    /// Correlated lag-style pairs for the 2-D ring tests.
+    fn pairs(n: usize, seed: u64) -> Vec<(f64, f64)> {
+        let mut rng = seeded_rng(seed);
+        (0..n)
+            .map(|_| {
+                let x: f64 = rng.gen();
+                (x, (x + 0.1 * rng.gen::<f64>()).rem_euclid(1.0))
+            })
+            .collect()
+    }
+
+    fn template_2d() -> TensorSketch {
+        TensorSketch::sized_for_pairs(512).unwrap()
+    }
+
+    #[test]
+    fn sliding_2d_fold_is_bitwise_the_fresh_fit_on_surviving_pairs() {
+        // The 2-D twin of the 1-D test above: with k = 2 only the last two
+        // of four pair batches survive, and the folded window must be
+        // bitwise the frame of a fresh ring fed only those batches.
+        let batches: Vec<Vec<(f64, f64)>> =
+            (0..4).map(|i| pairs(150 + 40 * i, 40 + i as u64)).collect();
+        let mut ring = WindowedSketch::new(&template_2d(), 2).unwrap();
+        for (i, batch) in batches.iter().enumerate() {
+            if i > 0 {
+                ring.advance();
+            }
+            ring.push_batch(batch);
+        }
+        let mut fresh = WindowedSketch::new(&template_2d(), 2).unwrap();
+        fresh.push_batch(&batches[2]);
+        fresh.advance();
+        fresh.push_batch(&batches[3]);
+        let policy = WindowPolicy::SlidingSlices(2);
+        let a = ring.merged_window(policy).unwrap();
+        let b = fresh.merged_window(policy).unwrap();
+        assert_eq!(a.count(), batches[2].len() + batches[3].len());
+        assert_eq!(
+            a.to_bytes(),
+            b.to_bytes(),
+            "sliding 2-D fold must be bitwise"
+        );
+    }
+
+    #[test]
+    fn decayed_2d_fold_weights_slices_geometrically() {
+        let mut ring = WindowedSketch::new(&template_2d(), 4).unwrap();
+        ring.push_batch(&pairs(400, 50));
+        ring.advance();
+        ring.push_batch(&pairs(100, 51));
+        ring.advance();
+        ring.push_batch(&pairs(60, 52));
+        let merged = ring
+            .merged_window(WindowPolicy::ExponentialDecay(0.5))
+            .unwrap();
+        // 60·λ⁰ + 100·λ¹ + 400·λ² at λ = 1/2.
+        assert_eq!(merged.count(), 60 + 50 + 100);
+        assert_eq!(ring.count(), 560, "the ring itself holds every live pair");
+    }
+
+    #[test]
+    fn shipped_2d_slices_round_trip_with_metadata() {
+        let mut ring = WindowedSketch::new(&template_2d(), 3).unwrap();
+        ring.push_batch(&pairs(120, 60));
+        ring.advance();
+        ring.push_batch(&pairs(70, 61));
+        let policy = WindowPolicy::SlidingSlices(3);
+        let frame = ring.ship_slice(1, policy).unwrap();
+        let (slice, meta) = TensorSketch::from_bytes_with_window(&frame).unwrap();
+        assert_eq!(slice.dims(), 2);
+        assert_eq!(slice.to_bytes(), ring.slice(1).unwrap().to_bytes());
+        assert_eq!(
+            meta,
+            Some(WindowSliceMeta {
+                slice_age: 1,
+                ring_slices: 3,
+                advances: 1,
+                decay_lambda: 1.0,
+            })
+        );
+        // Plain readers see the same sketch; a 1-D reader refuses it.
+        assert_eq!(TensorSketch::from_bytes(&frame).unwrap().count(), 120);
+        assert!(CoefficientSketch::from_bytes(&frame).is_err());
+        // A plain frame carries no window block.
+        let plain = ring.slice(0).unwrap().to_bytes();
+        assert_eq!(
+            TensorSketch::from_bytes_with_window(&plain).unwrap().1,
+            None
+        );
     }
 }

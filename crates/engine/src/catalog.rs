@@ -220,8 +220,9 @@ impl SynopsisCatalog {
     ///   attribute must agree on thresholding rule, expected scale and
     ///   the rest of the config, or their answers silently diverge.
     /// * [`EngineError::Estimator`] if the pair names the same attribute
-    ///   twice, the config is windowed (pairs do not support windows
-    ///   yet), or building the tensor sketch fails.
+    ///   twice, the config's window policy has invalid parameters
+    ///   (a zero-slice sliding window, a decay factor outside `(0, 1]`),
+    ///   or building the tensor sketch fails.
     /// * [`EngineError::Poisoned`] if a previous pair registration
     ///   panicked mid-insert.
     pub fn register_pair(
@@ -256,7 +257,9 @@ impl SynopsisCatalog {
         })
     }
 
-    /// The joint synopsis of a registered attribute pair.
+    /// The joint synopsis of a registered attribute pair. A windowed pair
+    /// advances through [`Synopsis::advance`](crate::Synopsis::advance) on
+    /// the returned synopsis.
     pub fn pair(&self, first: &str, second: &str) -> Option<Arc<JointSynopsis>> {
         read(&self.pairs)
             .get(&(first.to_string(), second.to_string()))
@@ -679,6 +682,8 @@ mod tests {
         catalog.register("x", small_config()).unwrap();
     }
 
+    /// Pairs naming one attribute twice, and pairs with invalid window
+    /// parameters, are rejected; valid windowed pairs register.
     #[test]
     fn degenerate_and_windowed_pairs_are_rejected() {
         use wavedens_core::WindowPolicy;
@@ -687,16 +692,41 @@ mod tests {
             catalog.register_pair("x", "x", small_config()).unwrap_err(),
             EngineError::Estimator(EstimatorError::InvalidParameter { .. })
         ));
-        assert!(matches!(
+        for bad in [
+            WindowPolicy::SlidingSlices(0),
+            WindowPolicy::ExponentialDecay(1.5),
+        ] {
+            assert!(matches!(
+                catalog
+                    .register_pair("x", "y", small_config().with_window(bad))
+                    .unwrap_err(),
+                EngineError::Estimator(EstimatorError::InvalidParameter { .. })
+            ));
+        }
+        assert_eq!(catalog.pair_count(), 0);
+    }
+
+    /// A windowed pair advances through the synopsis the catalog hands
+    /// out.
+    #[test]
+    fn windowed_pairs_advance_through_the_catalog() {
+        use wavedens_core::WindowPolicy;
+        let catalog = SynopsisCatalog::new();
+        let config = small_config().with_window(WindowPolicy::SlidingSlices(1));
+        catalog.register_pair("x", "y", config).unwrap();
+        catalog
+            .ingest_pair("x", "y", &correlated(512, 22, 0.1))
+            .unwrap();
+        let pair = catalog.pair("x", "y").unwrap();
+        assert_eq!(pair.rows(), 512);
+        assert!(pair.advance());
+        assert_eq!(pair.rows(), 0, "a one-slice window retires everything");
+        assert_eq!(
             catalog
-                .register_pair(
-                    "x",
-                    "y",
-                    small_config().with_window(WindowPolicy::SlidingSlices(2))
-                )
-                .unwrap_err(),
-            EngineError::Estimator(EstimatorError::InvalidParameter { .. })
-        ));
+                .joint_selectivity("x", "y", (0.0, 1.0), (0.0, 1.0))
+                .unwrap(),
+            0.0
+        );
     }
 
     #[test]

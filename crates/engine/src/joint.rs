@@ -12,9 +12,12 @@
 //!
 //! Everything but the snapshot and the rectangle query is the generic
 //! [`Synopsis`] machinery, shared with the 1-D
-//! [`AttributeSynopsis`](crate::AttributeSynopsis).
+//! [`AttributeSynopsis`](crate::AttributeSynopsis): the sharded ingest,
+//! the cache, and the window policies. A windowed pair keeps a ring of
+//! tensor-sketch slices per shard and retires old slices through
+//! [`Synopsis::advance`], so the lag pairs `(X_t, X_{t+h})` of a stream
+//! whose regime drifts are tracked the way a windowed marginal is.
 
-use crate::sharded::ShardedIngest;
 use crate::synopsis::{or_zero, Synopsis, SynopsisConfig, SynopsisSketch};
 use wavedens_core::{
     CompactionPolicy, EstimatorError, TensorCumulative, TensorEstimate, TensorSketch, ThresholdRule,
@@ -26,8 +29,8 @@ use wavedens_core::{
 const MAX_JOINT_CDF_POINTS: usize = 257;
 
 /// One attribute pair's synopsis: the 2-D [`Synopsis`] over a
-/// [`TensorSketch`] of `(x, y)` row pairs. Landmark-only: a windowed
-/// config is rejected by [`Synopsis::new`].
+/// [`TensorSketch`] of `(x, y)` row pairs, landmark or windowed (a
+/// windowed pair retires old slices through [`Synopsis::advance`]).
 pub type JointSynopsis = Synopsis<TensorSketch>;
 
 /// The refreshed state of a joint synopsis: the thresholded 2-D tensor
@@ -75,22 +78,14 @@ impl RefreshedJoint {
     }
 }
 
-/// The 2-D kind: `(x, y)` rows, a plain sharded ingest (no windows yet),
-/// a per-axis CDF grid clamped to `[2, 257]` points, and no incremental
-/// rebuild cache.
+/// The 2-D kind: `(x, y)` rows, a per-axis CDF grid clamped to
+/// `[2, 257]` points, and no incremental rebuild cache.
 impl SynopsisSketch for TensorSketch {
-    type Shard = TensorSketch;
     type Snapshot = RefreshedJoint;
     type RebuildCache = ();
 
-    fn ingest_for(config: &SynopsisConfig) -> Result<ShardedIngest<Self::Shard>, EstimatorError> {
-        if config.window.is_windowed() {
-            return Err(EstimatorError::InvalidParameter {
-                message: "joint synopses do not support windowed policies yet".to_string(),
-            });
-        }
-        let template = Self::sized_for_pairs(config.expected_rows.max(16))?;
-        ShardedIngest::new(&template, config.shards)
+    fn template(config: &SynopsisConfig) -> Result<Self, EstimatorError> {
+        Self::sized_for_pairs(config.expected_rows.max(16))
     }
 
     fn snapshot(
@@ -245,13 +240,78 @@ mod tests {
         assert!((s - 0.4 * 0.5).abs() < 0.05, "independent uniforms: {s}");
     }
 
+    /// Joints take window policies; invalid window parameters are
+    /// rejected as they are for marginal synopses.
     #[test]
     fn windowed_configs_are_rejected() {
-        let config = config(2).with_window(WindowPolicy::SlidingSlices(2));
-        assert!(matches!(
-            JointSynopsis::new(&config),
-            Err(EstimatorError::InvalidParameter { .. })
-        ));
+        for bad in [
+            WindowPolicy::SlidingSlices(0),
+            WindowPolicy::ExponentialDecay(1.5),
+        ] {
+            assert!(matches!(
+                JointSynopsis::new(&config(2).with_window(bad)),
+                Err(EstimatorError::InvalidParameter { .. })
+            ));
+        }
+    }
+
+    /// The 2-D twin of the marginal regime-change test: after the ring
+    /// retires the correlated slice, the pair tracks only the
+    /// anti-correlated regime.
+    #[test]
+    fn windowed_joint_forgets_retired_slices() {
+        let windowed =
+            JointSynopsis::new(&config(2).with_window(WindowPolicy::SlidingSlices(2))).unwrap();
+        assert_eq!(windowed.window_policy(), WindowPolicy::SlidingSlices(2));
+        let diagonal = ((0.05, 0.3), (0.05, 0.3));
+        windowed.ingest_parallel(&correlated(4096, 40, 0.05));
+        assert!(windowed.joint_selectivity(diagonal.0, diagonal.1) > 0.15);
+        assert!(windowed.advance());
+        let anti: Vec<(f64, f64)> = correlated(4096, 41, 0.05)
+            .into_iter()
+            .map(|(x, y)| (x, 1.0 - y))
+            .collect();
+        windowed.ingest_parallel(&anti);
+        assert!(windowed.advance());
+        assert_eq!(windowed.rows(), 4096, "retired pairs leave the count");
+        // The diagonal square now holds almost nothing; the matching
+        // anti-diagonal square holds about a quarter of the mass.
+        assert!(windowed.joint_selectivity(diagonal.0, diagonal.1) < 0.05);
+        assert!(windowed.joint_selectivity((0.05, 0.3), (0.7, 0.95)) > 0.15);
+        // A landmark joint keeps no slices.
+        let landmark = JointSynopsis::new(&config(1)).unwrap();
+        assert!(!landmark.advance());
+        assert!(landmark.ship_window_slice().is_err());
+    }
+
+    /// Decay-weighted joints scale old pairs instead of dropping them: the
+    /// merged count is the λ-weighted sum of the slice counts.
+    #[test]
+    fn decayed_joint_weights_slices_geometrically() {
+        let joint = JointSynopsis::new(&config(2).with_window(WindowPolicy::ExponentialDecay(0.5)))
+            .unwrap();
+        joint.ingest(&correlated(800, 42, 0.1));
+        joint.advance();
+        joint.ingest(&correlated(300, 43, 0.1));
+        assert_eq!(joint.rows(), 1100);
+        // 300·λ⁰ + 800·λ¹ at λ = 1/2.
+        assert_eq!(joint.merged_sketch().unwrap().count(), 300 + 400);
+    }
+
+    /// A windowed pair ships its current slice as a 2-D windowed frame.
+    #[test]
+    fn windowed_joint_ships_its_current_slice() {
+        let joint =
+            JointSynopsis::new(&config(2).with_window(WindowPolicy::SlidingSlices(3))).unwrap();
+        joint.ingest(&correlated(600, 44, 0.1));
+        joint.advance();
+        joint.ingest(&correlated(250, 45, 0.1));
+        let frame = joint.ship_window_slice().unwrap();
+        let (slice, meta) = TensorSketch::from_bytes_with_window(&frame).unwrap();
+        assert_eq!((slice.dims(), slice.count()), (2, 250));
+        let meta = meta.expect("windowed frames carry window metadata");
+        assert_eq!((meta.slice_age, meta.ring_slices, meta.advances), (0, 3, 1));
+        assert_eq!(meta.decay_lambda, 1.0);
     }
 
     #[test]

@@ -12,8 +12,9 @@
 //! selection** (cross-validated thresholds, data-driven `ĵ1`, CDF table)
 //! runs downstream on the merged state. Concretely:
 //!
-//! * [`ShardedIngest`] — N per-shard sketches behind mutexes, each a
-//!   plain [`MergeableSketch`] or a ring of time slices. Bulk loads
+//! * [`ShardedIngest`] — N per-shard rings of time slices behind
+//!   mutexes, the slices of one [`MergeableSketch`] kind (1-D or 2-D);
+//!   a landmark ingest keeps one-slice rings that never advance. Bulk loads
 //!   ([`ShardedIngest::ingest_parallel`]) split the rows into one
 //!   contiguous share per shard and run one task per share on the global
 //!   `workpool` pool, each pushing straight into its shard, so for a
@@ -23,22 +24,22 @@
 //!   shard per batch, so writers on different shards never contend. At
 //!   estimate time the shards merge (weighted sketch addition) into
 //!   exactly the single-stream state.
-//! * [`WindowedIngest`] — a [`ShardedIngest`] whose shards are rings of
-//!   time-sliced 1-D sketches, built from a windowed [`WindowPolicy`].
+//! * [`WindowedIngest`] — a [`ShardedIngest`] built from a windowed
+//!   [`WindowPolicy`], for 1-D and 2-D sketches alike.
 //!   [`ShardedIngest::advance_all`] retires the oldest slice in O(1) per
 //!   shard, so sliding-window and exponentially-decayed estimates
 //!   subtract old data by dropping a slice instead of un-merging it.
-//!   Selected per attribute via [`SynopsisConfig::with_window`]; a
-//!   landmark 1-D synopsis runs the same ingest with one-slice rings that
-//!   never advance.
+//!   Selected per attribute or attribute pair via
+//!   [`SynopsisConfig::with_window`].
 //! * [`Synopsis<S>`](Synopsis) — one sharded sketch of kind `S` plus a
 //!   cached refreshed snapshot behind an atomically swapped
 //!   [`std::sync::Arc`]. The sketch kind ([`SynopsisSketch`]) picks the
-//!   ingest structure, the snapshot and its CDF resolution; the epoch,
-//!   cache, rebuild guard and poison recovery are shared. Two kinds exist:
+//!   sized template, the snapshot and its CDF resolution; the ingest,
+//!   windows, epoch, cache, rebuild guard and poison recovery are shared.
+//!   Two kinds exist, each landmark or windowed:
 //!   - [`AttributeSynopsis`] = `Synopsis<CoefficientSketch>`: one
-//!     column, landmark or windowed (slice rings in the shards), whose [`RefreshedSynopsis`]
-//!     (thresholded density + CDF table) answers `selectivity(lo, hi)`.
+//!     column, whose [`RefreshedSynopsis`] (thresholded density + CDF
+//!     table) answers `selectivity(lo, hi)`.
 //!   - [`JointSynopsis`] = `Synopsis<TensorSketch>`: a column pair of
 //!     `(x, y)` rows, whose [`RefreshedJoint`] answers
 //!     `joint_selectivity((a₁, b₁), (a₂, b₂))` — rectangle mass by

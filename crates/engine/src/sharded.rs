@@ -1,22 +1,25 @@
-//! Sharded sketch ingestion: N per-shard sketches filled concurrently and
-//! merged at estimate time. A shard holds either a plain mergeable sketch
-//! ([`CoefficientSketch`], [`TensorSketch`]) or a
-//! [`WindowedSketch`](wavedens_core::WindowedSketch) ring
-//! of time slices; one structure serves landmark and windowed synopses.
+//! Sharded sketch ingestion: N per-shard slice rings filled concurrently
+//! and folded at estimate time. Every shard is a
+//! [`WindowedSketch`] ring of time slices of one [`MergeableSketch`] kind,
+//! 1-D [`CoefficientSketch`] or 2-D
+//! [`TensorSketch`](wavedens_core::TensorSketch); a landmark ingest
+//! is a one-slice ring that never advances, so one structure serves
+//! landmark and windowed synopses of both dimensions.
 //!
 //! Because sketches merge by plain addition of their running sums, any
 //! partition of the rows across shards reproduces — after one merge pass —
 //! exactly the accumulation state a single stream over all rows would
 //! have produced (up to floating-point summation order). Ingestion
-//! therefore parallelises embarrassingly: each shard owns its sketch
+//! therefore parallelises embarrassingly: each shard owns its ring
 //! behind a [`Mutex`], writers touch exactly one shard per batch, and the
 //! merge at estimate time costs one element-wise vector addition per
-//! shard (per live slice for a ring), independent of the number of rows
-//! ingested. A ring folds its live slices through the window policy the
-//! ingest was built with; all rings advance together
+//! live slice per shard, independent of the number of rows ingested. The
+//! rings fold their live slices through the window policy the ingest was
+//! built with; all rings advance together
 //! ([`ShardedIngest::advance_all`]), so they stay aligned slice for slice
 //! and the merged window is the sketch state over exactly the rows of the
-//! live slices.
+//! live slices. Under [`WindowPolicy::Landmark`] the fold weight is 1, so
+//! the fold is bitwise the plain copy-and-merge of the shards.
 //!
 //! # Short critical sections
 //!
@@ -25,30 +28,30 @@
 //! functions while holding the shard lock. It first scatters the whole
 //! batch into a pooled scratch sketch — the expensive per-row, per-level,
 //! per-translation gather — and then locks the shard only for the
-//! element-wise add of the scratch sums ([`CoefficientSketch::merge`];
-//! into the current slice for a ring), whose cost is proportional to the
-//! level table sizes, not to the batch length. Concurrent writers that
-//! land on the same shard therefore no longer serialize the basis
-//! evaluation, only the cheap vector addition. Small batches skip the
-//! detour: their in-lock scatter is already shorter than a full
-//! element-wise merge. An advance holds each ring's lock only for the
-//! O(1) [`advance_swap`](wavedens_core::WindowedSketch::advance_swap): a
-//! cleared pooled scratch swaps in as the fresh slice, and the retired
-//! slice is cleared outside the lock, where the O(level tables) zeroing
-//! cannot stall writers.
+//! element-wise add of the scratch sums into the current slice
+//! ([`MergeableSketch::merge`]), whose cost is proportional to the level
+//! table sizes, not to the batch length. Concurrent writers that land on
+//! the same shard therefore no longer serialize the basis evaluation,
+//! only the cheap vector addition. Small batches skip the detour: their
+//! in-lock scatter is already shorter than a full element-wise merge. An
+//! advance holds each ring's lock only for the O(1)
+//! [`advance_swap`](WindowedSketch::advance_swap): a cleared pooled
+//! scratch swaps in as the fresh slice, and the retired slice is cleared
+//! outside the lock, where the O(level tables) zeroing cannot stall
+//! writers.
 //!
 //! # Bulk loads
 //!
 //! [`ShardedIngest::ingest_parallel`] takes the opposite trade. It splits
 //! the rows into one contiguous share per shard and runs one pool task
-//! per share; task `i` locks shard `i` and pushes its share straight in
-//! (into the current slice for a ring). No scratch sketch is involved,
-//! and which rows reach which shard, and in what order each shard adds
-//! them, depend only on the rows and the shard count. So for a given
-//! shard count the merged state after `ingest_parallel` is bitwise
-//! identical whatever the pool's thread count or timing. The price: a
-//! load uses at most `min(shards, pool threads)` cores, and holds each
-//! shard's lock while its share scatters. The default shard count is
+//! per share; task `i` locks shard `i` and pushes its share straight into
+//! the current slice. No scratch sketch is involved, and which rows reach
+//! which shard, and in what order each shard adds them, depend only on
+//! the rows and the shard count. So for a given shard count the merged
+//! state after `ingest_parallel` is bitwise identical whatever the pool's
+//! thread count or timing. The price: a load uses at most
+//! `min(shards, pool threads)` cores, and holds each shard's lock while
+//! its share scatters. The default shard count is
 //! `available_parallelism`, which is also the global pool's size, so
 //! default configurations lose no parallelism.
 //!
@@ -66,182 +69,19 @@
 //! Propagating that panic to every later ingest and query — what a bare
 //! `lock().expect(…)` does — turns one crashed writer into a permanently
 //! dead attribute. All the state behind these locks is repair-safe, so
-//! the locks recover instead: a poisoned shard is cleared (dropping the
-//! possibly-torn sums of the crashed batch and the shard's earlier rows,
-//! which the running row counter gives back; a ring empties every slice,
-//! since a ring whose slices disagree about time is worse than an empty
-//! one, but keeps its advance clock), a poisoned scratch pool is emptied,
-//! and the poison flag is reset so the repair runs once, not on every
-//! subsequent access.
+//! the locks recover instead: a poisoned ring empties every slice
+//! (dropping the possibly-torn sums of the crashed batch and the shard's
+//! earlier rows, which the running row counter gives back; a ring whose
+//! slices disagree about time is worse than an empty one) but keeps its
+//! advance clock, a poisoned scratch pool is emptied, and the poison flag
+//! is reset so the repair runs once, not on every subsequent access.
 
-use std::fmt::Debug;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard};
-use wavedens_core::{CoefficientSketch, EstimatorError, TensorSketch};
-
-/// The accumulation-state contract sharded ingestion relies on: a sketch
-/// whose state is a plain sum of per-row contributions, so that any
-/// partition of the rows across shard instances merges back into exactly
-/// the single-stream state. Implemented by the 1-D
-/// [`CoefficientSketch`] (rows are scalars) and the 2-D
-/// [`TensorSketch`] (rows are `(x, y)` pairs), which is what lets one
-/// ingest structure serve both marginal and joint synopses.
-pub trait MergeableSketch: Clone + Send + Sync + Debug {
-    /// One observation: `f64` for marginal sketches, `(f64, f64)` for
-    /// joint ones.
-    type Row: Copy + Send + Sync;
-
-    /// Observations accumulated so far.
-    fn count(&self) -> usize;
-
-    /// Whether no observation has been accumulated.
-    fn is_empty(&self) -> bool {
-        self.count() == 0
-    }
-
-    /// Resets to the empty state in place, keeping allocations.
-    fn clear(&mut self);
-
-    /// Accumulates a batch of rows.
-    fn push_rows(&mut self, rows: &[Self::Row]);
-
-    /// Merges a compatible sketch (addition of accumulation state).
-    fn merge(&mut self, other: &Self) -> Result<(), EstimatorError>;
-
-    /// Overwrites this sketch with a compatible source, reusing
-    /// allocations.
-    fn copy_from(&mut self, source: &Self) -> Result<(), EstimatorError>;
-}
-
-impl MergeableSketch for CoefficientSketch {
-    type Row = f64;
-
-    fn count(&self) -> usize {
-        CoefficientSketch::count(self)
-    }
-
-    fn clear(&mut self) {
-        CoefficientSketch::clear(self);
-    }
-
-    fn push_rows(&mut self, rows: &[f64]) {
-        self.push_batch(rows);
-    }
-
-    fn merge(&mut self, other: &Self) -> Result<(), EstimatorError> {
-        CoefficientSketch::merge(self, other)
-    }
-
-    fn copy_from(&mut self, source: &Self) -> Result<(), EstimatorError> {
-        CoefficientSketch::copy_from(self, source)
-    }
-}
-
-/// Joint (2-D) sketches shard exactly like marginal ones; the template
-/// handed to [`ShardedIngest::new`] must be 2-dimensional, since rows
-/// are `(x, y)` pairs ([`TensorSketch::push_pairs`] checks).
-impl MergeableSketch for TensorSketch {
-    type Row = (f64, f64);
-
-    fn count(&self) -> usize {
-        TensorSketch::count(self)
-    }
-
-    fn clear(&mut self) {
-        TensorSketch::clear(self);
-    }
-
-    fn push_rows(&mut self, rows: &[(f64, f64)]) {
-        self.push_pairs(rows);
-    }
-
-    fn merge(&mut self, other: &Self) -> Result<(), EstimatorError> {
-        TensorSketch::merge(self, other)
-    }
-
-    fn copy_from(&mut self, source: &Self) -> Result<(), EstimatorError> {
-        TensorSketch::copy_from(self, source)
-    }
-}
-
-/// Sealed: the trait is public only so it can bound [`ShardedIngest`]'s
-/// parameter; outside this crate it cannot be named or implemented.
-mod shard {
-    use super::{Debug, EstimatorError, MergeableSketch};
-
-    /// What one shard of a `ShardedIngest` holds: a plain mergeable
-    /// sketch (every `MergeableSketch`, below) or a slice ring (the
-    /// `WindowedSketch` impl in `windowed.rs`).
-    pub trait Shard: Clone + Send + Sync + Debug {
-        /// The sketch kind the shards fold into; long streaming batches
-        /// scatter into pooled scratches of this kind.
-        type Merged: MergeableSketch;
-        /// How a fold weights a shard's contents: nothing for a plain
-        /// sketch, the window policy for a ring.
-        type Fold: Copy + Default + Debug + Send + Sync;
-
-        /// Rows the shard holds (a ring: in its live slices).
-        fn rows(&self) -> usize;
-        /// Empties the shard, keeping allocations (a ring keeps its
-        /// advance clock).
-        fn reset(&mut self);
-        /// Pushes a batch of rows (a ring: into its current slice).
-        fn push(&mut self, rows: &[Row<Self>]);
-        /// An empty sketch of the merged kind, compatible with this
-        /// (empty) shard.
-        fn empty_merged(&self) -> Self::Merged;
-        /// Adds an accumulated scratch (a ring: to its current slice).
-        fn absorb(&mut self, scratch: &Self::Merged) -> Result<(), EstimatorError>;
-        /// Folds the shard into `target` through `fold`, overwriting
-        /// `target` when `first` and adding to it otherwise.
-        fn fold_into(
-            &self,
-            target: &mut Self::Merged,
-            fold: Self::Fold,
-            first: bool,
-        ) -> Result<(), EstimatorError>;
-    }
-
-    /// The row type shards of kind `S` ingest.
-    pub type Row<S> = <<S as Shard>::Merged as MergeableSketch>::Row;
-}
-
-pub(crate) use shard::{Row, Shard};
-
-/// A plain sketch is its own shard: pushes and scratches add to it, the
-/// first shard of a fold is copied and the others merged.
-impl<S: MergeableSketch> Shard for S {
-    type Merged = S;
-    type Fold = ();
-
-    fn rows(&self) -> usize {
-        self.count()
-    }
-
-    fn reset(&mut self) {
-        self.clear();
-    }
-
-    fn push(&mut self, rows: &[S::Row]) {
-        self.push_rows(rows);
-    }
-
-    fn empty_merged(&self) -> S {
-        self.clone()
-    }
-
-    fn absorb(&mut self, scratch: &S) -> Result<(), EstimatorError> {
-        self.merge(scratch)
-    }
-
-    fn fold_into(&self, target: &mut S, (): (), first: bool) -> Result<(), EstimatorError> {
-        if first {
-            target.copy_from(self)
-        } else {
-            target.merge(self)
-        }
-    }
-}
+pub use wavedens_core::MergeableSketch;
+use wavedens_core::{
+    CoefficientSketch, EstimatorError, WindowPolicy, WindowSliceMeta, WindowedSketch,
+};
 
 /// Batch length from which [`ShardedIngest::ingest`] scatters outside the
 /// shard lock (into a pooled scratch sketch) and locks only for the
@@ -262,26 +102,28 @@ const MIN_PARALLEL_CHUNK: usize = 256;
 /// duration of their batch.
 const MAX_POOLED_SCRATCH: usize = 8;
 
-/// N per-shard sketches or slice rings with round-robin batch placement,
-/// reproducible one-task-per-shard bulk loads, and (for rings) collective
-/// advance and policy-weighted window merges.
+/// N per-shard slice rings with round-robin batch placement,
+/// reproducible one-task-per-shard bulk loads, collective advance and
+/// policy-weighted window merges.
 ///
-/// Generic over what a shard holds: the default `S = CoefficientSketch`
-/// ingests scalar rows for marginal synopses, `S = TensorSketch` ingests
-/// `(x, y)` pairs for joint ones, and `S = WindowedSketch` keeps a ring of
-/// 1-D time slices per shard (see [`WindowedIngest`](crate::WindowedIngest))
-/// — same sharding, same bulk-load shares, same poison recovery.
+/// Generic over the sketch kind the rings slice: the default
+/// `S = CoefficientSketch` ingests scalar rows for marginal synopses,
+/// `S = TensorSketch` ingests `(x, y)` pairs for joint ones — same
+/// sharding, same bulk-load shares, same windows, same poison recovery.
+/// [`new`](Self::new) builds the landmark form (one-slice rings that
+/// never advance); [`WindowedIngest`](crate::WindowedIngest) the windowed
+/// one.
 #[derive(Debug)]
-pub struct ShardedIngest<S: Shard = CoefficientSketch> {
-    shards: Vec<Mutex<S>>,
-    /// Empty merged-kind sketch that pooled scratches and
-    /// [`merged`](Self::merged) start from.
-    pub(crate) template: S::Merged,
-    /// How every fold weights the shards (a ring's window policy).
-    pub(crate) fold: S::Fold,
+pub struct ShardedIngest<S: MergeableSketch = CoefficientSketch> {
+    shards: Vec<Mutex<WindowedSketch<S>>>,
+    /// Empty sketch that pooled scratches and [`merged`](Self::merged)
+    /// start from.
+    template: S,
+    /// How every fold weights the live slices.
+    policy: WindowPolicy,
     /// Cleared scratch sketches for the out-of-lock scatter path and the
     /// advance swap.
-    scratch: Mutex<Vec<S::Merged>>,
+    scratch: Mutex<Vec<S>>,
     /// Running total of the rows the shards hold, changed only under the
     /// lock of the shard whose rows it counts (see the module docs), so
     /// [`total_count`](Self::total_count) (and the staleness checks built
@@ -290,38 +132,38 @@ pub struct ShardedIngest<S: Shard = CoefficientSketch> {
     next: AtomicUsize,
 }
 
-impl<S: Shard> ShardedIngest<S> {
-    /// Creates `shards ≥ 1` shards, each an empty clone of `template`.
+impl<S: MergeableSketch> ShardedIngest<S> {
+    /// Creates `shards ≥ 1` landmark shards, each a one-slice ring over an
+    /// empty clone of `template`.
     ///
     /// The template carries the basis, interval and resolution levels; it
     /// must be empty so that every shard starts from the same zero state.
     pub fn new(template: &S, shards: usize) -> Result<Self, EstimatorError> {
-        Self::with_fold(template.clone(), shards, S::Fold::default())
+        Self::with_window(template, shards, WindowPolicy::Landmark)
     }
 
-    /// [`new`](Self::new) from an owned template, which becomes the last
-    /// shard, with every fold weighting the shards through `fold`.
-    pub(crate) fn with_fold(
-        template: S,
+    /// Creates `shards ≥ 1` shards, each a ring of the size `policy` calls
+    /// for (one slice under [`WindowPolicy::Landmark`]), every slice an
+    /// empty clone of `template`. Fails on invalid policy parameters and
+    /// on a nonempty template.
+    pub(crate) fn with_window(
+        template: &S,
         shards: usize,
-        fold: S::Fold,
+        policy: WindowPolicy,
     ) -> Result<Self, EstimatorError> {
-        if template.rows() != 0 {
-            return Err(EstimatorError::InvalidParameter {
-                message: format!(
-                    "shard template must be an empty sketch, it has {} observations",
-                    template.rows()
-                ),
-            });
-        }
+        policy.validate()?;
+        let ring = WindowedSketch::new(template, policy.ring_slices().unwrap_or(1))?;
         Ok(Self {
-            template: template.empty_merged(),
-            // `vec!` clones the template for all but the last shard.
-            shards: vec![template; shards.max(1)]
+            template: ring
+                .slice(0)
+                .expect("the current slice is always live")
+                .clone(),
+            // `vec!` clones the ring for all but the last shard.
+            shards: vec![ring; shards.max(1)]
                 .into_iter()
                 .map(Mutex::new)
                 .collect(),
-            fold,
+            policy,
             scratch: Mutex::new(Vec::new()),
             rows: AtomicUsize::new(0),
             next: AtomicUsize::new(0),
@@ -334,9 +176,9 @@ impl<S: Shard> ShardedIngest<S> {
     }
 
     /// Rows the shards currently hold — every ingested row, or the rows
-    /// live in the window for rings — read from the atomic running
-    /// counter: O(1) and lock-free. The counter moves under the shard
-    /// locks, so it never reports rows the shards do not contain.
+    /// live in the window for a windowed ingest — read from the atomic
+    /// running counter: O(1) and lock-free. The counter moves under the
+    /// shard locks, so it never reports rows the shards do not contain.
     pub fn total_count(&self) -> usize {
         self.rows.load(Ordering::Acquire)
     }
@@ -347,13 +189,13 @@ impl<S: Shard> ShardedIngest<S> {
     }
 
     /// Locks shard `index`, recovering from a poisoned mutex. The panicked
-    /// writer may have left the shard mid-scatter with torn sums, so the
-    /// repair drops the shard's accumulation wholesale: reset the shard,
-    /// give its rows back to the running counter, and reset the poison
-    /// flag so the repair runs exactly once per crash. Later ingests and
-    /// merges then see a structurally sound (merely smaller) shard
-    /// instead of a propagated panic.
-    fn lock_shard(&self, index: usize) -> MutexGuard<'_, S> {
+    /// writer may have left the ring mid-scatter with torn sums, so the
+    /// repair drops the ring's accumulation wholesale: empty every slice
+    /// (keeping the advance clock), give its rows back to the running
+    /// counter, and reset the poison flag so the repair runs exactly once
+    /// per crash. Later ingests and merges then see a structurally sound
+    /// (merely smaller) shard instead of a propagated panic.
+    fn lock_shard(&self, index: usize) -> MutexGuard<'_, WindowedSketch<S>> {
         self.shards[index].lock().unwrap_or_else(|poisoned| {
             let mut guard = poisoned.into_inner();
             self.shards[index].clear_poison();
@@ -361,8 +203,8 @@ impl<S: Shard> ShardedIngest<S> {
             // a batch lands), so only previously landed rows are
             // subtracted; `forget` saturates rather than assume the
             // interleaving.
-            self.forget(guard.rows());
-            guard.reset();
+            self.forget(guard.count());
+            guard.clear_slices();
             guard
         })
     }
@@ -378,20 +220,20 @@ impl<S: Shard> ShardedIngest<S> {
 
     /// Runs `write` on shard `index` under its lock and counts `rows`
     /// before the lock is released.
-    fn write_shard(&self, index: usize, rows: usize, write: impl FnOnce(&mut S)) {
+    fn write_shard(&self, index: usize, rows: usize, write: impl FnOnce(&mut WindowedSketch<S>)) {
         let mut shard = self.lock_shard(index);
         write(&mut shard);
         self.rows.fetch_add(rows, Ordering::Release);
     }
 
-    /// Ingests one batch into a single shard, chosen round-robin so that
-    /// concurrent writers spread across shards and rarely contend on the
-    /// same mutex.
+    /// Ingests one batch into the current slice of a single shard, chosen
+    /// round-robin so that concurrent writers spread across shards and
+    /// rarely contend on the same mutex.
     ///
     /// Batches of `SCATTER_OUTSIDE_LOCK_MIN` rows or more scatter into a
     /// pooled scratch sketch *before* taking the shard lock, which is then
     /// held only for the element-wise add — see the module docs.
-    pub fn ingest(&self, values: &[Row<S>]) {
+    pub fn ingest(&self, values: &[S::Row]) {
         if values.is_empty() {
             return;
         }
@@ -399,25 +241,25 @@ impl<S: Shard> ShardedIngest<S> {
         if values.len() >= SCATTER_OUTSIDE_LOCK_MIN {
             let mut local = self.take_scratch();
             local.push_rows(values);
-            self.write_shard(shard, values.len(), |shard| {
-                shard
-                    .absorb(&local)
+            self.write_shard(shard, values.len(), |ring| {
+                ring.merge_into_current(&local)
                     .expect("scratch is cloned from the shard template")
             });
             self.return_scratch(local);
         } else {
-            self.write_shard(shard, values.len(), |shard| shard.push(values));
+            self.write_shard(shard, values.len(), |ring| ring.push_batch(values));
         }
     }
 
     /// Bulk-loads `values` with one task per shard on the global
     /// work-stealing pool ([`workpool::WorkPool`]): the rows split into
     /// one contiguous share per shard, and task `i` locks shard `i` and
-    /// pushes its share straight in, with no scratch sketch. Shares hold
-    /// at least `MIN_PARALLEL_CHUNK` rows, so a small load uses fewer
-    /// tasks than shards; with a single shard, or a load that fits one
-    /// share, the rows are pushed inline under the lock of the next
-    /// round-robin shard, no pool involved. An empty load does nothing.
+    /// pushes its share straight into the current slice, with no scratch
+    /// sketch. Shares hold at least `MIN_PARALLEL_CHUNK` rows, so a small
+    /// load uses fewer tasks than shards; with a single shard, or a load
+    /// that fits one share, the rows are pushed inline under the lock of
+    /// the next round-robin shard, no pool involved. An empty load does
+    /// nothing.
     ///
     /// For a given shard count, the merged state after `ingest_parallel`
     /// is bitwise identical whatever the pool's thread count or timing:
@@ -427,14 +269,14 @@ impl<S: Shard> ShardedIngest<S> {
     /// The trade: a load uses at most `min(shards, pool threads)` cores,
     /// and holds each shard's lock while its share scatters, so a
     /// concurrent [`ingest`](Self::ingest) to that shard waits for it.
-    pub fn ingest_parallel(&self, values: &[Row<S>]) {
+    pub fn ingest_parallel(&self, values: &[S::Row]) {
         if values.is_empty() {
             return;
         }
         let shards = self.shards.len();
         let share = values.len().div_ceil(shards).max(MIN_PARALLEL_CHUNK);
-        let push = |shard: usize, rows: &[Row<S>]| {
-            self.write_shard(shard, rows.len(), |shard| shard.push(rows));
+        let push = |shard: usize, rows: &[S::Row]| {
+            self.write_shard(shard, rows.len(), |ring| ring.push_batch(rows));
         };
         if shards == 1 || values.len() <= share {
             push(self.next.fetch_add(1, Ordering::Relaxed) % shards, values);
@@ -446,21 +288,11 @@ impl<S: Shard> ShardedIngest<S> {
         }
     }
 
-    /// Visits every shard in index order, each under its own lock, so
-    /// concurrent writers are stalled for at most one visit each. Stops
-    /// at the first error.
-    pub(crate) fn for_each_shard(
-        &self,
-        mut visit: impl FnMut(usize, &S) -> Result<(), EstimatorError>,
-    ) -> Result<(), EstimatorError> {
-        (0..self.shards.len()).try_for_each(|index| visit(index, &self.lock_shard(index)))
-    }
-
     /// Merges all shards into one sketch — the accumulation state a single
-    /// stream over every ingested row would have produced (for rings: the
-    /// policy-weighted window over the live slices). A clone of the
-    /// template followed by [`merge_into`](Self::merge_into).
-    pub fn merged(&self) -> Result<S::Merged, EstimatorError> {
+    /// stream over every ingested row would have produced (for a windowed
+    /// ingest: the policy-weighted window over the live slices). A clone
+    /// of the template followed by [`merge_into`](Self::merge_into).
+    pub fn merged(&self) -> Result<S, EstimatorError> {
         let mut merged = self.template.clone();
         self.merge_into(&mut merged)?;
         Ok(merged)
@@ -472,34 +304,89 @@ impl<S: Shard> ShardedIngest<S> {
     /// shard template (any previous merge result is); its prior contents
     /// are overwritten, and its level stamps advance strictly, so
     /// `CvCache`/`DenseEvalCache` consumers stay sound across advances.
-    pub fn merge_into(&self, target: &mut S::Merged) -> Result<(), EstimatorError> {
-        self.for_each_shard(|index, shard| shard.fold_into(target, self.fold, index == 0))
+    /// Each shard is locked in turn, so concurrent writers are stalled
+    /// for at most one ring's fold each.
+    pub fn merge_into(&self, target: &mut S) -> Result<(), EstimatorError> {
+        (0..self.shards.len()).try_for_each(|index| {
+            self.lock_shard(index)
+                .merge_window_into(target, self.policy, index == 0)
+        })
     }
 
-    /// Swaps a cleared pooled scratch into every shard in turn: `swap`
-    /// gets the shard under its lock and the scratch, and returns the
-    /// sketch the shard gives up, whose rows leave the running counter
-    /// before the lock is released. The given-up sketch is cleared
-    /// outside the lock and pooled. Returns the rows that left.
-    pub(crate) fn swap_each(&self, swap: impl Fn(&mut S, S::Merged) -> S::Merged) -> usize {
+    /// Advances performed so far: the rings' shared advance clock (a
+    /// poison repair empties a ring but keeps its clock).
+    pub fn advances(&self) -> u64 {
+        (0..self.shards.len())
+            .map(|index| self.lock_shard(index).advances())
+            .max()
+            .unwrap_or(0)
+    }
+
+    /// Closes the current time slice on every shard and retires the
+    /// oldest when the rings are full. Returns the number of rows that
+    /// left the window. Does nothing and returns 0 under
+    /// [`WindowPolicy::Landmark`], whose one-slice rings never advance.
+    ///
+    /// Each shard's lock is held only for the O(1)
+    /// [`advance_swap`](WindowedSketch::advance_swap) — a cleared scratch
+    /// sketch swaps in as the fresh slice, the retired slice's rows leave
+    /// the running counter before the lock is released, and the retired
+    /// slice is cleared and pooled outside the lock. Concurrent writers
+    /// racing an advance land their batch atomically in either the old or
+    /// the new slice, never torn across both, and the row counter follows
+    /// them exactly.
+    pub fn advance_all(&self) -> usize {
+        if !self.policy.is_windowed() {
+            return 0;
+        }
         let mut left = 0;
         for index in 0..self.shards.len() {
             let fresh = self.take_scratch();
-            let mut shard = self.lock_shard(index);
-            let given_up = swap(&mut shard, fresh);
-            self.forget(given_up.count());
-            drop(shard);
-            left += given_up.count();
-            self.return_scratch(given_up);
+            let mut ring = self.lock_shard(index);
+            let retired = ring
+                .advance_swap(fresh)
+                .expect("scratch is cloned from the slice template");
+            self.forget(retired.count());
+            drop(ring);
+            left += retired.count();
+            self.return_scratch(retired);
         }
         left
+    }
+
+    /// Ships the current (age-0) time slice merged across all shards as a
+    /// windowed frame. Receivers with window support place it in their
+    /// own ring via `from_bytes_with_window`; plain `from_bytes`
+    /// consumers read it as an ordinary sketch. Fails with
+    /// [`EstimatorError::InvalidParameter`] under
+    /// [`WindowPolicy::Landmark`], which keeps no window slices.
+    pub fn ship_current_slice(&self) -> Result<Vec<u8>, EstimatorError> {
+        if !self.policy.is_windowed() {
+            return Err(EstimatorError::InvalidParameter {
+                message: "a landmark synopsis keeps no window slices to ship".to_string(),
+            });
+        }
+        let mut current = self.template.clone();
+        let mut meta = WindowSliceMeta {
+            slice_age: 0,
+            ring_slices: 1,
+            advances: 0,
+            decay_lambda: self.policy.decay_lambda(),
+        };
+        for index in 0..self.shards.len() {
+            let ring = self.lock_shard(index);
+            meta.ring_slices = ring.ring_slices() as u32;
+            meta.advances = meta.advances.max(ring.advances());
+            current.merge(ring.slice(0).expect("the current slice is always live"))?;
+        }
+        Ok(current.to_bytes_with_window(&meta))
     }
 
     /// Locks the scratch pool, recovering from poisoning by emptying it:
     /// pooled scratches are cheap to re-clone from the template, so
     /// dropping them is always a safe repair. Clears the poison flag — the
     /// repair runs once.
-    fn lock_scratch(&self) -> MutexGuard<'_, Vec<S::Merged>> {
+    fn lock_scratch(&self) -> MutexGuard<'_, Vec<S>> {
         self.scratch.lock().unwrap_or_else(|poisoned| {
             let mut pool = poisoned.into_inner();
             self.scratch.clear_poison();
@@ -511,7 +398,7 @@ impl<S: Shard> ShardedIngest<S> {
     /// Pops a cleared scratch sketch from the pool, cloning the template
     /// when the pool is dry (first use, or more concurrent writers than
     /// pooled scratches).
-    fn take_scratch(&self) -> S::Merged {
+    fn take_scratch(&self) -> S {
         self.lock_scratch()
             .pop()
             .unwrap_or_else(|| self.template.clone())
@@ -519,7 +406,7 @@ impl<S: Shard> ShardedIngest<S> {
 
     /// Clears a scratch sketch (keeping its allocations) and returns it to
     /// the pool, unless the pool is already full.
-    fn return_scratch(&self, mut sketch: S::Merged) {
+    fn return_scratch(&self, mut sketch: S) {
         sketch.clear();
         let mut pool = self.lock_scratch();
         if pool.len() < MAX_POOLED_SCRATCH {
@@ -528,19 +415,19 @@ impl<S: Shard> ShardedIngest<S> {
     }
 }
 
-impl<S: Shard> Clone for ShardedIngest<S> {
+impl<S: MergeableSketch> Clone for ShardedIngest<S> {
     fn clone(&self) -> Self {
         // Clone the shard contents first so the row counter can be
         // recomputed from exactly the cloned state: the clone is then
         // self-consistent even if writers raced the per-shard locks.
-        let shards: Vec<S> = (0..self.shards.len())
+        let shards: Vec<WindowedSketch<S>> = (0..self.shards.len())
             .map(|shard| self.lock_shard(shard).clone())
             .collect();
-        let rows = shards.iter().map(Shard::rows).sum();
+        let rows = shards.iter().map(WindowedSketch::count).sum();
         Self {
             shards: shards.into_iter().map(Mutex::new).collect(),
             template: self.template.clone(),
-            fold: self.fold,
+            policy: self.policy,
             scratch: Mutex::new(Vec::new()),
             rows: AtomicUsize::new(rows),
             next: AtomicUsize::new(self.next.load(Ordering::Relaxed)),
@@ -553,7 +440,7 @@ mod tests {
     use super::*;
     use crate::WindowedIngest;
     use rand::Rng;
-    use wavedens_core::WindowPolicy;
+    use wavedens_core::TensorSketch;
     use wavedens_processes::seeded_rng;
 
     fn sample(n: usize, seed: u64) -> Vec<f64> {
@@ -706,7 +593,8 @@ mod tests {
         {
             let mut expected = template(4000);
             expected.push_batch(share);
-            assert_eq!(shard.lock().unwrap().to_bytes(), expected.to_bytes());
+            let ring = shard.lock().unwrap();
+            assert_eq!(ring.slice(0).unwrap().to_bytes(), expected.to_bytes());
         }
         // A streaming batch of the same length still takes the scratch.
         sharded.ingest(&data);

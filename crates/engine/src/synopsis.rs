@@ -3,14 +3,13 @@
 //! over the sketch kind ([`SynopsisSketch`]): [`AttributeSynopsis`] is the
 //! 1-D kind, [`JointSynopsis`](crate::JointSynopsis) the 2-D one.
 
-use crate::sharded::{MergeableSketch, Shard, ShardedIngest};
+use crate::sharded::{MergeableSketch, ShardedIngest};
 use std::fmt::Debug;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, TryLockError};
 use wavedens_core::{
     CoefficientSketch, CompactionPolicy, CumulativeEstimate, CvCache, DenseEvalCache,
-    EstimatorError, ThresholdRule, WaveletDensityEstimate, WindowPolicy, WindowedSketch,
-    DEFAULT_CDF_POINTS,
+    EstimatorError, ThresholdRule, WaveletDensityEstimate, WindowPolicy, DEFAULT_CDF_POINTS,
 };
 
 /// Configuration of a [`Synopsis`], marginal or joint.
@@ -38,10 +37,10 @@ pub struct SynopsisConfig {
     pub cdf_points: usize,
     /// How the synopsis weights history (default
     /// [`WindowPolicy::Landmark`]: one lifetime sketch per shard).
-    /// Windowed policies keep a ring of time slices per shard, in the
-    /// same [`ShardedIngest`] (a landmark marginal synopsis is a
-    /// one-slice ring that never advances); marginal synopses only, joint
-    /// synopses reject them. See [`AttributeSynopsis::advance`].
+    /// Every shard of the [`ShardedIngest`] is a ring of time slices: a
+    /// one-slice ring that never advances under the landmark policy, the
+    /// ring the policy calls for otherwise. Marginal and joint synopses
+    /// take the same policies. See [`Synopsis::advance`].
     pub window: WindowPolicy,
 }
 
@@ -158,19 +157,15 @@ impl RefreshedSynopsis {
 /// A sketch kind a [`Synopsis`] can serve: a [`MergeableSketch`] plus the
 /// four things that differ between the 1-D and 2-D synopses.
 pub trait SynopsisSketch: MergeableSketch {
-    /// What each ingest shard holds, folding into this kind: a slice ring
-    /// for 1-D synopses, the sketch itself for 2-D ones.
-    type Shard: Shard<Merged = Self>;
     /// The immutable refreshed estimate readers share.
     type Snapshot: Debug + Send + Sync;
     /// Incremental state a rebuild keeps for the next one (reset after a
     /// panicked rebuild).
     type RebuildCache: Debug + Default + Send;
 
-    /// Builds the empty ingest structure for `config`: a template sketch
-    /// sized for `config.expected_rows`, sharded `config.shards` ways.
-    /// Fails on a window policy this kind cannot serve.
-    fn ingest_for(config: &SynopsisConfig) -> Result<ShardedIngest<Self::Shard>, EstimatorError>;
+    /// The empty sketch every shard slice starts from, sized for
+    /// `config.expected_rows`.
+    fn template(config: &SynopsisConfig) -> Result<Self, EstimatorError>;
 
     /// Runs model selection and CDF construction on a merged sketch, with
     /// `config`'s rule and its `cdf_points` clamped to what this kind
@@ -193,21 +188,14 @@ pub trait SynopsisSketch: MergeableSketch {
     fn to_bytes(&self) -> Vec<u8>;
 }
 
-/// The 1-D kind: scalar rows, one slice ring per shard, and an
-/// incremental rebuild through a [`CvCache`] and a [`DenseEvalCache`].
+/// The 1-D kind: scalar rows and an incremental rebuild through a
+/// [`CvCache`] and a [`DenseEvalCache`].
 impl SynopsisSketch for CoefficientSketch {
-    type Shard = WindowedSketch;
     type Snapshot = RefreshedSynopsis;
     type RebuildCache = (CvCache, DenseEvalCache);
 
-    /// A landmark synopsis is a one-slice ring that never advances: its
-    /// fold under [`WindowPolicy::Landmark`] (weight 1) is bitwise the
-    /// plain copy-and-merge.
-    fn ingest_for(config: &SynopsisConfig) -> Result<ShardedIngest<Self::Shard>, EstimatorError> {
-        config.window.validate()?;
-        let template = Self::sized_for(config.expected_rows.max(16))?;
-        let ring = WindowedSketch::new(&template, config.window.ring_slices().unwrap_or(1))?;
-        ShardedIngest::with_fold(ring, config.shards, config.window)
+    fn template(config: &SynopsisConfig) -> Result<Self, EstimatorError> {
+        Self::sized_for(config.expected_rows.max(16))
     }
 
     fn snapshot(
@@ -269,7 +257,7 @@ type RefreshState<S> = (Option<S>, <S as SynopsisSketch>::RebuildCache);
 ///   incremental state.
 #[derive(Debug)]
 pub struct Synopsis<S: SynopsisSketch> {
-    backend: ShardedIngest<S::Shard>,
+    backend: ShardedIngest<S>,
     /// The configuration this synopsis was built from (kept verbatim so
     /// the catalog can detect config conflicts between attributes and
     /// pairs).
@@ -290,13 +278,19 @@ pub struct Synopsis<S: SynopsisSketch> {
 pub type AttributeSynopsis = Synopsis<CoefficientSketch>;
 
 impl<S: SynopsisSketch> Synopsis<S> {
-    /// Creates an empty synopsis from a configuration. Fails on invalid
+    /// Creates an empty synopsis from a configuration: `config.shards`
+    /// rings of the size `config.window` calls for (one slice under
+    /// [`WindowPolicy::Landmark`]), every slice an empty
+    /// [`template`](SynopsisSketch::template). Fails on invalid
     /// window-policy parameters (zero-slice sliding window, decay factor
-    /// outside `(0, 1]`) and on a window policy the sketch kind cannot
-    /// serve (joint synopses are landmark-only).
+    /// outside `(0, 1]`) and on a template the sketch kind cannot build.
     pub fn new(config: &SynopsisConfig) -> Result<Self, EstimatorError> {
         Ok(Self {
-            backend: S::ingest_for(config)?,
+            backend: ShardedIngest::with_window(
+                &S::template(config)?,
+                config.shards,
+                config.window,
+            )?,
             config: config.clone(),
             epoch: AtomicU64::new(0),
             cache: RwLock::new(None),
@@ -390,6 +384,36 @@ impl<S: SynopsisSketch> Synopsis<S> {
     /// `from_bytes` and merged (or estimated) where it lands.
     pub fn ship(&self, policy: CompactionPolicy) -> Result<Vec<u8>, EstimatorError> {
         Ok(self.compacted_sketch(policy)?.to_bytes())
+    }
+
+    /// The window policy this synopsis weights history with
+    /// ([`WindowPolicy::Landmark`] unless configured otherwise).
+    pub fn window_policy(&self) -> WindowPolicy {
+        self.config.window
+    }
+
+    /// Closes the current time slice of a windowed synopsis: every shard
+    /// ring rotates, the oldest slice retires when the rings are full,
+    /// and the cache is marked stale so the next query refreshes over the
+    /// new window. Returns `true` when an advance happened; `false` (and
+    /// does nothing) on a landmark synopsis, whose one-slice rings never
+    /// advance.
+    pub fn advance(&self) -> bool {
+        if !self.config.window.is_windowed() {
+            return false;
+        }
+        self.backend.advance_all();
+        self.epoch.fetch_add(1, Ordering::Release);
+        true
+    }
+
+    /// Ships the current (age-0) time slice of a windowed synopsis as a
+    /// windowed wire frame (the compact frame with its window block set);
+    /// receivers that have no use for the window restore it as a plain
+    /// sketch. Fails with [`EstimatorError::InvalidParameter`] on a
+    /// landmark synopsis.
+    pub fn ship_window_slice(&self) -> Result<Vec<u8>, EstimatorError> {
+        self.backend.ship_current_slice()
     }
 
     /// The latest built snapshot without any rebuild work — the
@@ -552,43 +576,8 @@ pub(crate) fn or_zero(answer: Result<f64, EstimatorError>) -> f64 {
     }
 }
 
-/// The 1-D-only surface: windows and scalar range queries.
+/// The 1-D-only surface: scalar range queries.
 impl Synopsis<CoefficientSketch> {
-    /// The window policy this synopsis weights history with
-    /// ([`WindowPolicy::Landmark`] unless configured otherwise).
-    pub fn window_policy(&self) -> WindowPolicy {
-        self.config.window
-    }
-
-    /// Closes the current time slice of a windowed synopsis: every shard
-    /// ring rotates, the oldest slice retires when the rings are full,
-    /// and the cache is marked stale so the next query refreshes over the
-    /// new window. Returns `true` when an advance happened; `false` (and
-    /// does nothing) on a landmark synopsis, which keeps no slices.
-    pub fn advance(&self) -> bool {
-        if !self.config.window.is_windowed() {
-            return false;
-        }
-        self.backend.advance_all();
-        self.epoch.fetch_add(1, Ordering::Release);
-        true
-    }
-
-    /// Ships the current (age-0) time slice of a windowed synopsis as a
-    /// windowed wire frame (the compact frame with its window block set);
-    /// receivers that have no use for the window restore it as a plain
-    /// sketch.
-    /// Fails with [`EstimatorError::InvalidParameter`] on a landmark
-    /// synopsis.
-    pub fn ship_window_slice(&self) -> Result<Vec<u8>, EstimatorError> {
-        if !self.config.window.is_windowed() {
-            return Err(EstimatorError::InvalidParameter {
-                message: "a landmark synopsis keeps no window slices to ship".to_string(),
-            });
-        }
-        self.backend.ship_current_slice()
-    }
-
     /// Ingests from an iterator in fixed-size batches (bounded memory for
     /// lazy or unbounded sources), using the same chunk policy as
     /// [`CoefficientSketch::extend`].

@@ -1,148 +1,52 @@
-//! Windowed sketch ingestion: [`ShardedIngest`] over [`WindowedSketch`]
-//! rings.
+//! Windowed sketch ingestion: [`WindowedIngest`], a [`ShardedIngest`]
+//! built from a windowed [`WindowPolicy`].
 //!
-//! Each shard owns a full ring of time slices; batches and bulk-load
-//! shares land in the shard's *current* slice exactly as they land in a
-//! plain shard (round-robin placement, scatter-outside-the-lock for long
-//! streaming batches, one task per shard for bulk loads, the same row
-//! counter and poison repair — see the [`sharded`](crate::sharded) module
-//! docs). [`advance_all`](ShardedIngest::advance_all) closes the current
-//! time slice on every shard. Because all shards advance together, the
-//! shard rings stay aligned slice-for-slice and the merged window over
-//! all shards is the mergeable-sketch state over exactly the rows of the
-//! live slices, folded through the ingest's [`WindowPolicy`].
+//! Every shard of a [`ShardedIngest`] is a ring of time slices, for 1-D
+//! and 2-D sketches alike; batches and bulk-load shares land in the
+//! shard's *current* slice (round-robin placement, scatter-outside-the-lock
+//! for long streaming batches, one task per shard for bulk loads, the
+//! same row counter and poison repair — see the [`sharded`](crate::sharded)
+//! module docs). [`advance_all`](ShardedIngest::advance_all) closes the
+//! current time slice on every shard. Because all shards advance
+//! together, the shard rings stay aligned slice-for-slice and the merged
+//! window over all shards is the mergeable-sketch state over exactly the
+//! rows of the live slices, folded through the ingest's [`WindowPolicy`].
 //!
-//! A landmark 1-D synopsis uses the same structure with one-slice rings
-//! that never advance, folded under [`WindowPolicy::Landmark`] (weight 1,
+//! [`ShardedIngest::new`] builds the landmark form: one-slice rings that
+//! never advance, folded under [`WindowPolicy::Landmark`] (weight 1,
 //! bitwise a plain merge). [`WindowedIngest`] is the name for rings built
 //! from a windowed policy.
 
-use crate::sharded::{Shard, ShardedIngest};
+use crate::sharded::{MergeableSketch, ShardedIngest};
 use std::ops::Deref;
-use wavedens_core::{
-    CoefficientSketch, EstimatorError, WindowPolicy, WindowSliceMeta, WindowedSketch,
-};
-
-/// A ring is a shard whose pushes and scratches land in its current
-/// slice and whose fold weights each live slice through the policy.
-impl Shard for WindowedSketch {
-    type Merged = CoefficientSketch;
-    type Fold = WindowPolicy;
-
-    fn rows(&self) -> usize {
-        self.count()
-    }
-
-    fn reset(&mut self) {
-        self.clear_slices();
-    }
-
-    fn push(&mut self, rows: &[f64]) {
-        self.push_batch(rows);
-    }
-
-    fn empty_merged(&self) -> CoefficientSketch {
-        self.slice(0)
-            .expect("the current slice is always live")
-            .clone()
-    }
-
-    fn absorb(&mut self, scratch: &CoefficientSketch) -> Result<(), EstimatorError> {
-        self.merge_into_current(scratch)
-    }
-
-    fn fold_into(
-        &self,
-        target: &mut CoefficientSketch,
-        policy: WindowPolicy,
-        first: bool,
-    ) -> Result<(), EstimatorError> {
-        if first {
-            self.merge_window_into(target, policy)
-        } else {
-            self.merge_window_append(target, policy)
-        }
-    }
-}
-
-/// Collective advance and current-slice shipping for ring shards.
-impl ShardedIngest<WindowedSketch> {
-    /// Advances performed so far: the rings' shared advance clock (a
-    /// poison repair empties a ring but keeps its clock).
-    pub fn advances(&self) -> u64 {
-        let mut advances = 0;
-        let _ = self.for_each_shard(|_, ring| {
-            advances = advances.max(ring.advances());
-            Ok(())
-        });
-        advances
-    }
-
-    /// Closes the current time slice on every shard and retires the
-    /// oldest when the rings are full. Returns the number of rows that
-    /// left the window.
-    ///
-    /// Each shard's lock is held only for the O(1)
-    /// [`advance_swap`](WindowedSketch::advance_swap) — a cleared scratch
-    /// sketch swaps in as the fresh slice, and the retired slice is
-    /// cleared (the O(level tables) part) outside the lock. Concurrent
-    /// writers racing an advance land their batch atomically in either
-    /// the old or the new slice, never torn across both, and the row
-    /// counter follows them exactly.
-    pub fn advance_all(&self) -> usize {
-        self.swap_each(|ring, fresh| {
-            ring.advance_swap(fresh)
-                .expect("scratch is cloned from the slice template")
-        })
-    }
-
-    /// Ships the current (age-0) time slice merged across all shards as a
-    /// windowed frame. Receivers with window support place it in their
-    /// own ring via `CoefficientSketch::from_bytes_with_window`; plain
-    /// `from_bytes` consumers read it as an ordinary sketch.
-    pub fn ship_current_slice(&self) -> Result<Vec<u8>, EstimatorError> {
-        let mut current = self.template.clone();
-        let mut meta = WindowSliceMeta {
-            slice_age: 0,
-            ring_slices: 1,
-            advances: 0,
-            decay_lambda: self.fold.decay_lambda(),
-        };
-        self.for_each_shard(|_, ring| {
-            meta.ring_slices = ring.ring_slices() as u32;
-            meta.advances = meta.advances.max(ring.advances());
-            current.merge(ring.slice(0).expect("the current slice is always live"))
-        })?;
-        Ok(current.to_bytes_with_window(&meta))
-    }
-}
+use wavedens_core::{CoefficientSketch, EstimatorError, WindowPolicy};
 
 /// N per-shard windowed sketch rings with round-robin batch placement,
 /// collective advance, and policy-weighted window merges: a
-/// [`ShardedIngest<WindowedSketch>`] built from a windowed
-/// [`WindowPolicy`], which it dereferences to for ingest, merges and
-/// advances.
+/// [`ShardedIngest`] built from a windowed [`WindowPolicy`], which it
+/// dereferences to for ingest, merges and advances. Generic over the
+/// sketch kind the rings slice, like [`ShardedIngest`].
 #[derive(Debug, Clone)]
-pub struct WindowedIngest(ShardedIngest<WindowedSketch>);
+pub struct WindowedIngest<S: MergeableSketch = CoefficientSketch>(ShardedIngest<S>);
 
-impl WindowedIngest {
+impl<S: MergeableSketch> WindowedIngest<S> {
     /// Creates `shards ≥ 1` shards, each a ring of the size `policy`
     /// calls for, every slice an empty clone of `template`. Fails on
     /// [`WindowPolicy::Landmark`] (no ring to keep — use
-    /// [`ShardedIngest`]) and on invalid policy parameters or a nonempty
-    /// template.
-    pub fn new(
-        template: &CoefficientSketch,
-        shards: usize,
-        policy: WindowPolicy,
-    ) -> Result<Self, EstimatorError> {
-        let ring = WindowedSketch::from_policy(template, policy)?;
-        ShardedIngest::with_fold(ring, shards, policy).map(Self)
+    /// [`ShardedIngest::new`]) and on invalid policy parameters or a
+    /// nonempty template.
+    pub fn new(template: &S, shards: usize, policy: WindowPolicy) -> Result<Self, EstimatorError> {
+        if !policy.is_windowed() {
+            return Err(EstimatorError::InvalidParameter {
+                message: "a landmark ingest keeps no slice ring".to_string(),
+            });
+        }
+        ShardedIngest::with_window(template, shards, policy).map(Self)
     }
 }
 
-impl Deref for WindowedIngest {
-    type Target = ShardedIngest<WindowedSketch>;
+impl<S: MergeableSketch> Deref for WindowedIngest<S> {
+    type Target = ShardedIngest<S>;
 
     fn deref(&self) -> &Self::Target {
         &self.0
@@ -153,6 +57,7 @@ impl Deref for WindowedIngest {
 mod tests {
     use super::*;
     use rand::Rng;
+    use wavedens_core::TensorSketch;
     use wavedens_processes::seeded_rng;
 
     fn sample(n: usize, seed: u64) -> Vec<f64> {
@@ -288,5 +193,35 @@ mod tests {
             assert_eq!(windowed.merged().unwrap().count(), 0, "trial {trial}");
             assert_eq!(windowed.total_count(), 0, "trial {trial}");
         }
+    }
+
+    /// Joint rings shard like marginal ones: after retirements, a sliding
+    /// window of `(x, y)` pairs over two shards is bitwise the merged
+    /// frame of a fresh ingest fed only the surviving batches.
+    #[test]
+    fn sliding_pair_window_is_bitwise_the_fresh_ingest_on_survivors() {
+        let mut rng = seeded_rng(50);
+        let batches: Vec<Vec<(f64, f64)>> = (0..4)
+            .map(|i| (0..600 + 100 * i).map(|_| (rng.gen(), rng.gen())).collect())
+            .collect();
+        let template = TensorSketch::sized_for_pairs(1024).unwrap();
+        let policy = WindowPolicy::SlidingSlices(2);
+        let fed = |batches: &[Vec<(f64, f64)>]| {
+            let windowed = WindowedIngest::new(&template, 2, policy).unwrap();
+            for (i, batch) in batches.iter().enumerate() {
+                if i > 0 {
+                    windowed.advance_all();
+                }
+                windowed.ingest_parallel(batch);
+            }
+            windowed
+        };
+        let windowed = fed(&batches);
+        let fresh = fed(&batches[2..]);
+        assert_eq!(windowed.total_count(), batches[2].len() + batches[3].len());
+        assert_eq!(
+            windowed.merged().unwrap().to_bytes(),
+            fresh.merged().unwrap().to_bytes()
+        );
     }
 }

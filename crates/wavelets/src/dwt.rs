@@ -1,9 +1,10 @@
 //! Periodised discrete wavelet transform (Mallat's pyramid algorithm).
 //!
 //! The density estimator itself works with empirical coefficients computed
-//! directly from data points, but the DWT is needed by downstream users that
-//! compress or denoise *binned* data (e.g. the selectivity crate's compact
-//! synopses) and by tests that cross-check Besov norms. The transform uses
+//! directly from data points, and no other crate of the workspace calls the
+//! DWT: it serves users that compress or denoise *binned* data, the
+//! property tests (round trips, Besov norms) and the primitives benchmark.
+//! The transform uses
 //! circular (periodised) boundary handling, which preserves orthonormality
 //! exactly for signals whose length is a multiple of `2^levels`.
 

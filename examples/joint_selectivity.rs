@@ -6,7 +6,10 @@
 //! On correlated data the product of marginals collapses — it cannot see
 //! that the mass sits on the diagonal — while the joint synopsis tracks
 //! the truth. The example asserts the ≥ 3× error improvement the joint
-//! estimator is expected to deliver.
+//! estimator is expected to deliver. A second, sliding-window pair then
+//! sees its stream flip from correlated to anti-correlated, and the
+//! example asserts that the pair follows the new regime once the old
+//! slice retires.
 //!
 //! Run with: `cargo run --release --example joint_selectivity`
 
@@ -137,4 +140,58 @@ fn main() {
         shipped.len() * 5 <= dense_bytes,
         "compacted tensor frame should be at least 5x smaller than dense"
     );
+
+    // A pair whose regime drifts, over a sliding window of two slices:
+    // one slice of the correlated pairs, then one of the same pairs
+    // mirrored to anti-correlated. Once the correlated slice retires, the
+    // mass leaves the diagonal for the anti-diagonal, as a windowed
+    // marginal forgets its old regime (see `windowed_stream.rs`).
+    let windowed = SynopsisConfig::default()
+        .with_expected_rows(rows)
+        .with_shards(4)
+        .with_rule(ThresholdRule::Hard)
+        .with_window(WindowPolicy::SlidingSlices(2));
+    catalog
+        .register_pair("drift.x", "drift.y", windowed)
+        .expect("register windowed pair");
+    let drift = catalog.pair("drift.x", "drift.y").expect("registered pair");
+    let diagonal = ((0.05, 0.30), (0.05, 0.30));
+    let anti_diagonal = ((0.05, 0.30), (0.70, 0.95));
+    let masses = || {
+        let mass = |(xr, yr)| {
+            catalog
+                .joint_selectivity("drift.x", "drift.y", xr, yr)
+                .expect("registered pair")
+        };
+        (mass(diagonal), mass(anti_diagonal))
+    };
+    catalog
+        .ingest_pair_parallel("drift.x", "drift.y", &pairs)
+        .expect("ingest correlated regime");
+    let correlated = masses();
+    assert!(drift.advance(), "a windowed pair advances");
+    let mirrored: Vec<(f64, f64)> = pairs.iter().map(|&(x, y)| (x, 1.0 - y)).collect();
+    catalog
+        .ingest_pair_parallel("drift.x", "drift.y", &mirrored)
+        .expect("ingest anti-correlated regime");
+    assert!(drift.advance(), "a windowed pair advances");
+    let anti = masses();
+    println!(
+        "windowed pair: diagonal / anti-diagonal mass {:.3} / {:.3} while correlated, \
+         {:.3} / {:.3} after the correlated slice retired ({} live rows)",
+        correlated.0,
+        correlated.1,
+        anti.0,
+        anti.1,
+        drift.rows()
+    );
+    assert!(
+        correlated.0 > 0.15 && correlated.1 < 0.05,
+        "the correlated regime puts its mass on the diagonal: {correlated:?}"
+    );
+    assert!(
+        anti.0 < 0.05 && anti.1 > 0.15,
+        "the window must follow the anti-correlated regime: {anti:?}"
+    );
+    assert_eq!(drift.rows(), rows, "only the anti-correlated slice is live");
 }

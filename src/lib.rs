@@ -44,9 +44,8 @@ pub use wavedens_wavelets as wavelets;
 pub mod prelude {
     pub use wavedens_core::{
         CoefficientSketch, CompactionPolicy, CumulativeEstimate, Grid, KernelDensityEstimator,
-        StreamingWaveletEstimator, TensorCumulative, TensorEstimate, TensorSketch, ThresholdRule,
-        ThresholdSelection, WaveletDensityEstimate, WaveletDensityEstimator, WindowPolicy,
-        WindowedSketch,
+        TensorCumulative, TensorEstimate, TensorSketch, ThresholdRule, ThresholdSelection,
+        WaveletDensityEstimate, WaveletDensityEstimator, WindowPolicy, WindowedSketch,
     };
     pub use wavedens_engine::{JointSynopsis, SynopsisCatalog, SynopsisConfig};
     pub use wavedens_processes::{

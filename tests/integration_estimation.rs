@@ -2,7 +2,7 @@
 //! estimate with `wavedens-core`, and answer queries with
 //! `wavedens-selectivity`, all through the umbrella crate's public API.
 
-use wavedens::estimation::{RiskAccumulator, StreamingWaveletEstimator};
+use wavedens::estimation::RiskAccumulator;
 use wavedens::prelude::*;
 use wavedens::selectivity::{evaluate_workload, EmpiricalSelectivity, WorkloadGenerator};
 
@@ -61,8 +61,8 @@ fn data_driven_highest_level_is_moderate_in_all_cases() {
     }
 }
 
-/// The streaming estimator and the batch estimator agree exactly when given
-/// the same observations and levels, across crates.
+/// A sketch fed as a stream (`extend`) and the batch estimator agree
+/// exactly when given the same observations and levels, across crates.
 #[test]
 fn streaming_matches_batch_across_cases() {
     let target = SineUniformMixture::paper();
@@ -71,16 +71,10 @@ fn streaming_matches_batch_across_cases() {
     let data = DependenceCase::NonCausalMa.simulate(&target, n, &mut rng);
     let j0 = wavedens::estimation::default_coarse_level(n, 8);
     let j_max = wavedens::estimation::cv_max_level(n);
-    let mut streaming = StreamingWaveletEstimator::new(
-        WaveletFamily::Symmlet(8),
-        (0.0, 1.0),
-        ThresholdRule::Soft,
-        j0,
-        j_max,
-    )
-    .expect("streaming estimator");
+    let mut streaming = CoefficientSketch::new(WaveletFamily::Symmlet(8), (0.0, 1.0), j0, j_max)
+        .expect("streaming sketch");
     streaming.extend(data.iter().copied());
-    let online = streaming.estimate().expect("estimate");
+    let online = streaming.estimate(ThresholdRule::Soft).expect("estimate");
     let batch = WaveletDensityEstimator::stcv()
         .with_levels(Some(j0), Some(j_max))
         .fit(&data)

@@ -192,7 +192,7 @@ fn tensor_frame_decoder_survives_bit_flips_and_truncations() {
     // `core::sketch`: the flip loop decodes the frame once per bit, so
     // the frames must stay in the kilobyte range. The compacted frame
     // exercises the coefficient-sparse payload, the dense one the
-    // full-slot payload.
+    // full-slot payload, the windowed slice frame the window block.
     let mut sketch = TensorSketch::new_2d(
         wavedens::wavelets::WaveletFamily::Haar,
         (0.0, 1.0),
@@ -209,7 +209,17 @@ fn tensor_frame_decoder_survives_bit_flips_and_truncations() {
             ThresholdRule::Hard,
         )
         .expect("compaction");
-    let frames = [compacted.to_bytes(), sketch.to_bytes_dense()];
+    let meta = wavedens::estimation::WindowSliceMeta {
+        slice_age: 1,
+        ring_slices: 4,
+        advances: 9,
+        decay_lambda: 0.75,
+    };
+    let frames = [
+        compacted.to_bytes(),
+        sketch.to_bytes_dense(),
+        sketch.to_bytes_with_window(&meta),
+    ];
     for frame in &frames {
         for len in 0..frame.len() {
             assert!(TensorSketch::from_bytes(&frame[..len]).is_err());
@@ -226,6 +236,7 @@ fn tensor_frame_decoder_survives_bit_flips_and_truncations() {
                     let _ = restored.total_slots();
                 }
                 let _ = wavedens::estimation::CoefficientSketch::from_bytes(&mutated);
+                let _ = TensorSketch::from_bytes_with_window(&mutated);
             }
         }
     }

@@ -17,7 +17,8 @@
 //!
 //! The marginal case also loads a default (landmark) `AttributeSynopsis`,
 //! whose shards are one-slice rings, and holds its merged sketch to the
-//! same reference.
+//! same reference; the pair case does the same for a sliding-window
+//! ingest of `(x, y)` pairs, whose shards are rings of tensor slices.
 
 use std::collections::HashSet;
 use std::sync::OnceLock;
@@ -162,5 +163,16 @@ fn sharded_pair_loads_are_bitwise_reproducible() {
             assert_eq!(ingest.total_count(), ROWS);
             ingest.merged().unwrap().to_bytes()
         });
+        let policy = WindowPolicy::SlidingSlices(4);
+        assert_reproducible(
+            &format!("windowed pairs, {shards} shards"),
+            &expected,
+            || {
+                let ingest = WindowedIngest::new(&template, shards, policy).unwrap();
+                ingest.ingest_parallel(&pairs);
+                assert_eq!(ingest.total_count(), ROWS);
+                ingest.merged().unwrap().to_bytes()
+            },
+        );
     }
 }

@@ -80,19 +80,17 @@ proptest! {
     fn push_batch_equals_repeated_push(take in 16_usize..512, split in 0.0_f64..1.0) {
         let data = &dependent_stream()[..take];
         let cut = ((take as f64) * split) as usize;
-        let mut one_by_one = StreamingWaveletEstimator::with_expected_size(ThresholdRule::Soft, take)
-            .expect("streaming estimator");
+        let mut one_by_one = CoefficientSketch::sized_for(take).expect("streaming sketch");
         for &x in data {
             one_by_one.push(x);
         }
         // Two batches covering the same data (exercises batch boundaries).
-        let mut batched = StreamingWaveletEstimator::with_expected_size(ThresholdRule::Soft, take)
-            .expect("streaming estimator");
+        let mut batched = CoefficientSketch::sized_for(take).expect("streaming sketch");
         batched.push_batch(&data[..cut]);
         batched.push_batch(&data[cut..]);
         prop_assert_eq!(one_by_one.count(), batched.count());
-        let a = one_by_one.estimate().expect("estimate");
-        let b = batched.estimate().expect("estimate");
+        let a = one_by_one.estimate(ThresholdRule::Soft).expect("estimate");
+        let b = batched.estimate(ThresholdRule::Soft).expect("estimate");
         for i in 0..=40 {
             let x = i as f64 / 40.0;
             // Bitwise equality: the accumulation order per coefficient is
