@@ -214,8 +214,9 @@ impl CoefficientSketch {
 
     /// Resets the sketch to the empty state — zero observations, zero
     /// sums, all level stamps back to the never-touched 0 — while keeping
-    /// every allocation, so one scratch sketch can be reused across many
-    /// scatter-then-merge batches (the engine's sharded ingest does this).
+    /// every allocation, so a window ring can reuse a retired slice as its
+    /// fresh one ([`WindowedSketch::advance`](crate::WindowedSketch::advance)
+    /// does this).
     /// The cleared sketch adopts a fresh lineage: downstream caches can
     /// never alias pre- and post-clear contents, and merging a cleared,
     /// untouched level remains the no-op the version guard promises.

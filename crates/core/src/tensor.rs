@@ -679,8 +679,8 @@ impl TensorSketch {
 
     /// Resets the sketch to the empty state in place — zero observations,
     /// zero sums, every level stamp back to the never-touched 0 — keeping
-    /// every allocation, so one scratch sketch can be reused across many
-    /// scatter-then-merge batches.
+    /// every allocation, so a window ring can reuse a retired slice as its
+    /// fresh one.
     pub fn clear(&mut self) {
         self.count = 0;
         for level in &mut self.levels {
@@ -1691,5 +1691,115 @@ mod tests {
             Err(EstimatorError::InvalidSerialization { message })
                 if message.contains("more than 4194304 coefficient slots")
         ));
+    }
+
+    /// The pointwise value `δ_{j,k}(x)` of one axis factor.
+    fn factor(basis: &WaveletBasis, axis: &AxisComponent, k: i64, x: f64) -> f64 {
+        match axis.generator {
+            Generator::Scaling => basis.phi_jk(axis.level, k, x),
+            Generator::Wavelet => basis.psi_jk(axis.level, k, x),
+        }
+    }
+
+    /// Calls `visit(level, kx, ky, sum)` for every slot of a 2-D sketch.
+    fn for_each_slot(sketch: &TensorSketch, mut visit: impl FnMut(&TensorLevel, i64, i64, f64)) {
+        for level in &sketch.levels {
+            let ax = &sketch.axes[0][level.component[0]];
+            let ay = &sketch.axes[1][level.component[1]];
+            for (slot, &sum) in level.sums.iter().enumerate() {
+                let kx = ax.k_start + (slot / ay.extent) as i64;
+                let ky = ay.k_start + (slot % ay.extent) as i64;
+                visit(level, kx, ky, sum);
+            }
+        }
+    }
+
+    /// One pair pushed into a 2-D sketch leaves, in every slot of every
+    /// level, the separable product of the two axis factors at that pair.
+    #[test]
+    fn product_is_separable() {
+        let point = (0.31, 0.67);
+        let mut sketch = small_2d();
+        sketch.push_pairs(&[point]);
+        let basis = Arc::clone(&sketch.basis);
+        let mut touched = 0;
+        for_each_slot(&sketch, |level, kx, ky, sum| {
+            let fx = factor(&basis, &sketch.axes[0][level.component[0]], kx, point.0);
+            let fy = factor(&basis, &sketch.axes[1][level.component[1]], ky, point.1);
+            let expected = fx * fy;
+            assert!(
+                (sum - expected).abs() <= 1e-12 * (1.0 + expected.abs()),
+                "slot ({kx}, {ky}): {sum} vs {expected}"
+            );
+            touched += usize::from(sum != 0.0);
+        });
+        assert!(touched > 0, "the pair must reach some slot");
+    }
+
+    /// A slot whose product support misses the pair stays exactly zero,
+    /// in its sum and its sum of squares.
+    #[test]
+    fn vanishes_outside_product_support() {
+        let point = (0.4375, 0.05);
+        let mut sketch = small_2d();
+        sketch.push_pairs(&[point]);
+        let support = sketch.basis.support_length();
+        let inside = |axis: &AxisComponent, k: i64, x: f64| {
+            let offset = axis.scale * x - k as f64;
+            offset > 0.0 && offset < support
+        };
+        let mut outside = 0;
+        for_each_slot(&sketch, |level, kx, ky, sum| {
+            let ax = &sketch.axes[0][level.component[0]];
+            let ay = &sketch.axes[1][level.component[1]];
+            if !(inside(ax, kx, point.0) && inside(ay, ky, point.1)) {
+                let slot = (kx - ax.k_start) as usize * ay.extent + (ky - ay.k_start) as usize;
+                assert_eq!(sum.to_bits(), 0.0_f64.to_bits(), "slot ({kx}, {ky})");
+                assert_eq!(level.sum_squares[slot].to_bits(), 0.0_f64.to_bits());
+                outside += 1;
+            }
+        });
+        assert!(outside > 0, "the sketch must hold slots the pair misses");
+    }
+
+    /// The per-axis table gather the 2-D scatter runs matches the
+    /// pointwise factor, divided by its `2^{j/2}` normalisation, on every
+    /// translation the scatter visits.
+    #[test]
+    fn gather_matches_pointwise_factor() {
+        let sketch = small_2d();
+        let (basis, support) = (&sketch.basis, sketch.basis.support_length());
+        let x = 0.4375;
+        for axis in &sketch.axes[0] {
+            let position = axis.scale * x;
+            let range = active_translations(support, position, axis.k_start, axis.extent);
+            let mut row = vec![0.0; (range.end() - range.start() + 1) as usize];
+            match axis.generator {
+                Generator::Scaling => basis.table().gather_phi(position, *range.start(), &mut row),
+                Generator::Wavelet => basis.table().gather_psi(position, *range.start(), &mut row),
+            }
+            for (k, &raw) in range.zip(&row) {
+                let expected = factor(basis, axis, k, x) / axis.sqrt_scale;
+                assert!(
+                    (raw - expected).abs() <= 1e-12,
+                    "k = {k}: {raw} vs {expected}"
+                );
+            }
+        }
+    }
+
+    /// Both axes of a 2-D sketch read one table: the process-wide one of
+    /// the family for `new_2d`, the caller's for `with_basis_2d`, shared
+    /// by clones.
+    #[test]
+    fn shares_one_axis_table() {
+        let shared = WaveletBasis::shared(WaveletFamily::Symmlet(8)).unwrap();
+        assert!(Arc::ptr_eq(&small_2d().basis, &shared));
+        let axis = Arc::new(WaveletBasis::new(WaveletFamily::Haar).unwrap());
+        let sketch =
+            TensorSketch::with_basis_2d(Arc::clone(&axis), (0.0, 1.0), (0.0, 1.0), 1, 3, 4)
+                .unwrap();
+        assert!(Arc::ptr_eq(&sketch.basis, &axis));
+        assert!(Arc::ptr_eq(&sketch.clone().basis, &axis));
     }
 }

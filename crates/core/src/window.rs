@@ -156,9 +156,6 @@ pub trait MergeableSketch: Clone + Send + Sync + Debug {
     /// Accumulates a batch of rows.
     fn push_rows(&mut self, rows: &[Self::Row]);
 
-    /// Checks that `other` accumulates the same coefficients.
-    fn is_compatible(&self, other: &Self) -> Result<(), EstimatorError>;
-
     /// Adds `weight ×` a compatible sketch's accumulation state; bitwise
     /// [`merge`](Self::merge) at weight 1.
     fn merge_scaled(&mut self, other: &Self, weight: f64) -> Result<(), EstimatorError>;
@@ -192,10 +189,6 @@ impl MergeableSketch for CoefficientSketch {
         self.push_batch(rows);
     }
 
-    fn is_compatible(&self, other: &Self) -> Result<(), EstimatorError> {
-        CoefficientSketch::is_compatible(self, other)
-    }
-
     fn merge_scaled(&mut self, other: &Self, weight: f64) -> Result<(), EstimatorError> {
         CoefficientSketch::merge_scaled(self, other, weight)
     }
@@ -225,10 +218,6 @@ impl MergeableSketch for TensorSketch {
 
     fn push_rows(&mut self, rows: &[(f64, f64)]) {
         self.push_pairs(rows);
-    }
-
-    fn is_compatible(&self, other: &Self) -> Result<(), EstimatorError> {
-        TensorSketch::is_compatible(self, other)
     }
 
     fn merge_scaled(&mut self, other: &Self, weight: f64) -> Result<(), EstimatorError> {
@@ -345,12 +334,6 @@ impl<S: MergeableSketch> WindowedSketch<S> {
         self.slices[self.head].push_rows(rows);
     }
 
-    /// Merges an already-accumulated sketch into the current slice (the
-    /// engine's scatter-outside-the-lock ingest lands batches this way).
-    pub fn merge_into_current(&mut self, other: &S) -> Result<(), EstimatorError> {
-        self.slices[self.head].merge(other)
-    }
-
     /// Closes the current time slice and starts a fresh one, retiring the
     /// oldest slice when the ring is full (its rows leave the window).
     /// Clears the retired slice in place — no allocation. Returns the
@@ -368,29 +351,6 @@ impl<S: MergeableSketch> WindowedSketch<S> {
         };
         self.slices[self.head].clear();
         retired
-    }
-
-    /// [`advance`](Self::advance) that swaps `replacement` (an empty,
-    /// compatible sketch) in as the fresh current slice and hands the
-    /// retired slice back *uncleaned* — so a caller holding a lock can
-    /// rotate in O(1) and do the `clear()` outside the critical section
-    /// (the engine's `advance_all` short-critical-section pattern).
-    pub fn advance_swap(&mut self, replacement: S) -> Result<S, EstimatorError> {
-        if !replacement.is_empty() {
-            return Err(EstimatorError::InvalidParameter {
-                message: format!(
-                    "advance replacement slice must be empty, holds {} rows",
-                    replacement.count()
-                ),
-            });
-        }
-        self.slices[self.head].is_compatible(&replacement)?;
-        self.advances += 1;
-        self.head = (self.head + 1) % self.slices.len();
-        if self.live < self.slices.len() {
-            self.live += 1;
-        }
-        Ok(std::mem::replace(&mut self.slices[self.head], replacement))
     }
 
     /// Folds the live slices through `policy` into `target`, oldest first
@@ -555,21 +515,6 @@ mod tests {
         );
         ring.clear();
         assert_eq!((ring.live_slices(), ring.advances()), (1, 0));
-    }
-
-    #[test]
-    fn advance_swap_rejects_unusable_replacements() {
-        let mut ring = WindowedSketch::new(&template(), 2).unwrap();
-        ring.push_batch(&sample(32, 5));
-        let mut dirty = template();
-        dirty.push_batch(&sample(8, 6));
-        assert!(ring.advance_swap(dirty).is_err());
-        let incompatible = CoefficientSketch::sized_for(65536).unwrap();
-        assert!(ring.advance_swap(incompatible).is_err());
-        assert_eq!(ring.advances(), 0, "failed swaps must not tick the clock");
-        let retired = ring.advance_swap(template()).unwrap();
-        assert_eq!(retired.count(), 0, "growing ring hands back an unused slot");
-        assert_eq!(ring.count(), 32);
     }
 
     #[test]

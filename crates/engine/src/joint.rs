@@ -390,6 +390,20 @@ mod tests {
         assert_eq!(joint.rebuild_count(), 2);
     }
 
+    /// A one-shard joint fed batches of at least 256 pairs holds, bit for
+    /// bit, the sketch `push_pairs` over the same batches gives.
+    #[test]
+    fn one_shard_ingest_is_bitwise_the_single_stream_sketch() {
+        let rows = correlated(2400, 43, 0.1);
+        let joint = JointSynopsis::new(&config(1)).unwrap();
+        let mut single = TensorSketch::template(&config(1)).unwrap();
+        for batch in rows.chunks(600) {
+            joint.ingest(batch);
+            single.push_pairs(batch);
+        }
+        assert_eq!(joint.merged_sketch().unwrap().to_bytes(), single.to_bytes());
+    }
+
     #[test]
     fn cached_read_path_never_rebuilds() {
         check_cached_read_path_never_rebuilds::<TensorSketch>(|_| {});

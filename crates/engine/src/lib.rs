@@ -21,14 +21,16 @@
 //!   given shard count the merged state is bitwise identical whatever
 //!   the pool's thread count or timing; a load uses at most
 //!   `min(shards, pool threads)` cores. Streaming inserts round-robin one
-//!   shard per batch, so writers on different shards never contend. At
-//!   estimate time the shards merge (weighted sketch addition) into
-//!   exactly the single-stream state.
+//!   shard per batch and scatter into it under its lock, so writers on
+//!   different shards never contend, and a one-shard ingest is bitwise
+//!   the single-stream sketch. At estimate time the shards merge
+//!   (weighted sketch addition) into exactly the single-stream state.
 //! * [`WindowedIngest`] — a [`ShardedIngest`] built from a windowed
 //!   [`WindowPolicy`], for 1-D and 2-D sketches alike.
-//!   [`ShardedIngest::advance_all`] retires the oldest slice in O(1) per
-//!   shard, so sliding-window and exponentially-decayed estimates
-//!   subtract old data by dropping a slice instead of un-merging it.
+//!   [`ShardedIngest::advance_all`] retires the oldest slice of every
+//!   shard by clearing it in place (no allocation), so sliding-window and
+//!   exponentially-decayed estimates subtract old data by dropping a
+//!   slice instead of un-merging it.
 //!   Selected per attribute or attribute pair via
 //!   [`SynopsisConfig::with_window`].
 //! * [`Synopsis<S>`](Synopsis) — one sharded sketch of kind `S` plus a

@@ -21,39 +21,32 @@
 //! live slices. Under [`WindowPolicy::Landmark`] the fold weight is 1, so
 //! the fold is bitwise the plain copy-and-merge of the shards.
 //!
-//! # Short critical sections
+//! # Critical sections
 //!
-//! For streaming batches worth the detour (`SCATTER_OUTSIDE_LOCK_MIN`
-//! rows or more), [`ShardedIngest::ingest`] does **not** evaluate basis
-//! functions while holding the shard lock. It first scatters the whole
-//! batch into a pooled scratch sketch — the expensive per-row, per-level,
-//! per-translation gather — and then locks the shard only for the
-//! element-wise add of the scratch sums into the current slice
-//! ([`MergeableSketch::merge`]), whose cost is proportional to the level
-//! table sizes, not to the batch length. Concurrent writers that land on
-//! the same shard therefore no longer serialize the basis evaluation,
-//! only the cheap vector addition. Small batches skip the detour: their
-//! in-lock scatter is already shorter than a full element-wise merge. An
-//! advance holds each ring's lock only for the O(1)
-//! [`advance_swap`](WindowedSketch::advance_swap): a cleared pooled
-//! scratch swaps in as the fresh slice, and the retired slice is cleared
-//! outside the lock, where the O(level tables) zeroing cannot stall
-//! writers.
+//! A streaming batch ([`ShardedIngest::ingest`]) scatters straight into
+//! the current slice of one shard, under that shard's lock, so the lock is
+//! held for the batch's whole basis evaluation. An advance
+//! ([`ShardedIngest::advance_all`]) rotates each ring under its lock and
+//! clears the retired slice there, which zeroes its level tables (≈70 KiB
+//! per slice for a synopsis sized for 2^11 rows). Both are fine because
+//! contention is rare: batches go to the shards round-robin, so
+//! concurrent writers land on different shards, and a writer meets
+//! another only when there are more writers than shards. With one shard,
+//! the scatter lands exactly as a single-stream push would, so a
+//! one-shard ingest is bitwise the single-stream sketch.
 //!
 //! # Bulk loads
 //!
-//! [`ShardedIngest::ingest_parallel`] takes the opposite trade. It splits
-//! the rows into one contiguous share per shard and runs one pool task
-//! per share; task `i` locks shard `i` and pushes its share straight into
-//! the current slice. No scratch sketch is involved, and which rows reach
-//! which shard, and in what order each shard adds them, depend only on
-//! the rows and the shard count. So for a given shard count the merged
+//! [`ShardedIngest::ingest_parallel`] splits the rows into one contiguous
+//! share per shard and runs one pool task per share; task `i` locks shard
+//! `i` and pushes its share straight into the current slice. Which rows
+//! reach which shard, and in what order each shard adds them, depend only
+//! on the rows and the shard count. So for a given shard count the merged
 //! state after `ingest_parallel` is bitwise identical whatever the pool's
-//! thread count or timing. The price: a load uses at most
-//! `min(shards, pool threads)` cores, and holds each shard's lock while
-//! its share scatters. The default shard count is
-//! `available_parallelism`, which is also the global pool's size, so
-//! default configurations lose no parallelism.
+//! thread count or timing. A load uses at most `min(shards, pool threads)`
+//! cores; the default shard count is `available_parallelism`, which is
+//! also the global pool's size, so default configurations lose no
+//! parallelism.
 //!
 //! # Row counter
 //!
@@ -73,8 +66,8 @@
 //! (dropping the possibly-torn sums of the crashed batch and the shard's
 //! earlier rows, which the running row counter gives back; a ring whose
 //! slices disagree about time is worse than an empty one) but keeps its
-//! advance clock, a poisoned scratch pool is emptied, and the poison flag
-//! is reset so the repair runs once, not on every subsequent access.
+//! advance clock, and the poison flag is reset so the repair runs once,
+//! not on every subsequent access.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard};
@@ -83,24 +76,10 @@ use wavedens_core::{
     CoefficientSketch, EstimatorError, WindowPolicy, WindowSliceMeta, WindowedSketch,
 };
 
-/// Batch length from which [`ShardedIngest::ingest`] scatters outside the
-/// shard lock (into a pooled scratch sketch) and locks only for the
-/// element-wise add. Below it the whole batch is pushed under the lock:
-/// the scatter of a few dozen rows is cheaper than merging the full level
-/// tables, so the detour would lengthen the critical section instead of
-/// shrinking it.
-const SCATTER_OUTSIDE_LOCK_MIN: usize = 256;
-
 /// Minimum rows per share of [`ShardedIngest::ingest_parallel`]:
 /// queueing a task for a handful of rows costs more than scattering
 /// them, so tiny bulk loads run inline (or on fewer tasks than shards).
 const MIN_PARALLEL_CHUNK: usize = 256;
-
-/// Upper bound on pooled scratch sketches kept alive for the
-/// out-of-lock scatter path and the advance swap; more concurrent
-/// writers than this simply allocate (and drop) a scratch for the
-/// duration of their batch.
-const MAX_POOLED_SCRATCH: usize = 8;
 
 /// N per-shard slice rings with round-robin batch placement,
 /// reproducible one-task-per-shard bulk loads, collective advance and
@@ -116,14 +95,8 @@ const MAX_POOLED_SCRATCH: usize = 8;
 #[derive(Debug)]
 pub struct ShardedIngest<S: MergeableSketch = CoefficientSketch> {
     shards: Vec<Mutex<WindowedSketch<S>>>,
-    /// Empty sketch that pooled scratches and [`merged`](Self::merged)
-    /// start from.
-    template: S,
     /// How every fold weights the live slices.
     policy: WindowPolicy,
-    /// Cleared scratch sketches for the out-of-lock scatter path and the
-    /// advance swap.
-    scratch: Mutex<Vec<S>>,
     /// Running total of the rows the shards hold, changed only under the
     /// lock of the shard whose rows it counts (see the module docs), so
     /// [`total_count`](Self::total_count) (and the staleness checks built
@@ -154,17 +127,12 @@ impl<S: MergeableSketch> ShardedIngest<S> {
         policy.validate()?;
         let ring = WindowedSketch::new(template, policy.ring_slices().unwrap_or(1))?;
         Ok(Self {
-            template: ring
-                .slice(0)
-                .expect("the current slice is always live")
-                .clone(),
             // `vec!` clones the ring for all but the last shard.
             shards: vec![ring; shards.max(1)]
                 .into_iter()
                 .map(Mutex::new)
                 .collect(),
             policy,
-            scratch: Mutex::new(Vec::new()),
             rows: AtomicUsize::new(0),
             next: AtomicUsize::new(0),
         })
@@ -218,48 +186,34 @@ impl<S: MergeableSketch> ShardedIngest<S> {
             });
     }
 
-    /// Runs `write` on shard `index` under its lock and counts `rows`
-    /// before the lock is released.
-    fn write_shard(&self, index: usize, rows: usize, write: impl FnOnce(&mut WindowedSketch<S>)) {
-        let mut shard = self.lock_shard(index);
-        write(&mut shard);
-        self.rows.fetch_add(rows, Ordering::Release);
+    /// Pushes `rows` into the current slice of shard `index` under its
+    /// lock and counts them before the lock is released.
+    fn push_to_shard(&self, index: usize, rows: &[S::Row]) {
+        let mut ring = self.lock_shard(index);
+        ring.push_batch(rows);
+        self.rows.fetch_add(rows.len(), Ordering::Release);
     }
 
     /// Ingests one batch into the current slice of a single shard, chosen
     /// round-robin so that concurrent writers spread across shards and
-    /// rarely contend on the same mutex.
-    ///
-    /// Batches of `SCATTER_OUTSIDE_LOCK_MIN` rows or more scatter into a
-    /// pooled scratch sketch *before* taking the shard lock, which is then
-    /// held only for the element-wise add — see the module docs.
+    /// rarely contend on the same mutex. The batch scatters under that
+    /// shard's lock (see the module docs).
     pub fn ingest(&self, values: &[S::Row]) {
         if values.is_empty() {
             return;
         }
         let shard = self.next.fetch_add(1, Ordering::Relaxed) % self.shards.len();
-        if values.len() >= SCATTER_OUTSIDE_LOCK_MIN {
-            let mut local = self.take_scratch();
-            local.push_rows(values);
-            self.write_shard(shard, values.len(), |ring| {
-                ring.merge_into_current(&local)
-                    .expect("scratch is cloned from the shard template")
-            });
-            self.return_scratch(local);
-        } else {
-            self.write_shard(shard, values.len(), |ring| ring.push_batch(values));
-        }
+        self.push_to_shard(shard, values);
     }
 
     /// Bulk-loads `values` with one task per shard on the global
     /// work-stealing pool ([`workpool::WorkPool`]): the rows split into
     /// one contiguous share per shard, and task `i` locks shard `i` and
-    /// pushes its share straight into the current slice, with no scratch
-    /// sketch. Shares hold at least `MIN_PARALLEL_CHUNK` rows, so a small
-    /// load uses fewer tasks than shards; with a single shard, or a load
-    /// that fits one share, the rows are pushed inline under the lock of
-    /// the next round-robin shard, no pool involved. An empty load does
-    /// nothing.
+    /// pushes its share straight into the current slice. Shares hold at
+    /// least `MIN_PARALLEL_CHUNK` rows, so a small load uses fewer tasks
+    /// than shards; with a single shard, or a load that fits one share,
+    /// the load is one [`ingest`](Self::ingest) batch, no pool involved.
+    /// An empty load does nothing.
     ///
     /// For a given shard count, the merged state after `ingest_parallel`
     /// is bitwise identical whatever the pool's thread count or timing:
@@ -270,30 +224,36 @@ impl<S: MergeableSketch> ShardedIngest<S> {
     /// and holds each shard's lock while its share scatters, so a
     /// concurrent [`ingest`](Self::ingest) to that shard waits for it.
     pub fn ingest_parallel(&self, values: &[S::Row]) {
-        if values.is_empty() {
-            return;
-        }
         let shards = self.shards.len();
         let share = values.len().div_ceil(shards).max(MIN_PARALLEL_CHUNK);
-        let push = |shard: usize, rows: &[S::Row]| {
-            self.write_shard(shard, rows.len(), |ring| ring.push_batch(rows));
-        };
         if shards == 1 || values.len() <= share {
-            push(self.next.fetch_add(1, Ordering::Relaxed) % shards, values);
+            self.ingest(values);
         } else {
             let shares = values.chunks(share).enumerate();
             workpool::WorkPool::global().scope(|scope| {
-                scope.spawn_batch(shares.map(|(shard, rows)| move || push(shard, rows)));
+                scope.spawn_batch(
+                    shares.map(|(shard, rows)| move || self.push_to_shard(shard, rows)),
+                );
             });
         }
+    }
+
+    /// A clone of shard 0's current slice: a sketch of the shards' kind
+    /// and geometry for [`merge_into`](Self::merge_into) to overwrite.
+    fn current_slice_copy(&self) -> S {
+        self.lock_shard(0)
+            .slice(0)
+            .expect("the current slice is always live")
+            .clone()
     }
 
     /// Merges all shards into one sketch — the accumulation state a single
     /// stream over every ingested row would have produced (for a windowed
     /// ingest: the policy-weighted window over the live slices). A clone
-    /// of the template followed by [`merge_into`](Self::merge_into).
+    /// of shard 0's current slice, overwritten by
+    /// [`merge_into`](Self::merge_into).
     pub fn merged(&self) -> Result<S, EstimatorError> {
-        let mut merged = self.template.clone();
+        let mut merged = self.current_slice_copy();
         self.merge_into(&mut merged)?;
         Ok(merged)
     }
@@ -327,31 +287,23 @@ impl<S: MergeableSketch> ShardedIngest<S> {
     /// left the window. Does nothing and returns 0 under
     /// [`WindowPolicy::Landmark`], whose one-slice rings never advance.
     ///
-    /// Each shard's lock is held only for the O(1)
-    /// [`advance_swap`](WindowedSketch::advance_swap) — a cleared scratch
-    /// sketch swaps in as the fresh slice, the retired slice's rows leave
-    /// the running counter before the lock is released, and the retired
-    /// slice is cleared and pooled outside the lock. Concurrent writers
-    /// racing an advance land their batch atomically in either the old or
-    /// the new slice, never torn across both, and the row counter follows
-    /// them exactly.
+    /// Each shard's ring [`advance`](WindowedSketch::advance)s under its
+    /// lock, and the retired slice's rows leave the running counter before
+    /// the lock is released. Concurrent writers racing an advance land
+    /// their batch atomically in either the old or the new slice, never
+    /// torn across both, and the row counter follows them exactly.
     pub fn advance_all(&self) -> usize {
         if !self.policy.is_windowed() {
             return 0;
         }
-        let mut left = 0;
-        for index in 0..self.shards.len() {
-            let fresh = self.take_scratch();
-            let mut ring = self.lock_shard(index);
-            let retired = ring
-                .advance_swap(fresh)
-                .expect("scratch is cloned from the slice template");
-            self.forget(retired.count());
-            drop(ring);
-            left += retired.count();
-            self.return_scratch(retired);
-        }
-        left
+        (0..self.shards.len())
+            .map(|index| {
+                let mut ring = self.lock_shard(index);
+                let retired = ring.advance();
+                self.forget(retired);
+                retired
+            })
+            .sum()
     }
 
     /// Ships the current (age-0) time slice merged across all shards as a
@@ -366,7 +318,8 @@ impl<S: MergeableSketch> ShardedIngest<S> {
                 message: "a landmark synopsis keeps no window slices to ship".to_string(),
             });
         }
-        let mut current = self.template.clone();
+        let mut current = self.current_slice_copy();
+        current.clear();
         let mut meta = WindowSliceMeta {
             slice_age: 0,
             ring_slices: 1,
@@ -381,38 +334,6 @@ impl<S: MergeableSketch> ShardedIngest<S> {
         }
         Ok(current.to_bytes_with_window(&meta))
     }
-
-    /// Locks the scratch pool, recovering from poisoning by emptying it:
-    /// pooled scratches are cheap to re-clone from the template, so
-    /// dropping them is always a safe repair. Clears the poison flag — the
-    /// repair runs once.
-    fn lock_scratch(&self) -> MutexGuard<'_, Vec<S>> {
-        self.scratch.lock().unwrap_or_else(|poisoned| {
-            let mut pool = poisoned.into_inner();
-            self.scratch.clear_poison();
-            pool.clear();
-            pool
-        })
-    }
-
-    /// Pops a cleared scratch sketch from the pool, cloning the template
-    /// when the pool is dry (first use, or more concurrent writers than
-    /// pooled scratches).
-    fn take_scratch(&self) -> S {
-        self.lock_scratch()
-            .pop()
-            .unwrap_or_else(|| self.template.clone())
-    }
-
-    /// Clears a scratch sketch (keeping its allocations) and returns it to
-    /// the pool, unless the pool is already full.
-    fn return_scratch(&self, mut sketch: S) {
-        sketch.clear();
-        let mut pool = self.lock_scratch();
-        if pool.len() < MAX_POOLED_SCRATCH {
-            pool.push(sketch);
-        }
-    }
 }
 
 impl<S: MergeableSketch> Clone for ShardedIngest<S> {
@@ -426,9 +347,7 @@ impl<S: MergeableSketch> Clone for ShardedIngest<S> {
         let rows = shards.iter().map(WindowedSketch::count).sum();
         Self {
             shards: shards.into_iter().map(Mutex::new).collect(),
-            template: self.template.clone(),
             policy: self.policy,
-            scratch: Mutex::new(Vec::new()),
             rows: AtomicUsize::new(rows),
             next: AtomicUsize::new(self.next.load(Ordering::Relaxed)),
         }
@@ -484,16 +403,14 @@ mod tests {
         assert_eq!(sharded.total_count(), 90);
     }
 
-    /// Batches long enough for the out-of-lock scatter path must land in
-    /// the shard sketches (via the element-wise merge) exactly like the
-    /// in-lock path lands short ones: merged state and running counter
-    /// both match a single-stream fit.
+    /// Long and short batches alike land in the shard sketches: merged
+    /// state and running counter both match a single-stream fit.
     #[test]
-    fn scratch_merge_ingest_matches_single_stream() {
-        let data = sample(3 * SCATTER_OUTSIDE_LOCK_MIN + 57, 7);
+    fn mixed_batch_ingest_matches_single_stream() {
+        let data = sample(3 * 256 + 57, 7);
         let sharded = ShardedIngest::new(&template(1000), 2).unwrap();
-        // Mix of long batches (scratch path) and short ones (direct path).
-        let (long, rest) = data.split_at(2 * SCATTER_OUTSIDE_LOCK_MIN);
+        // Two long batches' worth in one, the rest in short ones.
+        let (long, rest) = data.split_at(2 * 256);
         sharded.ingest(long);
         for chunk in rest.chunks(40) {
             sharded.ingest(chunk);
@@ -512,13 +429,9 @@ mod tests {
                 assert!((va - vb).abs() < 1e-12 * (1.0 + vb.abs()), "{va} vs {vb}");
             }
         }
-        // The scratch was cleared and pooled for reuse.
-        assert_eq!(sharded.scratch.lock().unwrap().len(), 1);
-        assert!(sharded.scratch.lock().unwrap()[0].is_empty());
     }
 
-    /// The atomic counter stays exact under concurrent writers on both
-    /// ingest paths.
+    /// The atomic counter stays exact under concurrent writers.
     #[test]
     fn total_count_is_exact_under_concurrent_ingest() {
         let sharded = ShardedIngest::new(&template(2000), 3).unwrap();
@@ -576,16 +489,13 @@ mod tests {
         assert_eq!(sharded.total_count(), len);
     }
 
-    /// Bulk loads push straight into the shards: the scratch pool that
-    /// serves long streaming batches stays empty, and each shard holds
-    /// bit for bit what pushing its contiguous share into a fresh
-    /// template gives.
+    /// Bulk loads push straight into the shards: each shard holds bit for
+    /// bit what pushing its contiguous share into a fresh template gives.
     #[test]
-    fn parallel_loads_bypass_the_scratch_pool() {
-        let data = sample(8 * SCATTER_OUTSIDE_LOCK_MIN, 16);
+    fn parallel_loads_push_each_share_into_its_shard() {
+        let data = sample(8 * 256, 16);
         let sharded = ShardedIngest::new(&template(4000), 3).unwrap();
         sharded.ingest_parallel(&data);
-        assert!(sharded.scratch.lock().unwrap().is_empty());
         for (shard, share) in sharded
             .shards
             .iter()
@@ -596,9 +506,6 @@ mod tests {
             let ring = shard.lock().unwrap();
             assert_eq!(ring.slice(0).unwrap().to_bytes(), expected.to_bytes());
         }
-        // A streaming batch of the same length still takes the scratch.
-        sharded.ingest(&data);
-        assert_eq!(sharded.scratch.lock().unwrap().len(), 1);
     }
 
     #[test]
@@ -659,21 +566,6 @@ mod tests {
         assert_eq!(sharded.merged().unwrap().count(), 300);
     }
 
-    /// A poisoned scratch pool is emptied and keeps serving: the long-
-    /// batch scatter path still lands its rows.
-    #[test]
-    fn poisoned_scratch_pool_recovers() {
-        let sharded = ShardedIngest::new(&template(1000), 1).unwrap();
-        let crash = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _guard = sharded.scratch.lock().unwrap();
-            panic!("simulated crash while holding the pool");
-        }));
-        assert!(crash.is_err());
-        let data = sample(2 * SCATTER_OUTSIDE_LOCK_MIN, 14);
-        sharded.ingest(&data);
-        assert_eq!(sharded.merged().unwrap().count(), data.len());
-    }
-
     /// The generic ingest path serves 2-D tensor sketches identically:
     /// sharded pair ingestion merges back into the single-stream state.
     #[test]
@@ -714,16 +606,14 @@ mod tests {
     }
 
     /// Bulk loads push each contiguous share straight into its shard's
-    /// current slice: the scratch pool (streaming batches and the advance
-    /// swap) stays empty, and each slice holds bit for bit what pushing
-    /// its share into a fresh template gives.
+    /// current slice: each slice holds bit for bit what pushing its share
+    /// into a fresh template gives.
     #[test]
-    fn ring_parallel_loads_bypass_the_scratch_pool() {
-        let data = sample(8 * SCATTER_OUTSIDE_LOCK_MIN, 31);
+    fn ring_parallel_loads_push_each_share_into_its_current_slice() {
+        let data = sample(8 * 256, 31);
         let windowed =
             WindowedIngest::new(&template(4000), 2, WindowPolicy::SlidingSlices(3)).unwrap();
         windowed.ingest_parallel(&data);
-        assert!(windowed.scratch.lock().unwrap().is_empty());
         assert_eq!(windowed.total_count(), data.len());
         for (shard, share) in windowed.shards.iter().zip(data.chunks(data.len() / 2)) {
             let mut expected = template(4000);

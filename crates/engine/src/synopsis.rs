@@ -587,12 +587,10 @@ impl Synopsis<CoefficientSketch> {
 
     /// Estimated selectivity from the latest built snapshot, with zero
     /// rebuild work on this thread ([`cached`](Self::cached)): `None`
-    /// until a first snapshot exists, `Some(0.0)` for NaN or reversed
-    /// bounds (mirroring [`selectivity`](Self::selectivity)).
+    /// until a first snapshot exists, whatever the bounds; after that
+    /// `Some(0.0)` for NaN or reversed bounds (mirroring
+    /// [`selectivity`](Self::selectivity)).
     pub fn selectivity_cached(&self, lo: f64, hi: f64) -> Option<f64> {
-        if lo.is_nan() || hi.is_nan() {
-            return Some(0.0);
-        }
         self.cached().map(|synopsis| synopsis.selectivity(lo, hi))
     }
 
@@ -737,10 +735,30 @@ pub(crate) mod tests {
 
     #[test]
     fn cached_read_path_never_rebuilds() {
+        // Before the first snapshot there is no answer, NaN bounds or not.
+        let fresh = AttributeSynopsis::new(&config(2)).unwrap();
+        assert_eq!(fresh.selectivity_cached(f64::NAN, 0.5), None);
         check_cached_read_path_never_rebuilds::<CoefficientSketch>(|synopsis| {
             // NaN bounds answer the empty-range mass, not a panic or a miss.
             assert_eq!(synopsis.selectivity_cached(f64::NAN, 0.5), Some(0.0));
         });
+    }
+
+    /// A one-shard synopsis fed batches of at least 256 rows holds, bit
+    /// for bit, the sketch one `push_batch` over all rows gives.
+    #[test]
+    fn one_shard_ingest_is_bitwise_the_single_stream_sketch() {
+        let rows = sample(4096, 41);
+        let synopsis = AttributeSynopsis::new(&config(1)).unwrap();
+        for batch in rows.chunks(1024) {
+            synopsis.ingest(batch);
+        }
+        let mut single = CoefficientSketch::template(&config(1)).unwrap();
+        single.push_batch(&rows);
+        assert_eq!(
+            synopsis.merged_sketch().unwrap().to_bytes(),
+            single.to_bytes()
+        );
     }
 
     #[test]

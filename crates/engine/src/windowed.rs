@@ -3,10 +3,10 @@
 //!
 //! Every shard of a [`ShardedIngest`] is a ring of time slices, for 1-D
 //! and 2-D sketches alike; batches and bulk-load shares land in the
-//! shard's *current* slice (round-robin placement, scatter-outside-the-lock
-//! for long streaming batches, one task per shard for bulk loads, the
-//! same row counter and poison repair — see the [`sharded`](crate::sharded)
-//! module docs). [`advance_all`](ShardedIngest::advance_all) closes the
+//! shard's *current* slice, scattered under that shard's lock
+//! (round-robin placement for streaming batches, one task per shard for
+//! bulk loads, the same row counter and poison repair — see the
+//! [`sharded`](crate::sharded) module docs). [`advance_all`](ShardedIngest::advance_all) closes the
 //! current time slice on every shard. Because all shards advance
 //! together, the shard rings stay aligned slice-for-slice and the merged
 //! window over all shards is the mergeable-sketch state over exactly the

@@ -367,6 +367,7 @@ impl SelectivityEstimator for FittedWaveletSelectivity {
 mod tests {
     use super::*;
     use crate::workload::{evaluate_workload, WorkloadGenerator};
+    use wavedens_core::CoefficientSketch;
     use wavedens_processes::{seeded_rng, DependenceCase, SineUniformMixture};
 
     fn dependent_sample(n: usize, seed: u64) -> Vec<f64> {
@@ -469,6 +470,19 @@ mod tests {
         let q = RangeQuery::new(0.3, 0.6).unwrap();
         let batch = WaveletSelectivity::fit(&data).unwrap();
         assert!((streaming.estimate(&q) - batch.estimate(&q)).abs() < 1e-9);
+    }
+
+    /// The one-shard synopsis reproduces the single-stream fit bit for
+    /// bit, also when `observe_many` ingests in several 1024-row batches.
+    #[test]
+    fn observe_many_is_bitwise_the_single_stream_sketch() {
+        let data = dependent_sample(3000, 5);
+        let mut synopsis = WaveletSelectivity::with_expected_rows(data.len()).unwrap();
+        synopsis.observe_many(data.iter().copied());
+        let mut single = CoefficientSketch::sized_for(data.len()).unwrap();
+        single.push_batch(&data);
+        let merged = synopsis.attribute_synopsis().merged_sketch().unwrap();
+        assert_eq!(merged.to_bytes(), single.to_bytes());
     }
 
     #[test]

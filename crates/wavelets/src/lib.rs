@@ -15,8 +15,6 @@
 //! * [`basis`] — dilated/translated basis functions `φ_{j,k}`, `ψ_{j,k}` and
 //!   translation bookkeeping on compact intervals.
 //! * [`dwt`] — periodised discrete wavelet transform.
-//! * [`tensor`] — 2-D tensor-product basis built from separable products of
-//!   the 1-D factors (reuses the per-axis polyphase gathers).
 //! * [`besov`] — Besov sequence norms and the minimax-rate bookkeeping of
 //!   the paper's Theorem 3.1.
 //!
@@ -49,7 +47,6 @@ pub mod dwt;
 pub mod filters;
 pub mod kernels;
 pub mod numerics;
-pub mod tensor;
 
 pub use basis::WaveletBasis;
 pub use besov::{besov_norm, besov_seminorm, BesovParameters, DetailLevel};
@@ -57,4 +54,3 @@ pub use cascade::{WaveletTable, DEFAULT_TABLE_LEVELS};
 pub use daubechies_lagarias::PointwiseEvaluator;
 pub use dwt::{Dwt, DwtError, WaveletDecomposition};
 pub use filters::{FilterError, OrthonormalFilter, WaveletFamily};
-pub use tensor::TensorBasis;

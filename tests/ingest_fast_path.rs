@@ -11,8 +11,8 @@
 //! grid points or support boundaries. The fast path is additionally
 //! spot-checked against the exact Daubechies–Lagarias evaluator
 //! (`PointwiseEvaluator`), which bounds the *combined* table + gather
-//! error, and the engine's scatter-outside-the-lock sharded path is
-//! pinned to the single-stream fit.
+//! error, and the engine's sharded ingest, long and short batches
+//! round-robin across shards, is pinned to the single-stream fit.
 
 use proptest::prelude::*;
 use wavedens::engine::ShardedIngest;
@@ -148,10 +148,9 @@ proptest! {
         }
     }
 
-    /// The engine's sharded ingest — mixing the scatter-outside-the-lock
-    /// path (long batches) with the in-lock path (short batches) — merges
-    /// to the single-stream accumulation state within summation-order
-    /// error.
+    /// The engine's sharded ingest — one long batch, then short ones,
+    /// spread round-robin across the shards — merges to the single-stream
+    /// accumulation state within summation-order error.
     #[test]
     fn sharded_scratch_ingest_matches_single_stream(
         shards in 1_usize..5,
@@ -161,8 +160,7 @@ proptest! {
         let data = uniform_sample(n, seed);
         let template = CoefficientSketch::sized_for(n).unwrap();
         let sharded = ShardedIngest::new(&template, shards).unwrap();
-        // One long batch (≥ 256 rows triggers the scratch-merge path),
-        // the rest in short direct-push batches.
+        // One long batch, the rest in short batches.
         let (long, rest) = data.split_at(400);
         sharded.ingest(long);
         for chunk in rest.chunks(37) {
