@@ -321,7 +321,7 @@ fn engine_throughput(c: &mut Criterion) {
         synopsis.ingest(&paper_rows);
         for batch in &refresh_batches {
             synopsis.ingest(batch);
-            black_box(synopsis.refreshed().expect("incremental rebuild"));
+            black_box(synopsis.refresh().expect("incremental rebuild"));
         }
     });
     let refresh_speedup = full_refresh_seconds / incremental_refresh_seconds;

@@ -203,7 +203,7 @@ pub(crate) use wavedens_wavelets::cascade::active_translations;
 ///
 /// * [`scatter_chunk`](Self::scatter_chunk) — the production fast path:
 ///   per observation one **fused** strided table read
-///   ([`wavedens_wavelets::cascade::WaveletTable::scatter_phi`])
+///   ([`wavedens_wavelets::cascade::WaveletTable::scatter_rows_phi`])
 ///   evaluates it at every active translation with a shared interpolation
 ///   weight and accumulates value and value² in the same sweep — no
 ///   intermediate gather row. Windows the fused kernel declines (table
@@ -279,7 +279,7 @@ impl<'a> LevelAccumulator<'a> {
     /// accumulation order (observation order) is unchanged; only the
     /// table argument is rounded once per observation (shared weight)
     /// instead of once per translation. (Fused and gather-then-accumulate
-    /// chains are *bitwise* identical — `WaveletTable::scatter_phi`
+    /// chains are *bitwise* identical — `WaveletTable::scatter_rows_phi`
     /// evaluates the same expression per slot.) The equivalence suite in
     /// `tests/ingest_fast_path.rs` pins the paths against each other
     /// across families, levels and batch slicings.

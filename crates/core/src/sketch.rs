@@ -196,7 +196,9 @@ impl CoefficientSketch {
     /// scalar reference path
     /// [`push_batch_scalar`](Self::push_batch_scalar) (whose table
     /// arguments round once per translation instead of once per
-    /// observation).
+    /// observation). NaN and ±∞ values are skipped and not counted; a
+    /// finite value outside the interval counts toward `n` but adds no
+    /// mass.
     pub fn push_batch(&mut self, values: &[f64]) {
         self.inner.push_scalars(values);
     }

@@ -507,7 +507,7 @@ impl TensorSketch {
     /// If the sketch is 2-dimensional.
     pub(crate) fn push_scalars(&mut self, values: &[f64]) {
         assert_eq!(self.dims, 1, "push_scalars requires a 1-D tensor sketch");
-        self.count += values.len();
+        self.count += values.iter().filter(|x| x.is_finite()).count();
         if values.is_empty() {
             return;
         }
@@ -540,7 +540,7 @@ impl TensorSketch {
     /// [`CoefficientSketch::push_batch_scalar`](crate::CoefficientSketch::push_batch_scalar).
     pub(crate) fn push_scalars_reference(&mut self, values: &[f64]) {
         assert_eq!(self.dims, 1, "push_scalars_reference is 1-D");
-        self.count += values.len();
+        self.count += values.iter().filter(|x| x.is_finite()).count();
         if values.is_empty() {
             return;
         }
@@ -559,11 +559,19 @@ impl TensorSketch {
     /// polyphase fast path; every tensor level then scatters the outer
     /// product of its two cached rows into its flattened slots.
     ///
+    /// A pair with a NaN or infinite coordinate is skipped and not
+    /// counted; a finite pair outside the intervals counts toward `n`
+    /// (the coefficients are means over every observation) but adds no
+    /// mass.
+    ///
     /// # Panics
     /// If the sketch is 1-dimensional.
     pub fn push_pairs(&mut self, rows: &[(f64, f64)]) {
         assert_eq!(self.dims, 2, "push_pairs requires a 2-D tensor sketch");
-        self.count += rows.len();
+        self.count += rows
+            .iter()
+            .filter(|(x, y)| x.is_finite() && y.is_finite())
+            .count();
         if rows.is_empty() {
             return;
         }

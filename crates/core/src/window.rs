@@ -329,9 +329,13 @@ impl<S: MergeableSketch> WindowedSketch<S> {
         (age < self.live).then(|| &self.slices[self.slot(age)])
     }
 
-    /// Ingests a batch into the current slice.
-    pub fn push_batch(&mut self, rows: &[S::Row]) {
-        self.slices[self.head].push_rows(rows);
+    /// Ingests a batch into the current slice and returns the rows it
+    /// accepted (the sketch skips rows with a non-finite coordinate).
+    pub fn push_batch(&mut self, rows: &[S::Row]) -> usize {
+        let current = &mut self.slices[self.head];
+        let before = current.count();
+        current.push_rows(rows);
+        current.count() - before
     }
 
     /// Closes the current time slice and starts a fresh one, retiring the

@@ -146,8 +146,10 @@ fn get_or_insert<K: Ord, V>(
 /// All methods take `&self`: the catalog is designed to be shared across
 /// threads behind a plain reference or an [`Arc`], with writers ingesting
 /// into different attributes (or different shards of one attribute) and
-/// readers querying concurrently — including while an attribute's
-/// synopsis is being rebuilt.
+/// readers querying concurrently. Readers on
+/// [`selectivity_cached`](Self::selectivity_cached) keep answering while
+/// an attribute's synopsis is being rebuilt; the fallible queries wait
+/// for a stale snapshot's rebuild.
 ///
 /// Registrations take the two registry locks in one fixed order —
 /// attributes, then pairs — so a concurrent [`register`](Self::register)
@@ -302,9 +304,12 @@ impl SynopsisCatalog {
 
     /// Estimated joint selectivity
     /// `P(first ∈ x_range, second ∈ y_range)` for a registered pair (0
-    /// while it has no rows). Fallible like
-    /// [`selectivity`](Self::selectivity): rebuild failures surface as
-    /// [`EngineError::Estimator`].
+    /// while it has no rows), from the pair's
+    /// [`refresh`](crate::Synopsis::refresh)ed snapshot. Like
+    /// [`selectivity`](Self::selectivity) it waits for a rebuild when the
+    /// snapshot is stale, rejects NaN bounds with
+    /// [`EstimatorError::InvalidQueryBounds`], and surfaces rebuild
+    /// failures as [`EngineError::Estimator`].
     pub fn joint_selectivity(
         &self,
         first: &str,
@@ -312,9 +317,8 @@ impl SynopsisCatalog {
         x_range: (f64, f64),
         y_range: (f64, f64),
     ) -> Result<f64, EngineError> {
-        Ok(self
-            .resolve_pair(first, second)?
-            .try_joint_selectivity(x_range, y_range)?)
+        let joint = self.resolve_pair(first, second)?;
+        Ok(joint.try_query(&[x_range, y_range], |j| j.selectivity(x_range, y_range))?)
     }
 
     /// Serializes a registered pair's merged, `policy`-compacted tensor
@@ -383,12 +387,17 @@ impl SynopsisCatalog {
     }
 
     /// Estimated selectivity `P(lo ≤ X ≤ hi)` for a registered attribute
-    /// (0 while the attribute has no rows). Uses the fallible
-    /// [`AttributeSynopsis::try_selectivity`], so a failed synopsis
+    /// (0 while the attribute has no rows, and for an empty or reversed
+    /// range), from its [`refresh`](Self::refresh)ed snapshot: a stale
+    /// snapshot is rebuilt first, so this call waits for the rebuild —
+    /// readers that must never wait use
+    /// [`selectivity_cached`](Self::selectivity_cached). NaN bounds are
+    /// rejected with [`EstimatorError::InvalidQueryBounds`], and a failed
     /// rebuild surfaces as [`EngineError::Estimator`] instead of silently
     /// answering 0.
     pub fn selectivity(&self, name: &str, lo: f64, hi: f64) -> Result<f64, EngineError> {
-        Ok(self.resolve(name)?.try_selectivity(lo, hi)?)
+        let attribute = self.resolve(name)?;
+        Ok(attribute.try_query(&[(lo, hi)], |s| s.selectivity(lo, hi))?)
     }
 
     /// Estimated selectivity from the attribute's latest built snapshot,
@@ -406,9 +415,10 @@ impl SynopsisCatalog {
         Ok(self.resolve(name)?.selectivity_cached(lo, hi))
     }
 
-    /// Rebuilds a registered attribute's snapshot now if stale, blocking
+    /// A registered attribute's snapshot, rebuilt now if stale, blocking
     /// on its rebuild guard ([`AttributeSynopsis::refresh`]) — the
-    /// maintenance entry point for the write side.
+    /// maintenance entry point for the write side. `None` while the
+    /// attribute has no rows.
     pub fn refresh(&self, name: &str) -> Result<Option<Arc<RefreshedSynopsis>>, EngineError> {
         Ok(self.resolve(name)?.refresh()?)
     }
@@ -418,12 +428,6 @@ impl SynopsisCatalog {
     /// shipping to another node.
     pub fn ship(&self, name: &str, policy: CompactionPolicy) -> Result<Vec<u8>, EngineError> {
         Ok(self.resolve(name)?.ship(policy)?)
-    }
-
-    /// The refreshed synopsis of a registered attribute (`None` while it
-    /// has no rows).
-    pub fn refreshed(&self, name: &str) -> Result<Option<Arc<RefreshedSynopsis>>, EngineError> {
-        Ok(self.resolve(name)?.refreshed()?)
     }
 
     /// Names of all registered attributes (sorted).
@@ -490,7 +494,7 @@ mod tests {
             EngineError::UnknownAttribute { .. }
         ));
         assert!(catalog.attribute("missing").is_none());
-        let err = catalog.refreshed("missing").unwrap_err();
+        let err = catalog.refresh("missing").unwrap_err();
         assert!(format!("{err}").contains("missing"));
     }
 
@@ -750,13 +754,37 @@ mod tests {
         ));
     }
 
+    /// The fallible queries reject NaN bounds for attributes and pairs
+    /// alike, before any rebuild.
     #[test]
-    fn refreshed_exposes_the_density_estimate() {
+    fn nan_bounds_error_through_the_catalog() {
         let catalog = SynopsisCatalog::new();
         catalog.register("x", small_config()).unwrap();
-        assert!(catalog.refreshed("x").unwrap().is_none());
+        catalog.register_pair("x", "y", small_config()).unwrap();
+        catalog.ingest("x", &sample(512, 10)).unwrap();
+        catalog
+            .ingest_pair("x", "y", &correlated(512, 23, 0.1))
+            .unwrap();
+        assert!(matches!(
+            catalog.selectivity("x", f64::NAN, 0.5).unwrap_err(),
+            EngineError::Estimator(EstimatorError::InvalidQueryBounds { .. })
+        ));
+        assert!(matches!(
+            catalog
+                .joint_selectivity("x", "y", (0.0, 1.0), (0.5, f64::NAN))
+                .unwrap_err(),
+            EngineError::Estimator(EstimatorError::InvalidQueryBounds { .. })
+        ));
+        assert_eq!(catalog.selectivity("x", 0.9, 0.1).unwrap(), 0.0);
+    }
+
+    #[test]
+    fn refresh_exposes_the_density_estimate() {
+        let catalog = SynopsisCatalog::new();
+        catalog.register("x", small_config()).unwrap();
+        assert!(catalog.refresh("x").unwrap().is_none());
         catalog.ingest("x", &sample(1024, 4)).unwrap();
-        let refreshed = catalog.refreshed("x").unwrap().unwrap();
+        let refreshed = catalog.refresh("x").unwrap().unwrap();
         assert_eq!(refreshed.density().sample_size(), 1024);
         assert!((refreshed.cumulative().total_mass() - 1.0).abs() < 0.1);
     }

@@ -5,20 +5,21 @@
 //! the attributes are independent; on correlated columns (`y ≈ x`, say)
 //! that product can be off by an order of magnitude. A [`JointSynopsis`]
 //! accumulates `(x, y)` row pairs into a sharded [`TensorSketch`] — the
-//! dimension-generic sibling of the 1-D coefficient sketch — and answers
-//! `joint_selectivity((a₁, b₁), (a₂, b₂))` from a precomputed joint CDF
-//! grid by inclusion–exclusion of four corner lookups, capturing exactly
-//! the correlation the independence assumption throws away.
+//! dimension-generic sibling of the 1-D coefficient sketch — and its
+//! [`RefreshedJoint`] snapshot answers `selectivity((a₁, b₁), (a₂, b₂))`
+//! from a precomputed joint CDF grid by inclusion–exclusion of four
+//! corner lookups, capturing exactly the correlation the independence
+//! assumption throws away.
 //!
-//! Everything but the snapshot and the rectangle query is the generic
-//! [`Synopsis`] machinery, shared with the 1-D
-//! [`AttributeSynopsis`](crate::AttributeSynopsis): the sharded ingest,
-//! the cache, and the window policies. A windowed pair keeps a ring of
+//! Everything but the snapshot is the generic [`Synopsis`] machinery,
+//! shared with the 1-D [`AttributeSynopsis`](crate::AttributeSynopsis):
+//! the sharded ingest, the cache and its refresh, and the window
+//! policies. A windowed pair keeps a ring of
 //! tensor-sketch slices per shard and retires old slices through
 //! [`Synopsis::advance`], so the lag pairs `(X_t, X_{t+h})` of a stream
 //! whose regime drifts are tracked the way a windowed marginal is.
 
-use crate::synopsis::{or_zero, Synopsis, SynopsisConfig, SynopsisSketch};
+use crate::synopsis::{Synopsis, SynopsisConfig, SynopsisSketch};
 use wavedens_core::{
     CompactionPolicy, EstimatorError, TensorCumulative, TensorEstimate, TensorSketch, ThresholdRule,
 };
@@ -110,30 +111,6 @@ impl SynopsisSketch for TensorSketch {
     }
 }
 
-/// The 2-D-only surface: rectangle queries.
-impl Synopsis<TensorSketch> {
-    /// Estimated joint selectivity `P(x ∈ x_range, y ∈ y_range)` from the
-    /// (lazily refreshed) joint CDF grid; 0 while no pairs have been
-    /// ingested, and 0 for empty or reversed ranges. NaN bounds are
-    /// rejected with [`EstimatorError::InvalidQueryBounds`], mirroring the
-    /// 1-D synopsis.
-    pub fn try_joint_selectivity(
-        &self,
-        x_range: (f64, f64),
-        y_range: (f64, f64),
-    ) -> Result<f64, EstimatorError> {
-        self.try_query(&[x_range, y_range], |j| j.selectivity(x_range, y_range))
-    }
-
-    /// Infallible wrapper over
-    /// [`try_joint_selectivity`](Self::try_joint_selectivity): NaN
-    /// bounds answer 0 (the mass of an empty range); any other failure
-    /// trips a debug assertion and answers 0 in release builds.
-    pub fn joint_selectivity(&self, x_range: (f64, f64), y_range: (f64, f64)) -> f64 {
-        or_zero(self.try_joint_selectivity(x_range, y_range))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -177,7 +154,7 @@ mod tests {
         }
 
         fn try_query(joint: &JointSynopsis, lo: f64, hi: f64) -> Result<f64, EstimatorError> {
-            joint.try_joint_selectivity((lo, hi), (lo, hi))
+            joint.try_query(&[(lo, hi), (lo, hi)], |j| j.selectivity((lo, hi), (lo, hi)))
         }
 
         fn query_cached(joint: &JointSynopsis, lo: f64, hi: f64) -> Option<f64> {
@@ -190,10 +167,14 @@ mod tests {
     #[test]
     fn empty_joint_answers_zero_without_rebuilding() {
         let joint = JointSynopsis::new(&config(2)).unwrap();
-        assert_eq!(joint.joint_selectivity((0.2, 0.8), (0.2, 0.8)), 0.0);
+        let answer = joint
+            .refresh()
+            .unwrap()
+            .map_or(0.0, |j| j.selectivity((0.2, 0.8), (0.2, 0.8)));
+        assert_eq!(answer, 0.0);
         assert_eq!(joint.rows(), 0);
         assert_eq!(joint.rebuild_count(), 0);
-        assert!(joint.refreshed().unwrap().is_none());
+        assert!(joint.refresh().unwrap().is_none());
     }
 
     #[test]
@@ -203,13 +184,21 @@ mod tests {
         assert_eq!(joint.rebuild_count(), 0, "ingest must stay lazy");
         for i in 0..25 {
             let lo = i as f64 / 50.0;
-            let s = joint.joint_selectivity((lo, lo + 0.3), (lo, lo + 0.3));
+            let s = joint
+                .refresh()
+                .unwrap()
+                .unwrap()
+                .selectivity((lo, lo + 0.3), (lo, lo + 0.3));
             assert!((0.0..=1.0).contains(&s));
         }
         assert_eq!(joint.rebuild_count(), 1);
         joint.ingest(&[(0.5, 0.5)]);
         for _ in 0..10 {
-            joint.joint_selectivity((0.1, 0.9), (0.1, 0.9));
+            joint
+                .refresh()
+                .unwrap()
+                .unwrap()
+                .selectivity((0.1, 0.9), (0.1, 0.9));
         }
         assert_eq!(joint.rebuild_count(), 2);
     }
@@ -220,13 +209,21 @@ mod tests {
         // side length, while independence predicts the side squared.
         let joint = JointSynopsis::new(&config(4)).unwrap();
         joint.ingest_parallel(&correlated(8192, 2, 0.05));
-        let s = joint.joint_selectivity((0.3, 0.55), (0.3, 0.55));
+        let s = joint
+            .refresh()
+            .unwrap()
+            .unwrap()
+            .selectivity((0.3, 0.55), (0.3, 0.55));
         assert!(
             s > 0.15,
             "diagonal square must hold ~a quarter of the mass, got {s}"
         );
         // An anti-diagonal square holds almost nothing.
-        let off = joint.joint_selectivity((0.05, 0.3), (0.6, 0.9));
+        let off = joint
+            .refresh()
+            .unwrap()
+            .unwrap()
+            .selectivity((0.05, 0.3), (0.6, 0.9));
         assert!(off < 0.05, "off-diagonal mass {off}");
     }
 
@@ -236,7 +233,11 @@ mod tests {
         let rows: Vec<(f64, f64)> = (0..4096).map(|_| (rng.gen(), rng.gen())).collect();
         let joint = JointSynopsis::new(&config(2)).unwrap();
         joint.ingest_parallel(&rows);
-        let s = joint.joint_selectivity((0.2, 0.6), (0.3, 0.8));
+        let s = joint
+            .refresh()
+            .unwrap()
+            .unwrap()
+            .selectivity((0.2, 0.6), (0.3, 0.8));
         assert!((s - 0.4 * 0.5).abs() < 0.05, "independent uniforms: {s}");
     }
 
@@ -265,7 +266,8 @@ mod tests {
         assert_eq!(windowed.window_policy(), WindowPolicy::SlidingSlices(2));
         let diagonal = ((0.05, 0.3), (0.05, 0.3));
         windowed.ingest_parallel(&correlated(4096, 40, 0.05));
-        assert!(windowed.joint_selectivity(diagonal.0, diagonal.1) > 0.15);
+        let snapshot = windowed.refresh().unwrap().unwrap();
+        assert!(snapshot.selectivity(diagonal.0, diagonal.1) > 0.15);
         assert!(windowed.advance());
         let anti: Vec<(f64, f64)> = correlated(4096, 41, 0.05)
             .into_iter()
@@ -276,8 +278,9 @@ mod tests {
         assert_eq!(windowed.rows(), 4096, "retired pairs leave the count");
         // The diagonal square now holds almost nothing; the matching
         // anti-diagonal square holds about a quarter of the mass.
-        assert!(windowed.joint_selectivity(diagonal.0, diagonal.1) < 0.05);
-        assert!(windowed.joint_selectivity((0.05, 0.3), (0.7, 0.95)) > 0.15);
+        let snapshot = windowed.refresh().unwrap().unwrap();
+        assert!(snapshot.selectivity(diagonal.0, diagonal.1) < 0.05);
+        assert!(snapshot.selectivity((0.05, 0.3), (0.7, 0.95)) > 0.15);
         // A landmark joint keeps no slices.
         let landmark = JointSynopsis::new(&config(1)).unwrap();
         assert!(!landmark.advance());
@@ -349,31 +352,36 @@ mod tests {
     fn nan_bounds_error_on_the_fallible_path() {
         let joint = JointSynopsis::new(&config(1)).unwrap();
         joint.ingest(&correlated(512, 6, 0.1));
+        let try_joint_selectivity =
+            |x: (f64, f64), y: (f64, f64)| joint.try_query(&[x, y], |j| j.selectivity(x, y));
         assert!(matches!(
-            joint.try_joint_selectivity((f64::NAN, 0.5), (0.0, 1.0)),
+            try_joint_selectivity((f64::NAN, 0.5), (0.0, 1.0)),
             Err(EstimatorError::InvalidQueryBounds { .. })
         ));
         assert!(matches!(
-            joint.try_joint_selectivity((0.0, 1.0), (0.5, f64::NAN)),
+            try_joint_selectivity((0.0, 1.0), (0.5, f64::NAN)),
             Err(EstimatorError::InvalidQueryBounds { .. })
         ));
-        assert_eq!(joint.joint_selectivity((f64::NAN, 0.5), (0.0, 1.0)), 0.0);
+        let snapshot = joint.refresh().unwrap().unwrap();
+        assert_eq!(snapshot.selectivity((f64::NAN, 0.5), (0.0, 1.0)), 0.0);
         // Reversed ranges normalise to zero mass, not an error.
-        assert_eq!(
-            joint.try_joint_selectivity((0.9, 0.1), (0.0, 1.0)).unwrap(),
-            0.0
-        );
+        assert_eq!(try_joint_selectivity((0.9, 0.1), (0.0, 1.0)).unwrap(), 0.0);
     }
 
     #[test]
     fn clone_preserves_cache_and_counters() {
         let joint = JointSynopsis::new(&config(2)).unwrap();
         joint.ingest(&correlated(1024, 7, 0.1));
-        let s = joint.joint_selectivity((0.2, 0.7), (0.2, 0.7));
+        let s = joint
+            .refresh()
+            .unwrap()
+            .unwrap()
+            .selectivity((0.2, 0.7), (0.2, 0.7));
         let clone = joint.clone();
         assert_eq!(clone.rebuild_count(), 1);
         assert_eq!(clone.rows(), 1024);
-        assert_eq!(clone.joint_selectivity((0.2, 0.7), (0.2, 0.7)), s);
+        let cloned = clone.refresh().unwrap().unwrap();
+        assert_eq!(cloned.selectivity((0.2, 0.7), (0.2, 0.7)), s);
         assert_eq!(clone.rebuild_count(), 1, "clone reuses the cached grid");
     }
 
@@ -381,11 +389,11 @@ mod tests {
     fn readers_see_the_old_snapshot_until_refresh() {
         let joint = JointSynopsis::new(&config(2)).unwrap();
         joint.ingest(&correlated(1024, 8, 0.1));
-        let first = joint.refreshed().unwrap().unwrap();
+        let first = joint.refresh().unwrap().unwrap();
         joint.ingest(&[(0.5, 0.5); 16]);
-        let again = joint.refreshed().unwrap().unwrap();
+        let again = joint.refresh().unwrap().unwrap();
         assert!(!Arc::ptr_eq(&first, &again), "stale cache must rebuild");
-        let third = joint.refreshed().unwrap().unwrap();
+        let third = joint.refresh().unwrap().unwrap();
         assert!(Arc::ptr_eq(&again, &third));
         assert_eq!(joint.rebuild_count(), 2);
     }

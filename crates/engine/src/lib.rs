@@ -44,15 +44,16 @@
 //!     table) answers `selectivity(lo, hi)`.
 //!   - [`JointSynopsis`] = `Synopsis<TensorSketch>`: a column pair of
 //!     `(x, y)` rows, whose [`RefreshedJoint`] answers
-//!     `joint_selectivity((a₁, b₁), (a₂, b₂))` — rectangle mass by
+//!     `selectivity((a₁, b₁), (a₂, b₂))` — rectangle mass by
 //!     inclusion–exclusion over a joint CDF grid — capturing the
 //!     cross-attribute correlation the product of two marginals misses.
 //!
-//!   Latency-sensitive readers take [`Synopsis::cached`] (never rebuilds,
-//!   possibly stale) while the write side calls [`Synopsis::refresh`];
-//!   the lazy [`Synopsis::refreshed`] path rebuilds on demand with
-//!   exactly one rebuilder per stale burst, and concurrent readers keep
-//!   answering from the previous snapshot.
+//!   Readers read, writers refresh: [`Synopsis::refresh`] is the only
+//!   way a snapshot gets built (one rebuild per stale burst, a fresh
+//!   cache served without locking), and latency-sensitive readers take
+//!   [`Synopsis::cached`], which never rebuilds or waits and may be
+//!   stale. The catalog's fallible queries answer from `refresh`, so they
+//!   wait for a stale snapshot's rebuild.
 //! * [`SynopsisCatalog`] — a named registry of attribute synopses (and
 //!   attribute-*pair* synopses, keyed `(a, b)`), so one process serves
 //!   selectivity estimates for many table columns at once.

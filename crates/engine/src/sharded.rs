@@ -187,11 +187,12 @@ impl<S: MergeableSketch> ShardedIngest<S> {
     }
 
     /// Pushes `rows` into the current slice of shard `index` under its
-    /// lock and counts them before the lock is released.
+    /// lock and counts the rows the slice accepted before the lock is
+    /// released.
     fn push_to_shard(&self, index: usize, rows: &[S::Row]) {
         let mut ring = self.lock_shard(index);
-        ring.push_batch(rows);
-        self.rows.fetch_add(rows.len(), Ordering::Release);
+        let accepted = ring.push_batch(rows);
+        self.rows.fetch_add(accepted, Ordering::Release);
     }
 
     /// Ingests one batch into the current slice of a single shard, chosen

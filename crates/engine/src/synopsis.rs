@@ -6,7 +6,7 @@
 use crate::sharded::{MergeableSketch, ShardedIngest};
 use std::fmt::Debug;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, TryLockError};
+use std::sync::{Arc, Mutex, MutexGuard, RwLock, RwLockReadGuard};
 use wavedens_core::{
     CoefficientSketch, CompactionPolicy, CumulativeEstimate, CvCache, DenseEvalCache,
     EstimatorError, ThresholdRule, WaveletDensityEstimate, WindowPolicy, DEFAULT_CDF_POINTS,
@@ -229,29 +229,31 @@ type RefreshState<S> = (Option<S>, <S as SynopsisSketch>::RebuildCache);
 ///
 /// # Concurrency model
 ///
+/// A snapshot is a batch function of every ingested row (its
+/// cross-validated thresholds are chosen on the merged coefficients), so
+/// it has two operations: the write side rebuilds it, and readers read it
+/// as it stands.
+///
 /// * **Writers** ([`ingest`](Self::ingest) /
 ///   [`ingest_parallel`](Self::ingest_parallel)) touch only their shard's
 ///   mutex and bump the ingest epoch; they never build estimates.
-/// * **Readers on the cached path** ([`cached`](Self::cached), and the
-///   1-D [`AttributeSynopsis::selectivity_cached`]) clone the latest
-///   snapshot `Arc` under a briefly held read lock and never rebuild:
-///   they may answer from a snapshot stale by the batches ingested since
-///   the last refresh, and get `None` before the first one. The write
-///   side owns the rebuilds and calls [`refresh`](Self::refresh), which
-///   blocks on the rebuild guard and rebuilds if the epoch moved. The
-///   catalog's `selectivity_cached`/`refresh` pair and the benchmark's
-///   reader/writer loops use this split, so a rebuild's cost never shows
-///   up as query latency.
-/// * **Readers on the lazy path** ([`refreshed`](Self::refreshed) and the
-///   `try_*`/infallible selectivity methods) rebuild on demand: when the
-///   cache is stale, the **first** reader to notice becomes the
-///   rebuilder. It merges the shards into a scratch sketch, builds the
-///   snapshot *outside* any reader-visible lock, and swaps the cache
-///   `Arc`. Readers arriving during the rebuild keep answering from the
-///   previous snapshot (the only blocking case is the very first build,
-///   when no snapshot exists yet), so a burst of stale-cache queries
-///   triggers exactly one rebuild ([`rebuild_count`](Self::rebuild_count)
-///   exposes the counter).
+/// * **Rebuilds** happen only in [`refresh`](Self::refresh): a fresh
+///   cache is returned without locking; a stale one blocks on the rebuild
+///   guard, merges the shards into a scratch sketch, builds the snapshot
+///   *outside* any reader-visible lock and swaps the cache `Arc`. Callers
+///   that queue behind an in-flight rebuild find the cache fresh and
+///   return its snapshot, so a burst of refreshes after one batch
+///   rebuilds once ([`rebuild_count`](Self::rebuild_count) exposes the
+///   counter). The catalog's fallible queries answer from `refresh`, so
+///   they wait for a rebuild when the snapshot is stale.
+/// * **Readers** ([`cached`](Self::cached), and the 1-D
+///   [`AttributeSynopsis::selectivity_cached`]) clone the latest snapshot
+///   `Arc` under a briefly held read lock and never rebuild or wait on a
+///   rebuild: they may answer from a snapshot stale by the batches
+///   ingested since the last refresh, and get `None` before the first
+///   one. The catalog's `selectivity_cached`/`refresh` pair and the
+///   benchmark's reader/writer loops use this split, so a rebuild's cost
+///   never shows up as query latency.
 /// * A thread that panics mid-rebuild poisons neither path: the cache
 ///   keeps its previous snapshot and the next rebuild starts from fresh
 ///   incremental state.
@@ -267,8 +269,8 @@ pub struct Synopsis<S: SynopsisSketch> {
     epoch: AtomicU64,
     /// The latest snapshot and the epoch it covers.
     cache: RwLock<Option<(u64, Arc<S::Snapshot>)>>,
-    /// Serialises rebuilds; lazy readers `try_lock` it so at most one
-    /// becomes the rebuilder while the rest serve the previous snapshot.
+    /// Serialises rebuilds: [`refresh`](Self::refresh) holds it while it
+    /// merges the shards and builds the snapshot.
     rebuild_guard: Mutex<RefreshState<S>>,
     rebuilds: AtomicUsize,
 }
@@ -324,8 +326,8 @@ impl<S: SynopsisSketch> Synopsis<S> {
     }
 
     /// Number of rebuilds performed so far: increments once per
-    /// stale-cache refresh, regardless of how many queries hit the stale
-    /// cache.
+    /// stale-cache refresh, regardless of how many refreshes hit the
+    /// stale cache.
     pub fn rebuild_count(&self) -> usize {
         self.rebuilds.load(Ordering::Relaxed)
     }
@@ -394,10 +396,10 @@ impl<S: SynopsisSketch> Synopsis<S> {
 
     /// Closes the current time slice of a windowed synopsis: every shard
     /// ring rotates, the oldest slice retires when the rings are full,
-    /// and the cache is marked stale so the next query refreshes over the
-    /// new window. Returns `true` when an advance happened; `false` (and
-    /// does nothing) on a landmark synopsis, whose one-slice rings never
-    /// advance.
+    /// and the cache is marked stale so the next
+    /// [`refresh`](Self::refresh) rebuilds over the new window. Returns
+    /// `true` when an advance happened; `false` (and does nothing) on a
+    /// landmark synopsis, whose one-slice rings never advance.
     pub fn advance(&self) -> bool {
         if !self.config.window.is_windowed() {
             return false;
@@ -418,54 +420,30 @@ impl<S: SynopsisSketch> Synopsis<S> {
 
     /// The latest built snapshot without any rebuild work — the
     /// never-blocking read path. `None` until the first
-    /// [`refreshed`](Self::refreshed) / [`refresh`](Self::refresh) builds
-    /// one; possibly stale by the batches ingested since the last
-    /// refresh. Use this from latency-sensitive readers and leave the
-    /// rebuilds to whoever ingests (or to a maintenance task calling
-    /// [`refresh`](Self::refresh)): a reader on this path never pays a
-    /// merge or cross-validation, so rebuild cost cannot masquerade as
-    /// query latency.
+    /// [`refresh`](Self::refresh) builds one; possibly stale by the
+    /// batches ingested since the last refresh. Use this from
+    /// latency-sensitive readers and leave the rebuilds to whoever ingests
+    /// (or to a maintenance task calling [`refresh`](Self::refresh)): a
+    /// reader on this path never pays a merge or cross-validation, so
+    /// rebuild cost cannot masquerade as query latency.
     pub fn cached(&self) -> Option<Arc<S::Snapshot>> {
         self.read_cache()
             .as_ref()
             .map(|(_, snapshot)| Arc::clone(snapshot))
     }
 
-    /// Rebuilds the snapshot now if the cache is stale, blocking on the
-    /// rebuild guard — the explicit maintenance entry point for whoever
+    /// The snapshot covering every batch ingested so far — the only way a
+    /// snapshot gets built, and the maintenance entry point for whoever
     /// owns the write side (the benchmark's writers call and time this, so
-    /// rebuild latency is reported as its own series). Returns the fresh
-    /// snapshot, `None` when no rows are ingested.
+    /// rebuild latency is reported as its own series). A fresh cache is
+    /// returned without locking; a stale one blocks on the rebuild guard
+    /// and rebuilds unless a rebuild that finished meanwhile covers it.
+    /// `None` when no rows are ingested.
     pub fn refresh(&self) -> Result<Option<Arc<S::Snapshot>>, EstimatorError> {
-        self.rebuild_locked(&mut self.lock_rebuild_guard())
-    }
-
-    /// The current refreshed snapshot, rebuilding at most once if the
-    /// cache is stale; `None` when no rows have been ingested yet.
-    ///
-    /// Readers arriving while another thread rebuilds are served the
-    /// previous snapshot (stale by exactly the in-flight batch), so the
-    /// read path never waits on a rebuild once a first snapshot exists.
-    /// Readers that must never pay (or wait on the first build of) a
-    /// rebuild use [`cached`](Self::cached) instead.
-    pub fn refreshed(&self) -> Result<Option<Arc<S::Snapshot>>, EstimatorError> {
         if let Some(fresh) = self.cached_at(self.ingest_epoch()) {
             return Ok(Some(fresh));
         }
-        let mut state = match self.rebuild_guard.try_lock() {
-            Ok(state) => state,
-            // A rebuilder panicked mid-refresh: restart its state rather
-            // than propagate the panic to every later query.
-            Err(TryLockError::Poisoned(poisoned)) => self.reset_rebuild_state(poisoned),
-            // Another thread is rebuilding: serve the previous snapshot if
-            // one exists, otherwise this is the very first build — wait
-            // for it.
-            Err(TryLockError::WouldBlock) => match self.cached() {
-                Some(previous) => return Ok(Some(previous)),
-                None => self.lock_rebuild_guard(),
-            },
-        };
-        self.rebuild_locked(&mut state)
+        self.rebuild_locked(&mut self.lock_rebuild_guard())
     }
 
     /// The cached snapshot if it covers ingest epoch `epoch`.
@@ -486,32 +464,25 @@ impl<S: SynopsisSketch> Synopsis<S> {
         })
     }
 
-    /// Locks the rebuild guard, recovering from poisoning with
-    /// [`reset_rebuild_state`](Self::reset_rebuild_state).
+    /// Locks the rebuild guard, recovering from poisoning: the panicked
+    /// rebuilder may have torn its scratch sketch or caches mid-update, so
+    /// they restart empty and the next rebuild merges from the shards —
+    /// the source of truth. Clears the poison flag so the reset happens
+    /// once per crash.
     fn lock_rebuild_guard(&self) -> MutexGuard<'_, RefreshState<S>> {
-        self.rebuild_guard
-            .lock()
-            .unwrap_or_else(|poisoned| self.reset_rebuild_state(poisoned))
-    }
-
-    /// Recovers a poisoned rebuild guard: the panicked rebuilder may have
-    /// torn its scratch sketch or caches mid-update, so they restart
-    /// empty and the next rebuild merges from the shards — the source of
-    /// truth. Clears the poison flag so the reset happens once per crash.
-    fn reset_rebuild_state<'a>(
-        &'a self,
-        poisoned: PoisonError<MutexGuard<'a, RefreshState<S>>>,
-    ) -> MutexGuard<'a, RefreshState<S>> {
-        let mut state = poisoned.into_inner();
-        self.rebuild_guard.clear_poison();
-        *state = RefreshState::default();
-        state
+        self.rebuild_guard.lock().unwrap_or_else(|poisoned| {
+            let mut state = poisoned.into_inner();
+            self.rebuild_guard.clear_poison();
+            *state = RefreshState::default();
+            state
+        })
     }
 
     /// Rebuilds the cache if still stale, incrementally: the shards merge
     /// into the guard-owned scratch sketch (no allocation after the first
     /// refresh) and the snapshot builds through the guard-owned rebuild
-    /// cache. Caller must hold `rebuild_guard`.
+    /// cache. Called by [`refresh`](Self::refresh) with `rebuild_guard`
+    /// held.
     fn rebuild_locked(
         &self,
         state: &mut RefreshState<S>,
@@ -543,10 +514,12 @@ impl<S: SynopsisSketch> Synopsis<S> {
         Ok(Some(built))
     }
 
-    /// Answers `query` from the lazily refreshed snapshot: 0 while no rows
-    /// have been ingested, [`EstimatorError::InvalidQueryBounds`] for NaN
-    /// bounds — they compare false with everything, so they would
-    /// otherwise slip past the reversed-range normalization.
+    /// Answers `query` from the [`refresh`](Self::refresh)ed snapshot: 0
+    /// while no rows have been ingested,
+    /// [`EstimatorError::InvalidQueryBounds`] for NaN bounds — they
+    /// compare false with everything, so they would otherwise slip past
+    /// the reversed-range normalization. The body of the catalog's
+    /// fallible queries.
     pub(crate) fn try_query(
         &self,
         bounds: &[(f64, f64)],
@@ -555,28 +528,11 @@ impl<S: SynopsisSketch> Synopsis<S> {
         if let Some(&(lo, hi)) = bounds.iter().find(|(lo, hi)| lo.is_nan() || hi.is_nan()) {
             return Err(EstimatorError::InvalidQueryBounds { lo, hi });
         }
-        Ok(self.refreshed()?.map_or(0.0, |snapshot| query(&snapshot)))
+        Ok(self.refresh()?.map_or(0.0, |snapshot| query(&snapshot)))
     }
 }
 
-/// The infallible answer policy: NaN query bounds are a caller error, not
-/// an internal inconsistency, so they answer 0 (the mass of an empty
-/// range, the same normalization [`CumulativeEstimate::range_mass`]
-/// applies). Any other failure indicates an internal inconsistency: it
-/// trips a debug assertion and answers 0 in release builds, mirroring the
-/// core estimator's fallback policy.
-pub(crate) fn or_zero(answer: Result<f64, EstimatorError>) -> f64 {
-    match answer {
-        Ok(selectivity) => selectivity,
-        Err(EstimatorError::InvalidQueryBounds { .. }) => 0.0,
-        Err(err) => {
-            debug_assert!(false, "synopsis refresh failed unexpectedly: {err}");
-            0.0
-        }
-    }
-}
-
-/// The 1-D-only surface: scalar range queries.
+/// The 1-D-only surface: streamed ingest and cached range queries.
 impl Synopsis<CoefficientSketch> {
     /// Ingests from an iterator in fixed-size batches (bounded memory for
     /// lazy or unbounded sources), using the same chunk policy as
@@ -588,28 +544,10 @@ impl Synopsis<CoefficientSketch> {
     /// Estimated selectivity from the latest built snapshot, with zero
     /// rebuild work on this thread ([`cached`](Self::cached)): `None`
     /// until a first snapshot exists, whatever the bounds; after that
-    /// `Some(0.0)` for NaN or reversed bounds (mirroring
-    /// [`selectivity`](Self::selectivity)).
+    /// `Some(0.0)` for NaN or reversed bounds (the mass of an empty
+    /// range, as [`RefreshedSynopsis::selectivity`] answers).
     pub fn selectivity_cached(&self, lo: f64, hi: f64) -> Option<f64> {
         self.cached().map(|synopsis| synopsis.selectivity(lo, hi))
-    }
-
-    /// Estimated selectivity `P(lo ≤ X ≤ hi)` from the (lazily refreshed)
-    /// CDF table; 0 while no rows have been ingested, and 0 for an empty
-    /// or reversed range (`hi ≤ lo`). NaN bounds are rejected with
-    /// [`EstimatorError::InvalidQueryBounds`]. Infinite bounds are fine
-    /// (the CDF table clamps). Rebuild failures surface as the error
-    /// (this is what [`crate::SynopsisCatalog`] calls, so estimator errors
-    /// propagate to the query instead of being silently mapped to 0).
-    pub fn try_selectivity(&self, lo: f64, hi: f64) -> Result<f64, EstimatorError> {
-        self.try_query(&[(lo, hi)], |synopsis| synopsis.selectivity(lo, hi))
-    }
-
-    /// Infallible wrapper over [`try_selectivity`](Self::try_selectivity):
-    /// NaN bounds answer 0 (the mass of an empty range); any other failure
-    /// trips a debug assertion and answers 0 in release builds.
-    pub fn selectivity(&self, lo: f64, hi: f64) -> f64 {
-        or_zero(self.try_selectivity(lo, hi))
     }
 }
 
@@ -652,7 +590,8 @@ pub(crate) mod tests {
 
     /// What the kind-generic checks below need from a sketch kind: a
     /// small test configuration, seeded rows and one range query (a
-    /// square `[lo, hi]²` for joints) on the lazy and the cached path.
+    /// square `[lo, hi]²` for joints) on the refreshed and the cached
+    /// path.
     pub(crate) trait Kind: SynopsisSketch {
         fn config(shards: usize) -> SynopsisConfig;
         fn rows(n: usize, seed: u64) -> Vec<Self::Row>;
@@ -674,7 +613,7 @@ pub(crate) mod tests {
             lo: f64,
             hi: f64,
         ) -> Result<f64, EstimatorError> {
-            synopsis.try_selectivity(lo, hi)
+            synopsis.try_query(&[(lo, hi)], |s| s.selectivity(lo, hi))
         }
 
         fn query_cached(synopsis: &AttributeSynopsis, lo: f64, hi: f64) -> Option<f64> {
@@ -697,10 +636,14 @@ pub(crate) mod tests {
     #[test]
     fn empty_synopsis_answers_zero_without_rebuilding() {
         let synopsis = AttributeSynopsis::new(&config(2)).unwrap();
-        assert_eq!(synopsis.selectivity(0.2, 0.8), 0.0);
+        let answer = synopsis
+            .refresh()
+            .unwrap()
+            .map_or(0.0, |s| s.selectivity(0.2, 0.8));
+        assert_eq!(answer, 0.0);
         assert_eq!(synopsis.rows(), 0);
         assert_eq!(synopsis.rebuild_count(), 0);
-        assert!(synopsis.refreshed().unwrap().is_none());
+        assert!(synopsis.refresh().unwrap().is_none());
     }
 
     /// The cached read path must cost readers zero rebuild work: no
@@ -768,13 +711,17 @@ pub(crate) mod tests {
         assert_eq!(synopsis.rebuild_count(), 0, "ingest must stay lazy");
         for i in 0..50 {
             let lo = i as f64 / 100.0;
-            let s = synopsis.selectivity(lo, lo + 0.3);
+            let s = synopsis
+                .refresh()
+                .unwrap()
+                .unwrap()
+                .selectivity(lo, lo + 0.3);
             assert!((0.0..=1.0).contains(&s));
         }
         assert_eq!(synopsis.rebuild_count(), 1);
         synopsis.ingest(&[0.5]);
         for _ in 0..50 {
-            synopsis.selectivity(0.1, 0.9);
+            synopsis.refresh().unwrap().unwrap().selectivity(0.1, 0.9);
         }
         assert_eq!(synopsis.rebuild_count(), 2);
     }
@@ -785,7 +732,7 @@ pub(crate) mod tests {
         synopsis.ingest_parallel(&sample(4096, 2));
         // Uniform data: selectivity of a range is its width.
         for (lo, hi) in [(0.1, 0.4), (0.25, 0.75), (0.0, 1.0)] {
-            let s = synopsis.selectivity(lo, hi);
+            let s = synopsis.refresh().unwrap().unwrap().selectivity(lo, hi);
             assert!((s - (hi - lo)).abs() < 0.05, "[{lo}, {hi}] -> {s}");
         }
     }
@@ -794,14 +741,14 @@ pub(crate) mod tests {
     fn readers_see_the_old_snapshot_until_refresh() {
         let synopsis = AttributeSynopsis::new(&config(2)).unwrap();
         synopsis.ingest(&sample(1024, 3));
-        let first = synopsis.refreshed().unwrap().unwrap();
+        let first = synopsis.refresh().unwrap().unwrap();
         // Ingest marks the cache stale but the cached Arc stays valid.
         synopsis.ingest(&[0.5; 64]);
-        let again = synopsis.refreshed().unwrap().unwrap();
+        let again = synopsis.refresh().unwrap().unwrap();
         assert!(!Arc::ptr_eq(&first, &again), "stale cache must rebuild");
         assert_eq!(synopsis.rebuild_count(), 2);
         // Without ingests, the Arc is reused as-is.
-        let third = synopsis.refreshed().unwrap().unwrap();
+        let third = synopsis.refresh().unwrap().unwrap();
         assert!(Arc::ptr_eq(&again, &third));
         assert_eq!(synopsis.rebuild_count(), 2);
     }
@@ -810,11 +757,11 @@ pub(crate) mod tests {
     fn clone_preserves_cache_and_counters() {
         let synopsis = AttributeSynopsis::new(&config(2)).unwrap();
         synopsis.ingest(&sample(512, 4));
-        let s = synopsis.selectivity(0.2, 0.7);
+        let s = synopsis.refresh().unwrap().unwrap().selectivity(0.2, 0.7);
         let clone = synopsis.clone();
         assert_eq!(clone.rebuild_count(), 1);
         assert_eq!(clone.rows(), 512);
-        assert_eq!(clone.selectivity(0.2, 0.7), s);
+        assert_eq!(clone.refresh().unwrap().unwrap().selectivity(0.2, 0.7), s);
         assert_eq!(clone.rebuild_count(), 1, "clone reuses the cached CDF");
     }
 
@@ -867,13 +814,13 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn try_selectivity_exposes_the_fallible_path() {
+    fn try_query_exposes_the_fallible_path() {
         let synopsis = AttributeSynopsis::new(&config(2)).unwrap();
-        assert_eq!(synopsis.try_selectivity(0.1, 0.9).unwrap(), 0.0);
+        assert_eq!(Kind::try_query(&synopsis, 0.1, 0.9).unwrap(), 0.0);
         synopsis.ingest(&sample(1024, 8));
-        let fallible = synopsis.try_selectivity(0.2, 0.8).unwrap();
-        let infallible = synopsis.selectivity(0.2, 0.8);
-        assert_eq!(fallible, infallible);
+        let fallible = Kind::try_query(&synopsis, 0.2, 0.8).unwrap();
+        let snapshot = synopsis.refresh().unwrap().unwrap().selectivity(0.2, 0.8);
+        assert_eq!(fallible, snapshot);
         assert!((0.0..=1.0).contains(&fallible));
     }
 
@@ -888,14 +835,14 @@ pub(crate) mod tests {
         let data = sample(2048, 9);
         for chunk in data.chunks(128) {
             incremental.ingest(chunk);
-            incremental.refreshed().unwrap().unwrap();
+            incremental.refresh().unwrap().unwrap();
             cold.ingest(chunk);
         }
         assert!(incremental.rebuild_count() >= 10);
         for (lo, hi) in [(0.0, 0.3), (0.25, 0.5), (0.1, 0.95), (0.0, 1.0)] {
             assert_eq!(
-                incremental.selectivity(lo, hi),
-                cold.selectivity(lo, hi),
+                incremental.refresh().unwrap().unwrap().selectivity(lo, hi),
+                cold.refresh().unwrap().unwrap().selectivity(lo, hi),
                 "[{lo}, {hi}]"
             );
         }
@@ -956,7 +903,7 @@ pub(crate) mod tests {
         // Old regime: values clustered low.
         let low: Vec<f64> = sample(1024, 11).iter().map(|u| 0.1 + 0.2 * u).collect();
         windowed.ingest_parallel(&low);
-        assert!(windowed.selectivity(0.0, 0.4) > 0.8);
+        assert!(windowed.refresh().unwrap().unwrap().selectivity(0.0, 0.4) > 0.8);
         assert!(windowed.advance());
         // New regime: values clustered high. After the ring retires the
         // low slice, the synopsis tracks only the recent distribution.
@@ -964,8 +911,8 @@ pub(crate) mod tests {
         windowed.ingest_parallel(&high);
         windowed.advance();
         assert_eq!(windowed.rows(), 1024, "retired rows leave the count");
-        assert!(windowed.selectivity(0.6, 1.0) > 0.8);
-        assert!(windowed.selectivity(0.0, 0.4) < 0.1);
+        assert!(windowed.refresh().unwrap().unwrap().selectivity(0.6, 1.0) > 0.8);
+        assert!(windowed.refresh().unwrap().unwrap().selectivity(0.0, 0.4) < 0.1);
         // A landmark synopsis reports advance() as a no-op and refuses
         // slice shipping.
         let landmark = AttributeSynopsis::new(&config(1)).unwrap();
@@ -993,17 +940,18 @@ pub(crate) mod tests {
         let synopsis = AttributeSynopsis::new(&config(2)).unwrap();
         synopsis.ingest(&sample(512, 15));
         assert!(matches!(
-            synopsis.try_selectivity(f64::NAN, 0.5).unwrap_err(),
+            Kind::try_query(&synopsis, f64::NAN, 0.5).unwrap_err(),
             EstimatorError::InvalidQueryBounds { .. }
         ));
         assert!(matches!(
-            synopsis.try_selectivity(0.5, f64::NAN).unwrap_err(),
+            Kind::try_query(&synopsis, 0.5, f64::NAN).unwrap_err(),
             EstimatorError::InvalidQueryBounds { .. }
         ));
-        // The infallible path answers 0 instead of panicking in debug.
-        assert_eq!(synopsis.selectivity(f64::NAN, 0.5), 0.0);
+        // The snapshot answers 0 (the empty-range mass) instead of panicking.
+        let snapshot = synopsis.refresh().unwrap().unwrap();
+        assert_eq!(snapshot.selectivity(f64::NAN, 0.5), 0.0);
         // Reversed bounds are not an error: they normalize to zero mass.
-        assert_eq!(synopsis.try_selectivity(0.9, 0.1).unwrap(), 0.0);
+        assert_eq!(Kind::try_query(&synopsis, 0.9, 0.1).unwrap(), 0.0);
     }
 
     /// Regression for the hardening sweep: a thread that panics while
@@ -1033,7 +981,7 @@ pub(crate) mod tests {
             (after - before).abs() < 0.05,
             "queries must keep answering after a crashed rebuild: {after} vs {before}"
         );
-        assert!(synopsis.refreshed().unwrap().is_some());
+        assert!(synopsis.refresh().unwrap().is_some());
     }
 
     #[test]

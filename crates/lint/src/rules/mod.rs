@@ -24,6 +24,7 @@ mod float_cmp;
 mod locks;
 mod panic_decode;
 mod threads;
+mod try_lock;
 mod unsafe_confined;
 mod wallclock;
 
@@ -150,6 +151,20 @@ pub fn all_rules() -> &'static [Rule] {
                         crate, take the default-depth basis from `shared`; a table of another \
                         depth comes from `WaveletBasis::with_table_levels`.",
             check: basis_interned::check,
+        },
+        Rule {
+            name: "no-try-lock",
+            summary: "no try_lock( outside tests and benches",
+            rationale: "A synopsis snapshot is a batch function of every ingested row (its \
+                        cross-validated thresholds are chosen on the merged coefficients), so \
+                        it has two honest operations: the write side rebuilds it with \
+                        `Synopsis::refresh`, which blocks on the rebuild guard, and readers \
+                        read it as it stands with `Synopsis::cached`. A `try_lock` lets a \
+                        caller become a rebuilder when the lock happens to be free and serve \
+                        a stale value when it is not, so query latency and freshness depend \
+                        on timing. Block on the lock (`lock()` with poison recovery) on the \
+                        write side, and read the published snapshot on the read side.",
+            check: try_lock::check,
         },
     ]
 }

@@ -293,6 +293,36 @@ fn basis_interned_accepts_shared_explicit_depths_and_exempt_code() {
 }
 
 #[test]
+fn no_try_lock_fires_outside_tests_and_benches() {
+    let method = "fn f(m: &std::sync::Mutex<u32>) -> bool { m.try_lock().is_ok() }\n";
+    assert_eq!(
+        fired("crates/engine/src/synopsis.rs", method),
+        ["no-try-lock"]
+    );
+    let path_call =
+        "fn f(m: &std::sync::Mutex<u32>) -> bool { std::sync::Mutex::try_lock(m).is_ok() }\n";
+    assert_eq!(fired("examples/demo.rs", path_call), ["no-try-lock"]);
+}
+
+#[test]
+fn no_try_lock_accepts_blocking_locks_and_exempt_code() {
+    let blocking =
+        "fn f(m: &std::sync::Mutex<u32>) -> u32 { *m.lock().unwrap_or_else(|p| p.into_inner()) }\n";
+    assert_eq!(fired("crates/engine/src/synopsis.rs", blocking), [""; 0]);
+
+    let probe = "fn f(m: &std::sync::Mutex<u32>) -> bool { m.try_lock().is_ok() }\n";
+    assert_eq!(fired("tests/demo.rs", probe), [""; 0]);
+    assert_eq!(fired("crates/bench/benches/demo.rs", probe), [""; 0]);
+    let in_test = format!("#[cfg(test)]\nmod tests {{\n    {probe}}}\n");
+    assert_eq!(fired("crates/engine/src/synopsis.rs", &in_test), [""; 0]);
+    // A mention in a comment or string, or another identifier, is not a call.
+    let mentioned = "// readers never try_lock() the guard\n\
+                     fn f() -> &'static str { \"try_lock(\" }\n\
+                     fn try_locked() {}\n";
+    assert_eq!(fired("crates/engine/src/synopsis.rs", mentioned), [""; 0]);
+}
+
+#[test]
 fn waivers_suppress_with_justification_only() {
     // Justified waiver on the violation's own line: suppressed.
     let same_line = "fn f() { std::thread::spawn(|| {}); } \

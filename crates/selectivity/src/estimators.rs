@@ -96,10 +96,11 @@ impl SelectivityEstimator for EmpiricalSelectivity {
 /// and every further query reuses the result until the next insert. A
 /// burst of queries against a stale cache therefore triggers **one**
 /// rebuild, never one per query ([`rebuild_count`](Self::rebuild_count)
-/// exposes the counter). Concurrent readers share the cached
-/// `Arc<RefreshedSynopsis>` and are never blocked by an in-flight
-/// rebuild: they keep answering from the previous snapshot until the
-/// rebuilt one is swapped in (see [`AttributeSynopsis`]).
+/// exposes the counter). Every query answers through
+/// [`AttributeSynopsis::refresh`], so a query that finds the cache stale
+/// waits for that rebuild; a reader that must never wait reads
+/// [`AttributeSynopsis::selectivity_cached`] on
+/// [`attribute_synopsis`](Self::attribute_synopsis) instead.
 #[derive(Debug, Clone)]
 pub struct WaveletSelectivity {
     synopsis: AttributeSynopsis,
@@ -160,11 +161,11 @@ impl WaveletSelectivity {
     }
 
     /// Refreshes (and returns) the thresholded density estimate backing the
-    /// synopsis. A no-op when the cache is already fresh; called lazily by
-    /// the first [`estimate`](SelectivityEstimator::estimate) after an
-    /// insert otherwise.
+    /// synopsis. A no-op when the cache is already fresh; called by the
+    /// first [`estimate`](SelectivityEstimator::estimate) after an insert
+    /// otherwise.
     pub fn refresh(&mut self) -> Result<&WaveletDensityEstimate, EstimatorError> {
-        match self.synopsis.refreshed()? {
+        match self.synopsis.refresh()? {
             Some(refreshed) => {
                 self.pinned = Some(refreshed);
                 Ok(self.pinned.as_ref().expect("just pinned").density())
@@ -186,8 +187,17 @@ impl SelectivityEstimator for WaveletSelectivity {
         "wavelet".to_string()
     }
 
+    /// Answers from the refreshed snapshot: 0 before the first row, and 0
+    /// if the rebuild fails — an internal inconsistency, which trips a
+    /// debug assertion — since this trait method cannot return an error.
     fn estimate(&self, query: &RangeQuery) -> f64 {
-        self.synopsis.selectivity(query.lo(), query.hi())
+        match self.synopsis.refresh() {
+            Ok(snapshot) => snapshot.map_or(0.0, |s| s.selectivity(query.lo(), query.hi())),
+            Err(err) => {
+                debug_assert!(false, "synopsis refresh failed unexpectedly: {err}");
+                0.0
+            }
+        }
     }
 }
 

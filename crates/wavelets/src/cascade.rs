@@ -210,79 +210,13 @@ impl WaveletTable {
         );
     }
 
-    /// Fused gather → moment-accumulate over the interior fast path: for
-    /// every slot `m` computes `v = scale · φ(position − (k_first + m))`
-    /// and accumulates `sums[m] += v`, `squares[m] += v²` — bitwise the
-    /// same chain as [`gather_phi`](Self::gather_phi) into a scratch row
-    /// followed by the scaled-accumulate kernel, but without materialising
-    /// the row. Returns `false` (touching nothing) when the window is not
-    /// interior to the table — the caller keeps the gather-then-accumulate
-    /// fallback, which handles every boundary case.
-    /// The `kernel` token is resolved by the caller (once per chunk) so
-    /// the per-row call does not re-read the global backend state; use
-    /// [`crate::kernels::FusedKernel::resolve`].
-    #[inline]
-    #[allow(clippy::too_many_arguments)]
-    pub fn scatter_phi(
-        &self,
-        kernel: crate::kernels::FusedKernel,
-        position: f64,
-        k_first: i64,
-        scale: f64,
-        sums: &mut [f64],
-        squares: &mut [f64],
-    ) -> bool {
-        scatter_strided(
-            &|lo: &[f64], hi: &[f64], w0, w1, s, sums: &mut [f64], squares: &mut [f64]| {
-                kernel.lerp_scaled_accumulate(lo, hi, w0, w1, s, sums, squares)
-            },
-            &self.phi,
-            &self.phi_poly,
-            self.poly_row,
-            self.levels,
-            position,
-            k_first,
-            scale,
-            sums,
-            squares,
-        )
-    }
-
-    /// Fused gather → moment-accumulate for `ψ`; the `ψ` counterpart of
-    /// [`WaveletTable::scatter_phi`].
-    #[inline]
-    #[allow(clippy::too_many_arguments)]
-    pub fn scatter_psi(
-        &self,
-        kernel: crate::kernels::FusedKernel,
-        position: f64,
-        k_first: i64,
-        scale: f64,
-        sums: &mut [f64],
-        squares: &mut [f64],
-    ) -> bool {
-        scatter_strided(
-            &|lo: &[f64], hi: &[f64], w0, w1, s, sums: &mut [f64], squares: &mut [f64]| {
-                kernel.lerp_scaled_accumulate(lo, hi, w0, w1, s, sums, squares)
-            },
-            &self.psi,
-            &self.psi_poly,
-            self.poly_row,
-            self.levels,
-            position,
-            k_first,
-            scale,
-            sums,
-            squares,
-        )
-    }
-
     /// Scatters a whole chunk of observations into one level's running
-    /// sums through the fused fast path — the whole-chunk driver over
-    /// [`scatter_phi`](Self::scatter_phi): per observation the active
+    /// sums through the fused fast path: per observation the active
     /// translation window is derived ([`active_translations`]), the fused
     /// kernel accumulates `norm_scale`-normalised values and squares over
-    /// the interior window, and boundary windows gather into
+    /// the interior window in one strided table read (bitwise the
+    /// [`gather_phi`](Self::gather_phi)-then-accumulate chain, without
+    /// materialising the row), and boundary windows gather into
     /// `fallback_row` first. The backend is resolved **once per chunk**
     /// and the row loop is compiled per backend, so on the AVX2 path the
     /// vector kernel inlines straight into the loop.
@@ -357,14 +291,22 @@ impl WaveletTable {
 /// batch coefficient accumulation, the streaming running sums and the
 /// pointwise estimate evaluation downstream (re-exported through
 /// `wavedens-core`), so the paths cannot drift apart.
+///
+/// A position the `i64` cast cannot hold — ±∞, NaN, or `|position| ≥
+/// 2^63` — gives an empty range: the cast saturates and the `±1` steps
+/// saturate with it, so the window lies wholly beyond the stored one.
 pub fn active_translations(
     support: f64,
     position: f64,
     k_start: i64,
     count: usize,
 ) -> std::ops::RangeInclusive<i64> {
-    let k_lo = ((position - support).floor() as i64 + 1).max(k_start);
-    let k_hi = (position.ceil() as i64 - 1).min(k_start + count as i64 - 1);
+    let k_lo = ((position - support).floor() as i64)
+        .saturating_add(1)
+        .max(k_start);
+    let k_hi = (position.ceil() as i64)
+        .saturating_sub(1)
+        .min(k_start + count as i64 - 1);
     k_lo..=k_hi
 }
 
@@ -1007,8 +949,20 @@ mod tests {
                 t.gather_phi(position, k_first, &mut row);
                 let mut sums = vec![0.5_f64; 12];
                 let mut squares = vec![0.25_f64; 12];
-                let fused =
-                    t.scatter_phi(kernel, position, k_first, scale, &mut sums, &mut squares);
+                let fused = scatter_strided(
+                    &|lo: &[f64], hi: &[f64], w0, w1, s, sums: &mut [f64], squares: &mut [f64]| {
+                        kernel.lerp_scaled_accumulate(lo, hi, w0, w1, s, sums, squares)
+                    },
+                    &t.phi,
+                    &t.phi_poly,
+                    t.poly_row,
+                    t.levels,
+                    position,
+                    k_first,
+                    scale,
+                    &mut sums,
+                    &mut squares,
+                );
                 if fused {
                     for m in 0..12 {
                         let v = scale * row[m];
@@ -1039,6 +993,27 @@ mod tests {
             t.gather_phi(position, 0, &mut out);
             assert!(out.iter().all(|v| *v == 0.0), "position {position}");
         }
+    }
+
+    /// Positions the `i64` cast cannot hold give an empty window instead
+    /// of overflowing the `±1` steps; a representable position keeps its
+    /// window.
+    #[test]
+    fn active_translations_of_unrepresentable_positions_are_empty() {
+        let edge = 2f64.powi(63);
+        for position in [
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            1e300,
+            -1e300,
+            edge,
+            -edge,
+        ] {
+            let window = active_translations(15.0, position, -14, 64);
+            assert!(window.is_empty(), "position {position}: {window:?}");
+        }
+        assert_eq!(active_translations(15.0, 3.5, -14, 64), -11..=3);
     }
 
     #[test]

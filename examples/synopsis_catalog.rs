@@ -4,6 +4,7 @@
 //!
 //! Run with: `cargo run --release --example synopsis_catalog`
 
+use std::sync::atomic::{AtomicUsize, Ordering};
 use wavedens::prelude::*;
 use wavedens::selectivity::{EmpiricalSelectivity, SelectivityEstimator};
 
@@ -36,33 +37,41 @@ fn main() {
     }
 
     // Writers and readers run concurrently on the shared worker pool:
-    // each attribute gets a writer task ingesting in bursts, while reader
-    // tasks answer range queries the whole time (served from the previous
-    // snapshot whenever a rebuild is in flight — the read path never
-    // blocks on cross-validation).
+    // each attribute gets a writer task that ingests in bursts and
+    // refreshes the attribute's snapshot after each one, while reader
+    // tasks answer range queries until every writer is done, from the
+    // latest built snapshot (`selectivity_cached`) — the read path never
+    // rebuilds and never blocks on cross-validation; it has no answer
+    // only before an attribute's first refresh.
+    let writers_done = AtomicUsize::new(0);
     workpool::WorkPool::new(attributes.len() + 2).scope(|scope| {
         for (name, stream) in attributes.iter().zip(&streams) {
-            let catalog = &catalog;
+            let (catalog, writers_done) = (&catalog, &writers_done);
             scope.spawn(move || {
                 for chunk in stream.chunks(1024) {
                     catalog.ingest(name, chunk).expect("registered");
+                    catalog.refresh(name).expect("refresh");
                 }
+                writers_done.fetch_add(1, Ordering::Release);
             });
         }
         for reader in 0..2 {
-            let catalog = &catalog;
+            let (catalog, writers_done) = (&catalog, &writers_done);
             scope.spawn(move || {
-                let mut served = 0usize;
-                for i in 0..400 {
-                    let name = attributes[(reader + i) % attributes.len()];
-                    let lo = (i % 60) as f64 / 100.0;
-                    let s = catalog
-                        .selectivity(name, lo, lo + 0.25)
+                let (mut asked, mut served) = (0usize, 0usize);
+                while writers_done.load(Ordering::Acquire) < attributes.len() {
+                    let name = attributes[(reader + asked) % attributes.len()];
+                    let lo = (asked % 60) as f64 / 100.0;
+                    let cached = catalog
+                        .selectivity_cached(name, lo, lo + 0.25)
                         .expect("registered");
-                    assert!((0.0..=1.0).contains(&s));
-                    served += 1;
+                    if let Some(s) = cached {
+                        assert!((0.0..=1.0).contains(&s));
+                        served += 1;
+                    }
+                    asked += 1;
                 }
-                println!("reader {reader}: answered {served} queries during ingest");
+                println!("reader {reader}: answered {served} of {asked} queries during ingest");
             });
         }
     });
@@ -118,7 +127,7 @@ fn main() {
         .expect("ship");
     let restored = CoefficientSketch::from_bytes(&shipped).expect("round-trip");
     let here = catalog
-        .refreshed(attributes[0])
+        .refresh(attributes[0])
         .expect("registered")
         .expect("nonempty");
     println!(

@@ -135,8 +135,10 @@ proptest! {
     }
 }
 
-/// Several attributes ingested and queried from many threads at once:
-/// queries never block on rebuilds, and the final estimates match the
+/// Several attributes ingested and queried from many threads at once.
+/// The fallible catalog query answers from `refresh()`, so a query that
+/// finds a stale snapshot waits for its rebuild, and the readers share
+/// one rebuild per stale snapshot; the final estimates match the
 /// empirical ground truth per attribute.
 #[test]
 fn catalog_serves_concurrent_ingest_and_queries() {

@@ -81,14 +81,15 @@ proptest! {
 
         let lo = 0.05 + 0.15 * window as f64;
         let hi = lo + 0.25;
-        let joint_x = joint.joint_selectivity((lo, hi), (0.0, 1.0));
-        let oned_x = marginal_x.selectivity(lo, hi);
+        let joint_snapshot = joint.refresh().expect("refresh").expect("nonempty");
+        let joint_x = joint_snapshot.selectivity((lo, hi), (0.0, 1.0));
+        let oned_x = marginal_x.refresh().expect("refresh").expect("nonempty").selectivity(lo, hi);
         prop_assert!(
             (joint_x - oned_x).abs() < 0.1,
             "x marginalization: joint {joint_x} vs 1-D {oned_x}"
         );
-        let joint_y = joint.joint_selectivity((0.0, 1.0), (lo, hi));
-        let oned_y = marginal_y.selectivity(lo, hi);
+        let joint_y = joint_snapshot.selectivity((0.0, 1.0), (lo, hi));
+        let oned_y = marginal_y.refresh().expect("refresh").expect("nonempty").selectivity(lo, hi);
         prop_assert!(
             (joint_y - oned_y).abs() < 0.1,
             "y marginalization: joint {joint_y} vs 1-D {oned_y}"
@@ -164,11 +165,14 @@ fn joint_beats_the_independence_assumption_by_3x() {
         ((0.10, 0.35), (0.60, 0.85)),
         ((0.60, 0.90), (0.10, 0.30)),
     ];
+    let joint = joint.refresh().expect("refresh").expect("nonempty");
+    let marginal_x = marginal_x.refresh().expect("refresh").expect("nonempty");
+    let marginal_y = marginal_y.refresh().expect("refresh").expect("nonempty");
     let mut joint_error = 0.0;
     let mut product_error = 0.0;
     for (xr, yr) in queries {
         let truth = exact(xr, yr);
-        joint_error += (joint.joint_selectivity(xr, yr) - truth).abs();
+        joint_error += (joint.selectivity(xr, yr) - truth).abs();
         product_error +=
             (marginal_x.selectivity(xr.0, xr.1) * marginal_y.selectivity(yr.0, yr.1) - truth).abs();
     }

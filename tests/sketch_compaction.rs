@@ -204,7 +204,7 @@ fn engine_ships_compact_lossless_synopses() {
     let synopsis = AttributeSynopsis::new(&config).expect("synopsis");
     for chunk in data.chunks(512) {
         synopsis.ingest(chunk);
-        synopsis.refreshed().expect("refresh").expect("nonempty");
+        synopsis.refresh().expect("refresh").expect("nonempty");
     }
 
     let dense = synopsis.merged_sketch().expect("merged");

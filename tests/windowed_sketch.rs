@@ -192,6 +192,8 @@ fn windows_track_drift_that_lifetime_synopses_average_away() {
     }
     windowed.advance(); // retires the old-regime slice
 
+    let windowed = windowed.refresh().expect("refresh").expect("nonempty");
+    let lifetime = lifetime.refresh().expect("refresh").expect("nonempty");
     let windowed_high = windowed.selectivity(0.75, 1.0);
     let lifetime_high = lifetime.selectivity(0.75, 1.0);
     assert!(
