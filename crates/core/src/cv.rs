@@ -19,6 +19,29 @@
 //! the observed magnitudes (plus the empty set), which this module does in
 //! `O(K log K)` per level.
 //!
+//! ## Levels on the pool
+//!
+//! Levels are selected independently, so a cold sweep is one independent
+//! candidate sort and scan per level. [`cross_validate_with`] (hence
+//! [`cross_validate`]), the dirty levels of [`cross_validate_cached`] and
+//! the per-level loop of [`crate::TensorSketch::thresholded`] all hand
+//! their levels to one private helper. When the levels to recompute hold
+//! at least `POOL_MIN_SLOTS` (2^14) coefficients in total, it runs them
+//! on `workpool::WorkPool::global()`: every worker claims the next level
+//! off one queue sorted largest first, so the finest level (about half of
+//! a dyadic level set's work) starts at once and the other workers share
+//! the rest. Smaller sets, such as a streaming synopsis's whole level set
+//! (≈4 k slots when sized for 2^11 rows), run on the calling thread and
+//! never pay for a pool scope. Each level's order buffer is allocated on
+//! the calling thread before the fan-out.
+//!
+//! The result is bitwise the serial one whatever the thread count or
+//! schedule: a level's sort, scan and [`LevelCrossValidation`] read only
+//! that level, the sort key (decreasing magnitude, then ascending index)
+//! is a strict total order so every correct sort yields the same
+//! permutation, and the per-level results are assembled in level order
+//! before `ĵ1` is located.
+//!
 //! ## Reproduction note (documented in DESIGN.md / EXPERIMENTS.md)
 //!
 //! Taken literally, the HTCV criterion (no `λ²` term) systematically
@@ -38,10 +61,19 @@
 
 use crate::coefficients::{EmpiricalCoefficients, LevelCoefficients};
 use crate::threshold::{ThresholdProfile, ThresholdRule};
+use std::cmp::Reverse;
+use std::sync::{Mutex, PoisonError};
+use workpool::WorkPool;
 
 /// Tolerance used to decide that a criterion value "is zero" when locating
 /// `ĵ1` and to break ties towards sparser solutions.
 const CRITERION_TOLERANCE: f64 = 1e-12;
+
+/// Fewest coefficient slots, summed over the levels to recompute, that
+/// [`run_levels`] hands to the pool; smaller level sets cross-validate on
+/// the calling thread, where they finish before a pool scope (one OS
+/// thread per extra worker) would have started.
+const POOL_MIN_SLOTS: usize = 1 << 14;
 
 /// Which penalisation the per-level selection criterion uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -135,12 +167,73 @@ pub fn cross_validate_with(
     criterion: CvCriterion,
 ) -> CrossValidationResult {
     let n = coefficients.sample_size();
-    let levels: Vec<LevelCrossValidation> = coefficients
-        .details()
-        .iter()
-        .map(|level| cross_validate_level(level, n, criterion))
-        .collect();
+    let details = coefficients.details();
+    let levels = run_levels(
+        details
+            .iter()
+            .map(|level| (level, Vec::with_capacity(level.len()))),
+        details.iter().map(LevelCoefficients::len).sum(),
+        |(level, _)| level.len(),
+        &mut (),
+        |(level, order), _| cross_validate_into(level, n, criterion, order),
+    );
     assemble_result(coefficients.coarse_level(), rule, levels)
+}
+
+/// Runs `run` on every level job and returns the results in job order.
+///
+/// When the jobs hold at least [`POOL_MIN_SLOTS`] coefficient slots in
+/// total (`slots`, the sum of `size` over the jobs), they are collected on
+/// the calling thread (so whatever building a job allocates lands there),
+/// sorted largest `size` first into one queue, and [`WorkPool::global()`]
+/// runs one claimer per worker (dealt by `spawn_batch`), each taking the
+/// next job off the queue until it is empty, with a default `S` of its
+/// own as scratch. The largest level thus starts at once and the other
+/// workers share the rest: the greedy largest-first schedule, whose
+/// makespan on a dyadic level set is about the finest level's time.
+/// Below the gate the jobs run in order on the calling thread with the
+/// caller's `scratch`, allocating nothing beyond the result vector (none
+/// at all for a zero-sized `R`).
+pub(crate) fn run_levels<J, R, S>(
+    jobs: impl Iterator<Item = J>,
+    slots: usize,
+    size: impl Fn(&J) -> usize,
+    scratch: &mut S,
+    run: impl Fn(J, &mut S) -> R + Sync,
+) -> Vec<R>
+where
+    J: Send,
+    R: Send,
+    S: Default,
+{
+    if slots < POOL_MIN_SLOTS {
+        return jobs.map(|job| run(job, scratch)).collect();
+    }
+    let jobs: Vec<J> = jobs.collect();
+    let mut results: Vec<Option<R>> = jobs.iter().map(|_| None).collect();
+    let mut queue: Vec<(J, &mut Option<R>)> = jobs.into_iter().zip(&mut results).collect();
+    queue.sort_by_key(|(job, _)| Reverse(size(job)));
+    let queue = Mutex::new(queue.into_iter());
+    let (queue, run) = (&queue, &run);
+    let pool = WorkPool::global();
+    pool.scope(|scope| {
+        scope.spawn_batch((0..pool.threads()).map(|_| {
+            move || {
+                let mut scratch = S::default();
+                loop {
+                    // Jobs cannot panic while the lock is held (`next` on
+                    // a vector iterator), so a poisoned queue is intact.
+                    let next = queue.lock().unwrap_or_else(PoisonError::into_inner).next();
+                    let Some((job, result)) = next else { break };
+                    *result = Some(run(job, &mut scratch));
+                }
+            }
+        }));
+    });
+    results
+        .into_iter()
+        .map(|result| result.expect("the pool scope joins every level job"))
+        .collect()
 }
 
 /// ĵ1 (the smallest level from which every criterion is ≈ 0 up to `j*`)
@@ -174,9 +267,20 @@ fn assemble_result(
 ///   full `O(K log K)`, and the order/result buffers are recycled instead
 ///   of reallocated.
 ///
+/// The dirty levels go through the same fan-out as [`cross_validate`]
+/// (see the module docs): when they hold at least 2^14 slots in total —
+/// a cold cache on a large synopsis — they run on
+/// `workpool::WorkPool::global()`, each pool worker with repair scratch
+/// of its own; below that they run on the calling thread with the
+/// cache's recycled scratch, so a small-batch refresh allocates nothing
+/// here beyond the result vector.
+///
 /// The cached path is bitwise identical to [`cross_validate`]: both rank
 /// candidates by descending magnitude with ascending index as the tie
-/// break and accumulate the criterion prefix in that exact order.
+/// break (a strict total order, so the repaired and the freshly sorted
+/// order are the same permutation), accumulate the criterion prefix in
+/// that exact order and assemble the levels in level order, on the pool
+/// or not.
 #[derive(Debug, Clone, Default)]
 pub struct CvCache {
     rule: Option<(ThresholdRule, CvCriterion)>,
@@ -186,11 +290,9 @@ pub struct CvCache {
     lineage: u64,
     sample_size: usize,
     levels: Vec<LevelCvCache>,
-    /// Scratch for [`repair_order`]'s still-sorted chain (recycled across
-    /// levels and refreshes).
-    chain: Vec<u32>,
-    /// Scratch for [`repair_order`]'s displaced minority.
-    displaced: Vec<u32>,
+    /// [`repair_order`]'s scratch on the calling thread, recycled across
+    /// levels and refreshes.
+    repair: RepairScratch,
 }
 
 /// One detail level's cached cross-validation state.
@@ -199,6 +301,32 @@ struct LevelCvCache {
     version: u64,
     order: Vec<u32>,
     result: LevelCrossValidation,
+}
+
+impl LevelCvCache {
+    /// A never-computed entry for `level`: its version 0 matches no
+    /// stamp a hit accepts, so the first refresh computes it, and its
+    /// order buffer is already sized for the first sort.
+    fn unfilled(level: &LevelCoefficients) -> Self {
+        Self {
+            version: 0,
+            order: Vec::with_capacity(level.len()),
+            result: LevelCrossValidation {
+                level: level.level,
+                lambda: 0.0,
+                criterion: 0.0,
+                kept: 0,
+                total: level.len(),
+            },
+        }
+    }
+}
+
+/// [`repair_order`]'s still-sorted chain and displaced minority.
+#[derive(Debug, Clone, Default)]
+struct RepairScratch {
+    chain: Vec<u32>,
+    displaced: Vec<u32>,
 }
 
 impl CvCache {
@@ -251,49 +379,52 @@ pub fn cross_validate_cached(
         || cache.levels.len() != details.len()
     {
         cache.levels.clear();
+        cache
+            .levels
+            .extend(details.iter().map(LevelCvCache::unfilled));
         cache.rule = Some((rule, criterion));
         cache.lineage = lineage;
     }
     let same_n = cache.sample_size == n;
-
-    let mut levels = Vec::with_capacity(details.len());
-    for (i, level) in details.iter().enumerate() {
-        let version = versions.get(i).copied().unwrap_or(0);
-        match cache.levels.get_mut(i) {
-            Some(entry)
-                if lineage != 0
-                    && version != 0
-                    && entry.version == version
-                    && same_n
-                    && entry.result.level == level.level
-                    && entry.result.total == level.len() =>
-            {
-                levels.push(entry.result.clone());
-            }
-            Some(entry) => {
-                repair_order(
-                    level,
-                    &mut entry.order,
-                    &mut cache.chain,
-                    &mut cache.displaced,
-                );
-                entry.version = version;
-                entry.result = scan_level(level, n, criterion, &entry.order);
-                levels.push(entry.result.clone());
-            }
-            None => {
-                let order = sorted_order(level, Vec::new());
-                let result = scan_level(level, n, criterion, &order);
-                cache.levels.push(LevelCvCache {
-                    version,
-                    order,
-                    result: result.clone(),
-                });
-                levels.push(result);
-            }
-        }
-    }
+    let version = |i: usize| versions.get(i).copied().unwrap_or(0);
+    let dirty = |i: usize, level: &LevelCoefficients, entry: &LevelCvCache| {
+        !(lineage != 0
+            && version(i) != 0
+            && entry.version == version(i)
+            && same_n
+            && entry.result.level == level.level
+            && entry.result.total == level.len())
+    };
+    let dirty_slots = details
+        .iter()
+        .zip(&cache.levels)
+        .enumerate()
+        .filter(|&(i, (level, entry))| dirty(i, level, entry))
+        .map(|(_, (level, _))| level.len())
+        .sum();
+    let jobs = details
+        .iter()
+        .zip(&mut cache.levels)
+        .enumerate()
+        .filter(|(i, (level, entry))| dirty(*i, level, entry))
+        .map(|(i, (level, entry))| (level, entry, version(i)));
+    run_levels(
+        jobs,
+        dirty_slots,
+        |(level, _, _)| level.len(),
+        &mut cache.repair,
+        |(level, entry, version), scratch| {
+            repair_order(level, &mut entry.order, scratch);
+            entry.version = version;
+            entry.result = scan_level(level, n, criterion, &entry.order);
+        },
+    );
     cache.sample_size = n;
+    let levels = cache
+        .levels
+        .iter()
+        .map(|entry| entry.result.clone())
+        .collect();
     assemble_result(coefficients.coarse_level(), rule, levels)
 }
 
@@ -303,7 +434,17 @@ pub fn cross_validate_level(
     n: usize,
     criterion: CvCriterion,
 ) -> LevelCrossValidation {
-    let order = sorted_order(level, Vec::new());
+    cross_validate_into(level, n, criterion, Vec::new())
+}
+
+/// [`cross_validate_level`] sorting into `order`'s allocation.
+pub(crate) fn cross_validate_into(
+    level: &LevelCoefficients,
+    n: usize,
+    criterion: CvCriterion,
+    order: Vec<u32>,
+) -> LevelCrossValidation {
+    let order = sorted_order(level, order);
     scan_level(level, n, criterion, &order)
 }
 
@@ -337,16 +478,12 @@ fn compare_rank(level: &LevelCoefficients, a: u32, b: u32) -> std::cmp::Ordering
 /// `batch × (2N−1)` magnitudes per level, so `d ≪ K` on the refresh path.
 /// Falls back to a plain sort when the perturbation is too large for the
 /// repair to win (or the length changed).
-fn repair_order(
-    level: &LevelCoefficients,
-    order: &mut Vec<u32>,
-    chain: &mut Vec<u32>,
-    displaced: &mut Vec<u32>,
-) {
+fn repair_order(level: &LevelCoefficients, order: &mut Vec<u32>, scratch: &mut RepairScratch) {
     if order.len() != level.len() {
         *order = sorted_order(level, std::mem::take(order));
         return;
     }
+    let RepairScratch { chain, displaced } = scratch;
     chain.clear();
     displaced.clear();
     for &index in order.iter() {
@@ -702,6 +839,120 @@ mod tests {
         assert_eq!(cached, full);
         cache.clear();
         assert_eq!(cache.cached_levels(), 0);
+    }
+
+    #[test]
+    fn run_levels_keeps_job_order_on_both_sides_of_the_gate() {
+        // Below the gate: in order, on the caller's scratch.
+        let mut seen = Vec::new();
+        let out = run_levels(
+            0..5_usize,
+            5,
+            |&j| j,
+            &mut seen,
+            |j, s: &mut Vec<usize>| {
+                s.push(j);
+                j * 10
+            },
+        );
+        assert_eq!(out, [0, 10, 20, 30, 40]);
+        assert_eq!(seen, [0, 1, 2, 3, 4]);
+        // At the gate: results still in job order, the pool's claimers on
+        // scratch of their own, the caller's left untouched.
+        let sizes = [1, POOL_MIN_SLOTS - 11, 7, 3];
+        let mut untouched = Vec::new();
+        let out = run_levels(
+            sizes.into_iter(),
+            sizes.iter().sum(),
+            |&s| s,
+            &mut untouched,
+            |s, scratch: &mut Vec<usize>| {
+                scratch.push(s);
+                s + 1
+            },
+        );
+        assert_eq!(out, [2, POOL_MIN_SLOTS - 10, 8, 4]);
+        assert!(untouched.is_empty());
+    }
+
+    /// A synthetic level set above the pool gate, salted with exact
+    /// magnitude ties and zeros: the pooled full and cached sweeps equal
+    /// the serial per-level loop bit for bit, and so does a warm cached
+    /// sweep after a sparse perturbation (each pooled task repairing on
+    /// its own scratch).
+    #[test]
+    fn pooled_sweeps_are_bitwise_the_serial_loop() {
+        let mut rng = seeded_rng(37);
+        let n = 5000;
+        let sizes = [1_usize << 13, 1 << 12, 1 << 12, 1 << 11, 300, 17];
+        assert!(sizes.iter().sum::<usize>() >= POOL_MIN_SLOTS);
+        let mut levels: Vec<LevelCoefficients> = sizes
+            .iter()
+            .enumerate()
+            .map(|(j, &len)| {
+                let values = (0..len)
+                    .map(|k| match k % 7 {
+                        0 => 0.0,
+                        1 => 0.0125,
+                        _ => rng.gen_range(-0.05..0.05),
+                    })
+                    .collect();
+                let sum_squares = (0..len).map(|_| rng.gen_range(0.0..4.0)).collect();
+                synthetic_level(values, sum_squares, j as i32 + 1)
+            })
+            .collect();
+        let basis = WaveletBasis::shared(WaveletFamily::Haar).unwrap();
+        let coefficients = |levels: &[LevelCoefficients]| {
+            let scaling = synthetic_level(vec![1.0], vec![1.0], 1);
+            EmpiricalCoefficients::from_parts(
+                Arc::clone(&basis),
+                n,
+                (0.0, 1.0),
+                scaling,
+                levels.to_vec(),
+            )
+        };
+        let serial = |coefficients: &EmpiricalCoefficients, rule, criterion| {
+            let levels = coefficients
+                .details()
+                .iter()
+                .map(|level| cross_validate_level(level, n, criterion))
+                .collect();
+            assemble_result(1, rule, levels)
+        };
+        let bits = |r: &CrossValidationResult| {
+            let levels: Vec<_> = r
+                .levels
+                .iter()
+                .map(|l| (l.level, l.lambda.to_bits(), l.criterion.to_bits(), l.kept))
+                .collect();
+            (r.j1, levels)
+        };
+        // One cache per rule: a rule change would drop the cached levels.
+        let mut caches = [CvCache::new(), CvCache::new()];
+        for round in 1..=2_u64 {
+            let coefficients = coefficients(&levels);
+            for criterion in [CvCriterion::Unpenalized, CvCriterion::Penalized] {
+                let rule = ThresholdRule::Soft;
+                let pooled = cross_validate_with(&coefficients, rule, criterion);
+                assert_eq!(bits(&pooled), bits(&serial(&coefficients, rule, criterion)));
+            }
+            for (rule, cache) in [ThresholdRule::Hard, ThresholdRule::Soft]
+                .into_iter()
+                .zip(&mut caches)
+            {
+                let versions = vec![round; sizes.len()];
+                let cached = cross_validate_cached(&coefficients, rule, 9, &versions, cache);
+                let criterion = CvCriterion::recommended_for(rule);
+                assert_eq!(bits(&cached), bits(&serial(&coefficients, rule, criterion)));
+            }
+            // A sparse perturbation for the warm round.
+            for level in &mut levels {
+                for k in (0..level.len()).step_by(97) {
+                    level.values[k] = -level.values[k] * 1.5;
+                }
+            }
+        }
     }
 
     #[test]

@@ -227,6 +227,13 @@ impl CoefficientSketch {
         self.inner.clear();
     }
 
+    /// An empty sketch of the same geometry on fresh zeroed storage, with
+    /// a fresh lineage (see
+    /// [`MergeableSketch::empty_like`](crate::MergeableSketch::empty_like)).
+    pub(crate) fn empty_like(&self) -> Self {
+        Self::wrap(self.inner.empty_like())
+    }
+
     /// Ingests many observations via [`push_batch`](Self::push_batch),
     /// buffering the iterator in fixed-size chunks so arbitrarily long
     /// (or lazy) sources ingest with bounded memory.

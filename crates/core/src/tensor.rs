@@ -41,7 +41,7 @@ use crate::coefficients::{
     active_translations, max_active_translations, Generator, LevelAccumulator, LevelCoefficients,
     ScatterScratch,
 };
-use crate::cv::{cross_validate_level, CvCriterion};
+use crate::cv::{cross_validate_into, cross_validate_level, run_levels, CvCriterion};
 use crate::error::EstimatorError;
 use crate::estimator::{coefficient_window, cv_max_level, default_coarse_level};
 use crate::grid::Grid;
@@ -696,6 +696,28 @@ impl TensorSketch {
         }
     }
 
+    /// An empty sketch of the same geometry on fresh zeroed storage (see
+    /// [`MergeableSketch::empty_like`](crate::MergeableSketch::empty_like)):
+    /// nothing is copied, every level stamp is 0.
+    pub(crate) fn empty_like(&self) -> Self {
+        Self {
+            basis: Arc::clone(&self.basis),
+            dims: self.dims,
+            intervals: self.intervals,
+            j0: self.j0,
+            j_max: self.j_max,
+            budget: self.budget,
+            count: 0,
+            axes: self.axes.clone(),
+            levels: self
+                .levels
+                .iter()
+                .map(|level| TensorLevel::new(level.component, level.sums.len()))
+                .collect(),
+            scratch: None,
+        }
+    }
+
     /// Checks that `other` accumulates the same tensor coefficients as
     /// `self` (same family, table depth, dimensions, intervals, levels and
     /// budget).
@@ -832,39 +854,52 @@ impl TensorSketch {
     /// levels: the scaling layer is kept as-is, every other level gets a
     /// cross-validated threshold `λ` (exactly the 1-D
     /// [`cross_validate_level`] over the
-    /// flattened coefficients) and `rule` applied slot by slot.
+    /// flattened coefficients) and `rule` applied slot by slot. The
+    /// levels run through the CV fan-out of [`crate::cv`]: on
+    /// `workpool::WorkPool::global()` when they hold at least 2^14 slots,
+    /// with a result bitwise equal to the serial one.
     pub fn thresholded(&self, rule: ThresholdRule) -> Result<TensorEstimate, EstimatorError> {
         if self.count == 0 {
             return Err(EstimatorError::EmptySample);
         }
         let n = self.count;
         let criterion = CvCriterion::recommended_for(rule);
-        let mut levels = Vec::with_capacity(self.levels.len());
-        for (index, level) in self.levels.iter().enumerate() {
+        // The scaling layer is never thresholded (same convention as the
+        // 1-D pipeline); every other level is one job of the CV fan-out.
+        let details = &self.levels[1..];
+        let jobs = (1..self.levels.len()).map(|index| {
             let pseudo = self.level_coefficients(index);
-            let coefficients = if index == 0 {
-                // The scaling layer is never thresholded (same convention
-                // as the 1-D pipeline).
+            let order = Vec::with_capacity(pseudo.len());
+            (pseudo, order)
+        });
+        let thresholded = run_levels(
+            jobs,
+            details.iter().map(|level| level.sums.len()).sum(),
+            |(pseudo, _)| pseudo.len(),
+            &mut (),
+            |(mut pseudo, order), _| {
+                let lambda = cross_validate_into(&pseudo, n, criterion, order).lambda;
+                for beta in &mut pseudo.values {
+                    *beta = rule.apply(*beta, lambda);
+                }
                 pseudo.values
-            } else {
-                let cv = cross_validate_level(&pseudo, n, criterion);
-                pseudo
-                    .values
-                    .iter()
-                    .map(|&beta| rule.apply(beta, cv.lambda))
-                    .collect()
-            };
-            let surviving = coefficients.iter().filter(|c| **c != 0.0).count();
-            let last = self.dims - 1;
-            levels.push(EstimateLevel {
+            },
+        );
+        let all = std::iter::once(self.level_coefficients(0).values).chain(thresholded);
+        let last = self.dims - 1;
+        let levels = self
+            .levels
+            .iter()
+            .zip(all)
+            .map(|(level, coefficients)| EstimateLevel {
                 axes: [
                     self.axes[0][level.component[0]],
                     self.axes[last][level.component[last]],
                 ],
+                surviving: coefficients.iter().filter(|c| **c != 0.0).count(),
                 coefficients,
-                surviving,
-            });
-        }
+            })
+            .collect();
         Ok(TensorEstimate {
             basis: Arc::clone(&self.basis),
             dims: self.dims,
@@ -1113,6 +1148,13 @@ impl TensorEstimate {
     /// included).
     pub fn surviving_coefficients(&self) -> usize {
         self.levels.iter().map(|l| l.surviving).sum()
+    }
+
+    /// The thresholded coefficients of every level, in the order and
+    /// flattening of [`TensorSketch::snapshot_levels`] (scaling layer
+    /// first, kept as is).
+    pub fn level_coefficients(&self) -> impl Iterator<Item = &[f64]> + '_ {
+        self.levels.iter().map(|l| l.coefficients.as_slice())
     }
 
     /// Evaluates the 2-D density expansion on the tensor grid

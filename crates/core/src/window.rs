@@ -153,6 +153,13 @@ pub trait MergeableSketch: Clone + Send + Sync + Debug {
     /// Resets to the empty state in place, keeping allocations.
     fn clear(&mut self);
 
+    /// A new empty sketch of the same geometry (basis, intervals, levels
+    /// and budget) on fresh zeroed storage: unlike `clone` followed by
+    /// `clear`, it copies no sums, and unlike a clone it shares no sums of
+    /// squares with `self`. Its level stamps start at 0 and a 1-D sketch
+    /// draws a fresh lineage, as from a constructor.
+    fn empty_like(&self) -> Self;
+
     /// Accumulates a batch of rows.
     fn push_rows(&mut self, rows: &[Self::Row]);
 
@@ -185,6 +192,10 @@ impl MergeableSketch for CoefficientSketch {
         CoefficientSketch::clear(self);
     }
 
+    fn empty_like(&self) -> Self {
+        CoefficientSketch::empty_like(self)
+    }
+
     fn push_rows(&mut self, rows: &[f64]) {
         self.push_batch(rows);
     }
@@ -214,6 +225,10 @@ impl MergeableSketch for TensorSketch {
 
     fn clear(&mut self) {
         TensorSketch::clear(self);
+    }
+
+    fn empty_like(&self) -> Self {
+        TensorSketch::empty_like(self)
     }
 
     fn push_rows(&mut self, rows: &[(f64, f64)]) {
@@ -444,6 +459,35 @@ mod tests {
 
     fn template() -> CoefficientSketch {
         CoefficientSketch::sized_for(1024).unwrap()
+    }
+
+    /// `empty_like` is a cleared clone without the copy: same geometry,
+    /// same (empty) frame, every stamp 0, and a copy into it restores the
+    /// source's frame.
+    #[test]
+    fn empty_like_is_a_cleared_clone_of_either_kind() {
+        fn check<S: MergeableSketch>(full: &S, frame: impl Fn(&S) -> Vec<u8>) -> S {
+            let empty = full.empty_like();
+            let mut cleared = full.clone();
+            cleared.clear();
+            assert!(empty.is_empty());
+            assert_eq!(frame(&empty), frame(&cleared));
+            let mut refilled = empty.clone();
+            refilled.copy_scaled_from(full, 1.0).unwrap();
+            assert_eq!(frame(&refilled), frame(full));
+            empty
+        }
+        let mut one = template();
+        one.push_batch(&sample(300, 41));
+        let empty = check(&one, CoefficientSketch::to_bytes_dense);
+        assert!(empty.detail_versions().iter().all(|&v| v == 0));
+
+        let mut two = TensorSketch::sized_for_pairs(256).unwrap();
+        let xs = sample(200, 42);
+        let pairs: Vec<(f64, f64)> = xs.iter().map(|&x| (x, 1.0 - x * x)).collect();
+        two.push_pairs(&pairs);
+        let empty = check(&two, TensorSketch::to_bytes_dense);
+        assert!(empty.levels.iter().all(|l| l.version == 0));
     }
 
     #[test]

@@ -239,22 +239,24 @@ impl<S: MergeableSketch> ShardedIngest<S> {
         }
     }
 
-    /// A clone of shard 0's current slice: a sketch of the shards' kind
-    /// and geometry for [`merge_into`](Self::merge_into) to overwrite.
-    fn current_slice_copy(&self) -> S {
+    /// An empty sketch of the shards' kind and geometry, built from shard
+    /// 0's current slice by [`MergeableSketch::empty_like`]: fresh zeroed
+    /// storage and (1-D) a fresh lineage, no sums copied.
+    fn empty_slice(&self) -> S {
         self.lock_shard(0)
             .slice(0)
             .expect("the current slice is always live")
-            .clone()
+            .empty_like()
     }
 
     /// Merges all shards into one sketch — the accumulation state a single
     /// stream over every ingested row would have produced (for a windowed
-    /// ingest: the policy-weighted window over the live slices). A clone
-    /// of shard 0's current slice, overwritten by
-    /// [`merge_into`](Self::merge_into).
+    /// ingest: the policy-weighted window over the live slices). An empty
+    /// sketch of the shards' geometry, overwritten by
+    /// [`merge_into`](Self::merge_into); it shares no storage with any
+    /// shard, and its level stamps advance strictly from there.
     pub fn merged(&self) -> Result<S, EstimatorError> {
-        let mut merged = self.current_slice_copy();
+        let mut merged = self.empty_slice();
         self.merge_into(&mut merged)?;
         Ok(merged)
     }
@@ -319,8 +321,7 @@ impl<S: MergeableSketch> ShardedIngest<S> {
                 message: "a landmark synopsis keeps no window slices to ship".to_string(),
             });
         }
-        let mut current = self.current_slice_copy();
-        current.clear();
+        let mut current = self.empty_slice();
         let mut meta = WindowSliceMeta {
             slice_age: 0,
             ring_slices: 1,

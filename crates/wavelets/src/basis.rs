@@ -113,23 +113,27 @@ impl WaveletBasis {
         self.table.support_end()
     }
 
-    /// Mother scaling function `φ(x)`.
+    /// Mother scaling function `φ(x)` (0 outside the support, `±∞`
+    /// included; NaN for NaN).
     pub fn phi(&self, x: f64) -> f64 {
         self.table.phi(x)
     }
 
-    /// Mother wavelet `ψ(x)`.
+    /// Mother wavelet `ψ(x)` (0 outside the support, `±∞` included; NaN
+    /// for NaN).
     pub fn psi(&self, x: f64) -> f64 {
         self.table.psi(x)
     }
 
-    /// Scaling basis function `φ_{j,k}(x) = 2^{j/2} φ(2^j x − k)`.
+    /// Scaling basis function `φ_{j,k}(x) = 2^{j/2} φ(2^j x − k)`: 0
+    /// outside its support (`±∞` included), NaN for a NaN `x`.
     pub fn phi_jk(&self, j: i32, k: i64, x: f64) -> f64 {
         let scale = exp2_i(j);
         scale.sqrt() * self.table.phi(scale * x - k as f64)
     }
 
-    /// Wavelet basis function `ψ_{j,k}(x) = 2^{j/2} ψ(2^j x − k)`.
+    /// Wavelet basis function `ψ_{j,k}(x) = 2^{j/2} ψ(2^j x − k)`: 0
+    /// outside its support (`±∞` included), NaN for a NaN `x`.
     pub fn psi_jk(&self, j: i32, k: i64, x: f64) -> f64 {
         let scale = exp2_i(j);
         scale.sqrt() * self.table.psi(scale * x - k as f64)

@@ -123,12 +123,14 @@ impl WaveletTable {
         &self.psi
     }
 
-    /// Evaluates the scaling function `φ(x)` (0 outside the support).
+    /// Evaluates the scaling function `φ(x)`: 0 outside the support
+    /// (`±∞` included), NaN for a NaN `x`.
     pub fn phi(&self, x: f64) -> f64 {
         interpolate(&self.phi, self.step, x)
     }
 
-    /// Evaluates the mother wavelet `ψ(x)` (0 outside the support).
+    /// Evaluates the mother wavelet `ψ(x)`: 0 outside the support (`±∞`
+    /// included), NaN for a NaN `x`.
     pub fn psi(&self, x: f64) -> f64 {
         interpolate(&self.psi, self.step, x)
     }
@@ -625,20 +627,29 @@ fn trapezoid(values: &[f64], step: f64) -> f64 {
     step * (0.5 * values[0] + inner + 0.5 * values[values.len() - 1])
 }
 
+/// Linear interpolation in a table of spacing `step` starting at 0: 0
+/// left of the table and for every `x` past its last cell, up to and
+/// including `+∞`; NaN for NaN. The cell index is range-checked as an
+/// `f64` before it becomes a `usize`, so no `x` can overflow it.
 fn interpolate(values: &[f64], step: f64, x: f64) -> f64 {
+    if x.is_nan() {
+        return f64::NAN;
+    }
     if x < 0.0 {
         return 0.0;
     }
     let pos = x / step;
-    let idx = pos.floor() as usize;
-    if idx + 1 >= values.len() {
-        return if idx + 1 == values.len() {
-            values[idx]
+    let cell = pos.floor();
+    let last = values.len() - 1;
+    if cell >= last as f64 {
+        return if cell == last as f64 {
+            values[last]
         } else {
             0.0
         };
     }
-    let frac = pos - idx as f64;
+    let idx = cell as usize;
+    let frac = pos - cell;
     values[idx] * (1.0 - frac) + values[idx + 1] * frac
 }
 
@@ -753,6 +764,56 @@ mod tests {
         assert!(t.phi(1.5).abs() < 1e-12);
         assert!((t.psi(0.25) - 1.0).abs() < 1e-9);
         assert!((t.psi(0.75) + 1.0).abs() < 1e-9);
+    }
+
+    /// Past the table (up to `+∞` and `f64::MAX`) the interpolation
+    /// returns 0 instead of overflowing its cell index; left of it 0 as
+    /// well; a NaN argument returns NaN. Checked through the public
+    /// table and basis evaluators of every family shape.
+    #[test]
+    fn evaluation_at_extreme_and_nan_arguments() {
+        for fam in [
+            WaveletFamily::Haar,
+            WaveletFamily::Daubechies(2),
+            WaveletFamily::Symmlet(8),
+        ] {
+            let t = table(fam);
+            for x in [f64::INFINITY, f64::MAX, 1e300, t.support_end() + 1.0] {
+                assert_eq!(t.phi(x), 0.0, "{fam:?}: φ({x})");
+                assert_eq!(t.psi(x), 0.0, "{fam:?}: ψ({x})");
+            }
+            for x in [f64::NEG_INFINITY, f64::MIN, -1e-300] {
+                assert_eq!(t.phi(x), 0.0, "{fam:?}: φ({x})");
+                assert_eq!(t.psi(x), 0.0, "{fam:?}: ψ({x})");
+            }
+            assert!(t.phi(f64::NAN).is_nan(), "{fam:?}: φ(NaN)");
+            assert!(t.psi(f64::NAN).is_nan(), "{fam:?}: ψ(NaN)");
+
+            let basis = crate::WaveletBasis::new(fam).unwrap();
+            for (j, k) in [(0, 0_i64), (5, 3), (12, -7)] {
+                for x in [f64::INFINITY, f64::MAX, f64::NEG_INFINITY, f64::MIN] {
+                    assert_eq!(basis.phi_jk(j, k, x), 0.0, "{fam:?}: φ_{j},{k}({x})");
+                    assert_eq!(basis.psi_jk(j, k, x), 0.0, "{fam:?}: ψ_{j},{k}({x})");
+                }
+                assert!(basis.phi_jk(j, k, f64::NAN).is_nan());
+                assert!(basis.psi_jk(j, k, f64::NAN).is_nan());
+            }
+        }
+    }
+
+    /// The last table cell keeps its old value: `x` exactly at the
+    /// support end reads the final grid value, the next cell reads 0.
+    #[test]
+    fn interpolation_at_the_table_end() {
+        let values = [1.0, 2.0, 3.0];
+        assert_eq!(interpolate(&values, 0.5, 0.5), 2.0);
+        assert_eq!(interpolate(&values, 0.5, 0.75), 2.5);
+        assert_eq!(interpolate(&values, 0.5, 1.0), 3.0);
+        assert_eq!(interpolate(&values, 0.5, 1.25), 3.0);
+        assert_eq!(interpolate(&values, 0.5, 1.5), 0.0);
+        assert_eq!(interpolate(&values, 0.5, f64::INFINITY), 0.0);
+        assert_eq!(interpolate(&values, 0.5, f64::MAX), 0.0);
+        assert!(interpolate(&values, 0.5, f64::NAN).is_nan());
     }
 
     #[test]
