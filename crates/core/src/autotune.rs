@@ -13,10 +13,6 @@
 //! every level accumulates observations in batch order no matter how the
 //! batch is sliced — so the tuner only changes how fast the sums are
 //! produced, never what they are.
-//!
-//! `WAVEDENS_INGEST_CHUNK=<rows>` pins the chunk globally, bypassing both
-//! the probe and the cache (useful for reproducible benchmark runs and
-//! for measuring the untuned path).
 
 use std::collections::HashMap;
 use std::sync::{Mutex, OnceLock};
@@ -25,7 +21,7 @@ use std::time::Instant;
 /// Chunk sizes the first large batch races against each other. Ordered
 /// smallest-first so the cold-cache first slice handicaps the smallest
 /// candidate, not the largest.
-pub(crate) const CHUNK_CANDIDATES: [usize; 5] = [128, 256, 512, 1024, 2048];
+const CHUNK_CANDIDATES: [usize; 5] = [128, 256, 512, 1024, 2048];
 
 /// Rows a batch must contain before probing is worthwhile: one slice per
 /// candidate. Smaller first batches use the caller's default and leave
@@ -35,35 +31,16 @@ pub(crate) fn probe_rows() -> usize {
 }
 
 /// What a tuned winner is keyed by: the scatter cost model changes with
-/// the support width (slots per window), the number of level passes, and
-/// the layout (1-D windows vs 2-D outer-product tiles).
+/// the dimension count (2-D levels sweep one outer row per `x`
+/// translation), the support width (slots per window) and the number of
+/// level passes.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub(crate) struct ChunkKey {
-    pub kind: ChunkKind,
+    pub dims: u32,
     /// Scatter slots per observation window (the wavelet support width).
     pub support: u32,
     /// Level passes that sweep each chunk.
     pub levels: u32,
-}
-
-/// Which scatter layout the key describes.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub(crate) enum ChunkKind {
-    /// 1-D window scatter ([`crate::CoefficientSketch::push_batch`], run
-    /// over the levels of its `dims == 1` tensor store).
-    OneD,
-    /// 2-D outer-product scatter ([`crate::TensorSketch::push_pairs`]).
-    TwoD,
-}
-
-fn override_chunk() -> Option<usize> {
-    static OVERRIDE: OnceLock<Option<usize>> = OnceLock::new();
-    *OVERRIDE.get_or_init(|| {
-        std::env::var("WAVEDENS_INGEST_CHUNK")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .filter(|&chunk| chunk > 0)
-    })
 }
 
 fn cache() -> &'static Mutex<HashMap<ChunkKey, usize>> {
@@ -71,21 +48,14 @@ fn cache() -> &'static Mutex<HashMap<ChunkKey, usize>> {
     CACHE.get_or_init(|| Mutex::new(HashMap::new()))
 }
 
-/// The chunk to use without probing — the env override or a cached
-/// winner. `None` means this key has not been tuned yet.
-pub(crate) fn fixed_chunk(key: &ChunkKey) -> Option<usize> {
-    if let Some(chunk) = override_chunk() {
-        return Some(chunk);
-    }
+/// The cached winner for `key`; `None` means it has not been tuned yet.
+fn fixed_chunk(key: &ChunkKey) -> Option<usize> {
     cache().lock().ok()?.get(key).copied()
 }
 
 /// Caches `chunk` as the winner for `key`. First writer wins so a
 /// concurrent probe cannot flip an already-tuned key mid-run.
-pub(crate) fn record_winner(key: ChunkKey, chunk: usize) {
-    if override_chunk().is_some() {
-        return;
-    }
+fn record_winner(key: ChunkKey, chunk: usize) {
     if let Ok(mut map) = cache().lock() {
         map.entry(key).or_insert(chunk);
     }
@@ -113,8 +83,8 @@ pub(crate) fn probe_chunks<T>(items: &[T], mut scatter: impl FnMut(&[T])) -> (us
     (best.0, consumed)
 }
 
-/// Resolves the chunk size for one batch: the env override or cached
-/// winner when present; otherwise, when the batch is large enough,
+/// Resolves the chunk size for one batch: the cached winner when
+/// present; otherwise, when the batch is large enough,
 /// probes the candidates on its leading slices (ingesting them for
 /// real), caches the winner, and hands back the not-yet-ingested
 /// remainder. Batches too small to probe use `default` untuned.
@@ -141,7 +111,7 @@ mod tests {
 
     fn key(levels: u32) -> ChunkKey {
         ChunkKey {
-            kind: ChunkKind::OneD,
+            dims: 1,
             support: 15,
             levels,
         }

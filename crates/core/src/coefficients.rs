@@ -190,37 +190,21 @@ impl EmpiricalCoefficients {
 /// so the paths cannot drift apart.
 pub(crate) use wavedens_wavelets::cascade::active_translations;
 
-/// Scatters observations into the running sums (and sums of squares) of
-/// one resolution level — the shared inner loop of
-/// [`crate::sketch::CoefficientSketch`] ingestion (and therefore of the
-/// batch coefficient path layered on it).
+/// The scalar reference scatter of one resolution level: adds
+/// `δ_{j,k}(x)` and its square to every affected translation with one
+/// `φ_{j,k}`/`ψ_{j,k}` evaluation per translation, re-deriving the dilation
+/// constants per call exactly like pointwise evaluation does.
 ///
-/// The per-level dilation constants — `2^j`, `√(2^j)`, the support length
-/// — are hoisted into the struct so that batched ingestion pays them once
-/// per level, not once per `(observation, translation)` pair.
-///
-/// Two scatter paths are provided:
-///
-/// * [`scatter_chunk`](Self::scatter_chunk) — the production fast path:
-///   per observation one **fused** strided table read
-///   ([`wavedens_wavelets::cascade::WaveletTable::scatter_rows_phi`])
-///   evaluates it at every active translation with a shared interpolation
-///   weight and accumulates value and value² in the same sweep — no
-///   intermediate gather row. Windows the fused kernel declines (table
-///   edge, phase wrap, non-finite position) gather into a one-row scratch
-///   and accumulate from there. This is the ingest-side mirror image of
-///   the query-side `accumulate_phi`/`accumulate_psi` dense-evaluation
-///   primitive.
-/// * [`scatter`](Self::scatter) — the scalar reference implementation
-///   (one `φ_{j,k}`/`ψ_{j,k}` evaluation per translation, re-deriving the
-///   dilation constants per call exactly like pointwise evaluation does).
-///   Kept callable so equivalence tests can pin the fast path against it.
+/// It backs [`crate::sketch::CoefficientSketch::push_batch_scalar`], the
+/// oracle the equivalence suites pin the production scatter against. That
+/// production path is the whole-chunk fused scatter of
+/// [`wavedens_wavelets::cascade::WaveletTable::scatter_rows_phi`], run by
+/// the one level loop of `core::tensor` for sketches of every dimension.
 pub(crate) struct LevelAccumulator<'a> {
     basis: &'a WaveletBasis,
     generator: Generator,
     level: i32,
     scale: f64,
-    sqrt_scale: f64,
     support: f64,
     k_start: i64,
 }
@@ -232,21 +216,18 @@ impl<'a> LevelAccumulator<'a> {
         level: i32,
         k_start: i64,
     ) -> Self {
-        let scale = (level as f64).exp2();
         Self {
             basis,
             generator,
             level,
-            scale,
-            sqrt_scale: scale.sqrt(),
+            scale: (level as f64).exp2(),
             support: basis.support_length(),
             k_start,
         }
     }
 
     /// Adds `δ_{j,k}(x)` (and its square) to every affected translation,
-    /// one basis-function evaluation per translation. Scalar reference
-    /// path; see [`scatter_chunk`](Self::scatter_chunk).
+    /// one basis-function evaluation per translation.
     pub(crate) fn scatter(&self, x: f64, sums: &mut [f64], sum_squares: &mut [f64]) {
         let position = self.scale * x;
         for k in active_translations(self.support, position, self.k_start, sums.len()) {
@@ -259,83 +240,10 @@ impl<'a> LevelAccumulator<'a> {
             sum_squares[idx] += value * value;
         }
     }
-
-    /// The fused fast path over a whole chunk of observations: per
-    /// observation one strided table read evaluates the mother function
-    /// at every active translation (shared fractional weight, constant
-    /// stride in the polyphase layout) and accumulates the
-    /// `√(2^j)`-normalised value and its square into the running sums in
-    /// the *same* sweep. The earlier two-pass variant materialised each
-    /// observation's window in a scratch row and re-read it to scatter —
-    /// with the tables L2-resident that store + reload round-trip was the
-    /// dominant per-slot cost, so fusing the lerp into the moment update
-    /// is where the ingest speedup comes from. Windows the fused kernel
-    /// declines (table edge, phase `2^J − 1` wrap, non-finite position)
-    /// fall back to a gather into the one-row scratch followed by the
-    /// scaled-accumulate kernel, which owns every boundary convention.
-    ///
-    /// Matches [`scatter`](Self::scatter) to ≈ 1e-12 relative: the active
-    /// range comes from the same [`active_translations`] and the per-slot
-    /// accumulation order (observation order) is unchanged; only the
-    /// table argument is rounded once per observation (shared weight)
-    /// instead of once per translation. (Fused and gather-then-accumulate
-    /// chains are *bitwise* identical — `WaveletTable::scatter_rows_phi`
-    /// evaluates the same expression per slot.) The equivalence suite in
-    /// `tests/ingest_fast_path.rs` pins the paths against each other
-    /// across families, levels and batch slicings.
-    pub(crate) fn scatter_chunk(
-        &self,
-        xs: &[f64],
-        scratch: &mut ScatterScratch,
-        sums: &mut [f64],
-        sum_squares: &mut [f64],
-    ) {
-        let table = self.basis.table();
-        match self.generator {
-            Generator::Scaling => table.scatter_rows_phi(
-                xs,
-                self.scale,
-                self.sqrt_scale,
-                self.k_start,
-                &mut scratch.row,
-                sums,
-                sum_squares,
-            ),
-            Generator::Wavelet => table.scatter_rows_psi(
-                xs,
-                self.scale,
-                self.sqrt_scale,
-                self.k_start,
-                &mut scratch.row,
-                sums,
-                sum_squares,
-            ),
-        }
-    }
-}
-
-/// Reusable fallback buffer for [`LevelAccumulator::scatter_chunk`]: one
-/// gather row of [`max_active_translations`] slots. The fused fast path
-/// needs no scratch at all; the row only serves windows that touch a
-/// table boundary (or carry a non-finite position), which gather here
-/// before the moment accumulation. Chunk-size independent, so one
-/// instance serves batches of any slicing.
-#[derive(Debug)]
-pub(crate) struct ScatterScratch {
-    row: Vec<f64>,
-}
-
-impl ScatterScratch {
-    /// Allocates the fallback row for `basis`.
-    pub(crate) fn new(basis: &WaveletBasis) -> Self {
-        Self {
-            row: vec![0.0; max_active_translations(basis)],
-        }
-    }
 }
 
 /// Upper bound on how many translations a single observation can touch at
-/// one level — the gather-row width of [`ScatterScratch`]. The active
+/// one level — the width of the scatter's gather rows. The active
 /// range `position − support < k < position` never holds more than
 /// `⌈support⌉ + 1` integers.
 pub(crate) fn max_active_translations(basis: &WaveletBasis) -> usize {

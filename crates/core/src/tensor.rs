@@ -23,6 +23,16 @@
 //! dimension, which is what lets sharded ingestion, scaled decay merges
 //! and cross-node shipping serve both.
 //!
+//! Ingest is one loop for both dims. A batch is cut into autotuned
+//! chunks; for `dims == 2` every `x` factor row of a chunk (the `φ` row
+//! and one `ψ` row per level) is gathered once and scaled by its
+//! `2^{j/2}`; then every level runs the whole-chunk fused scatter of
+//! [`WaveletTable::scatter_rows_phi`] over its last axis, with an outer
+//! row per observation: the unit row in 1-D, the level's `x` row in 2-D,
+//! whose weights multiply each `y` window into the rows of its slot
+//! matrix. Both are bitwise the product of the gathered, scaled axis
+//! factors accumulated in observation order.
+//!
 //! Estimates come out of [`TensorSketch::thresholded`]: each non-scaling
 //! level is handed (flattened) to the level-wise cross-validation of the
 //! 1-D pipeline to pick its threshold `λ`, and the surviving coefficients
@@ -39,7 +49,6 @@ use crate::autotune;
 use crate::codec;
 use crate::coefficients::{
     active_translations, max_active_translations, Generator, LevelAccumulator, LevelCoefficients,
-    ScatterScratch,
 };
 use crate::cv::{cross_validate_into, cross_validate_level, run_levels, CvCriterion};
 use crate::error::EstimatorError;
@@ -48,7 +57,8 @@ use crate::grid::Grid;
 use crate::sketch::{scaled_count, validate_merge_weight, CompactionPolicy};
 use crate::threshold::ThresholdRule;
 use crate::window::WindowSliceMeta;
-use wavedens_wavelets::{WaveletBasis, WaveletFamily};
+use wavedens_wavelets::cascade::OuterRows;
+use wavedens_wavelets::{WaveletBasis, WaveletFamily, WaveletTable};
 
 /// Hard cap on the total number of flattened coefficient slots a 2-D
 /// tensor sketch may hold. At `2^22` slots the slot arrays top out
@@ -66,20 +76,14 @@ pub const MAX_TENSOR_SLOTS: usize = 1 << 22;
 /// built, so every sketch that builds also decodes.
 pub const MAX_COEFFICIENT_SLOTS: usize = 1 << 23;
 
-/// Rows per internal scatter chunk of [`TensorSketch::push_pairs`]: the
-/// per-axis gather rows for a chunk this long stay cache-resident while
-/// every tensor level sweeps them.
-const TENSOR_CHUNK: usize = 128;
-
-/// Untuned default for the observations per internal scatter chunk of
-/// the 1-D path ([`CoefficientSketch::push_batch`](crate::CoefficientSketch::push_batch)):
-/// large batches are scattered in slices so the observation chunk (a few
-/// KB) stays cache-resident while the scaling level and every detail
-/// level sweep it, instead of streaming the whole batch once per level.
-/// The first large batch per basis shape races the candidate sizes on
-/// real data and caches the winner (see [`crate::autotune`]); this
-/// constant only serves batches too small to probe.
-const INGEST_CHUNK: usize = 512;
+/// Untuned defaults for the observations per internal scatter chunk, of
+/// 1-D and of 2-D sketches: large batches are scattered in slices so the
+/// chunk and its gathered `x` rows stay cache-resident while every level
+/// sweeps them, instead of streaming the whole batch once per level. The
+/// first large batch per basis shape races the candidate sizes on real
+/// data and caches the winner (see [`crate::autotune`]); these constants
+/// only serve batches too small to probe.
+const INGEST_CHUNK: [usize; 2] = [512, 128];
 
 /// Frames whose total mass is below this floor answer zero selectivity
 /// (mirrors the 1-D `CumulativeEstimate` guard).
@@ -206,37 +210,34 @@ impl TensorLevel {
     }
 }
 
-/// Per-chunk gather scratch for the 2-D scatter path: every distinct
-/// `(axis, component)` factor is gathered **once** per observation, and
-/// all tensor levels sharing that factor reuse the cached row.
+/// Per-chunk scratch of the scatter: the chunk's coordinates on the
+/// scattered (last) axis, the fallback row of the scatter driver and, for
+/// `dims == 2`, the `x` factor rows of every observation — gathered
+/// **once** per chunk per `x` component and pre-scaled by its
+/// `sqrt_scale`, then shared as outer rows by every level with that `x`
+/// factor.
 #[derive(Debug)]
-struct TensorScratch {
+struct Scratch {
     rows: usize,
     width: usize,
-    values: [Vec<f64>; 2],
-    spans: [Vec<(u32, u32)>; 2],
+    inner: Vec<f64>,
+    spans: Vec<(u32, u32)>,
+    weights: Vec<f64>,
+    fallback: Vec<f64>,
 }
 
-impl TensorScratch {
-    fn new(basis: &WaveletBasis, components: usize, rows: usize) -> Self {
+impl Scratch {
+    fn new(basis: &WaveletBasis, outer_components: usize, rows: usize) -> Self {
         let width = max_active_translations(basis);
-        let values = vec![0.0; components * rows * width];
-        let spans = vec![(0_u32, 0_u32); components * rows];
         Self {
             rows,
             width,
-            values: [values.clone(), values],
-            spans: [spans.clone(), spans],
+            inner: Vec::with_capacity(rows),
+            spans: vec![(0, 0); outer_components * rows],
+            weights: vec![0.0; outer_components * rows * width],
+            fallback: vec![0.0; width],
         }
     }
-}
-
-/// Scratch storage of a tensor sketch: the 1-D path's shared gather row,
-/// or the 2-D path's per-component gather cache above.
-#[derive(Debug)]
-enum Scratch {
-    OneD(ScatterScratch),
-    TwoD(TensorScratch),
 }
 
 /// A mergeable, dimension-generic coefficient sketch over the tensor
@@ -500,7 +501,7 @@ impl TensorSketch {
     }
 
     /// Ingests a batch of scalar observations (`dims == 1` only) through
-    /// the strided-gather fast path of
+    /// the fused scatter of
     /// [`CoefficientSketch::push_batch`](crate::CoefficientSketch::push_batch).
     ///
     /// # Panics
@@ -508,30 +509,7 @@ impl TensorSketch {
     pub(crate) fn push_scalars(&mut self, values: &[f64]) {
         assert_eq!(self.dims, 1, "push_scalars requires a 1-D tensor sketch");
         self.count += values.iter().filter(|x| x.is_finite()).count();
-        if values.is_empty() {
-            return;
-        }
-        if !matches!(&self.scratch, Some(Scratch::OneD(_))) {
-            self.scratch = Some(Scratch::OneD(ScatterScratch::new(&self.basis)));
-        }
-        let Some(Scratch::OneD(scratch)) = self.scratch.as_mut() else {
-            unreachable!("1-D scratch just ensured");
-        };
-        let (basis, axis, levels) = (&self.basis, &self.axes[0], &mut self.levels);
-        let key = autotune::ChunkKey {
-            kind: autotune::ChunkKind::OneD,
-            support: basis.support_length() as u32,
-            levels: levels.len() as u32,
-        };
-        let mut scatter = |chunk: &[f64]| {
-            scatter_1d(basis, axis, levels, |accumulator, sums, squares| {
-                accumulator.scatter_chunk(chunk, scratch, sums, squares)
-            })
-        };
-        let (chunk_size, rest) = autotune::tuned_chunk(key, INGEST_CHUNK, values, &mut scatter);
-        for chunk in rest.chunks(chunk_size) {
-            scatter(chunk);
-        }
+        self.push_rows(values, |&x| [x, x]);
     }
 
     /// The scalar reference path of [`push_scalars`](Self::push_scalars)
@@ -544,20 +522,24 @@ impl TensorSketch {
         if values.is_empty() {
             return;
         }
-        let (basis, axis, levels) = (&self.basis, &self.axes[0], &mut self.levels);
-        scatter_1d(basis, axis, levels, |accumulator, sums, squares| {
+        for level in &mut self.levels {
+            let axis = self.axes[0][level.component[0]];
+            level.version += 1;
+            let accumulator =
+                LevelAccumulator::new(&self.basis, axis.generator, axis.level, axis.k_start);
+            let squares = Arc::make_mut(&mut level.sum_squares);
             for &x in values {
-                accumulator.scatter(x, sums, squares);
+                accumulator.scatter(x, &mut level.sums, squares);
             }
-        });
+        }
     }
 
     /// Ingests a batch of `(x, y)` observation pairs (`dims == 2` only).
     ///
-    /// Each distinct per-axis factor (one `φ` row, one `ψ` row per level
-    /// per axis) is gathered **once** per observation through the 1-D
-    /// polyphase fast path; every tensor level then scatters the outer
-    /// product of its two cached rows into its flattened slots.
+    /// Each `x` factor (the `φ` row and one `ψ` row per level) is
+    /// gathered **once** per observation through the 1-D polyphase fast
+    /// path; every tensor level then runs the 1-D fused scatter over the
+    /// `y` axis with those rows as its outer weights.
     ///
     /// A pair with a NaN or infinite coordinate is skipped and not
     /// counted; a finite pair outside the intervals counts toward `n`
@@ -572,116 +554,102 @@ impl TensorSketch {
             .iter()
             .filter(|(x, y)| x.is_finite() && y.is_finite())
             .count();
+        self.push_rows(rows, |&(x, y)| [x, y]);
+    }
+
+    /// The chunk loop of both dims: slices the batch into autotuned
+    /// chunks (keyed by dims, support and level count) and scatters each.
+    fn push_rows<T>(&mut self, rows: &[T], coordinates: impl Fn(&T) -> [f64; 2] + Copy) {
         if rows.is_empty() {
             return;
         }
         let key = autotune::ChunkKey {
-            kind: autotune::ChunkKind::TwoD,
+            dims: self.dims as u32,
             support: self.basis.support_length() as u32,
             levels: self.levels.len() as u32,
         };
-        // Size the pooled scratch up front for the largest chunk this
-        // batch can see — the tuned winner when one is cached, else the
-        // largest probe candidate — so probing never reallocates
-        // mid-batch and later batches reuse the same buffers.
-        let largest = autotune::fixed_chunk(&key)
-            .unwrap_or_else(|| autotune::CHUNK_CANDIDATES[autotune::CHUNK_CANDIDATES.len() - 1])
-            .max(TENSOR_CHUNK);
-        let chunk_rows = rows.len().min(largest);
-        let components = self.axes[0].len().max(self.axes[1].len());
-        let need_new = match &self.scratch {
-            Some(Scratch::TwoD(s)) => s.rows < chunk_rows,
-            _ => true,
-        };
-        if need_new {
-            self.scratch = Some(Scratch::TwoD(TensorScratch::new(
-                &self.basis,
-                components,
-                chunk_rows,
-            )));
-        }
-        let mut scatter = |chunk: &[(f64, f64)]| self.scatter_pair_chunk(chunk);
-        let (chunk_size, rest) = autotune::tuned_chunk(key, TENSOR_CHUNK, rows, &mut scatter);
-        for chunk in rest.chunks(chunk_size.min(chunk_rows.max(1))) {
+        let default = INGEST_CHUNK[self.dims - 1];
+        let mut scatter = |chunk: &[T]| self.scatter_chunk(chunk, coordinates);
+        let (chunk_size, rest) = autotune::tuned_chunk(key, default, rows, &mut scatter);
+        for chunk in rest.chunks(chunk_size) {
             scatter(chunk);
         }
     }
 
-    fn scatter_pair_chunk(&mut self, chunk: &[(f64, f64)]) {
-        let support = self.basis.support_length();
-        let table = self.basis.table();
-        let Some(Scratch::TwoD(scratch)) = self.scratch.as_mut() else {
-            unreachable!("2-D scratch ensured by push_pairs");
+    /// The one level loop: for `dims == 2` gathers every `x` factor row of
+    /// the chunk once, then runs each level through the fused scatter of
+    /// its last axis, with the level's `x` rows (or, in 1-D, the unit row)
+    /// as outer weights.
+    fn scatter_chunk<T>(&mut self, chunk: &[T], coordinates: impl Fn(&T) -> [f64; 2]) {
+        let inner_axis = self.dims - 1;
+        let outer_components = if self.dims == 2 {
+            self.axes[0].len()
+        } else {
+            0
         };
-        let rows_cap = scratch.rows;
-        let width = scratch.width;
-        debug_assert!(
-            chunk.len() <= rows_cap,
-            "scatter chunk of {} rows exceeds scratch capacity {rows_cap}",
-            chunk.len()
-        );
-        // Pass 1: gather the raw mother values of every (axis, component)
-        // factor for every observation in the chunk.
-        for axis in 0..2 {
-            let values = &mut scratch.values[axis];
-            let spans = &mut scratch.spans[axis];
-            for (c, comp) in self.axes[axis].iter().enumerate() {
-                for (i, row) in chunk.iter().enumerate() {
-                    let x = if axis == 0 { row.0 } else { row.1 };
-                    let position = comp.scale * x;
-                    let range = active_translations(support, position, comp.k_start, comp.extent);
-                    let (k_lo, k_hi) = (*range.start(), *range.end());
-                    let slot = c * rows_cap + i;
-                    if k_lo > k_hi {
-                        spans[slot] = (0, 0);
-                        continue;
-                    }
-                    let len = (k_hi - k_lo + 1) as usize;
-                    spans[slot] = ((k_lo - comp.k_start) as u32, len as u32);
-                    let base = slot * width;
-                    let out = &mut values[base..base + len];
-                    match comp.generator {
-                        Generator::Scaling => table.gather_phi(position, k_lo, out),
-                        Generator::Wavelet => table.gather_psi(position, k_lo, out),
-                    }
+        if self.scratch.as_ref().is_some_and(|s| s.rows < chunk.len()) {
+            self.scratch = None;
+        }
+        let scratch = self
+            .scratch
+            .get_or_insert_with(|| Scratch::new(&self.basis, outer_components, chunk.len()));
+        let (rows_cap, width) = (scratch.rows, scratch.width);
+        let (table, support) = (self.basis.table(), self.basis.support_length());
+        scratch.inner.clear();
+        scratch
+            .inner
+            .extend(chunk.iter().map(|row| coordinates(row)[inner_axis]));
+        for (c, comp) in self.axes[0].iter().enumerate().take(outer_components) {
+            for (i, row) in chunk.iter().enumerate() {
+                let position = comp.scale * coordinates(row)[0];
+                let range = active_translations(support, position, comp.k_start, comp.extent);
+                let slot = c * rows_cap + i;
+                if range.is_empty() {
+                    scratch.spans[slot] = (0, 0);
+                    continue;
+                }
+                let (k_lo, len) = (*range.start(), (range.end() - range.start() + 1) as usize);
+                scratch.spans[slot] = ((k_lo - comp.k_start) as u32, len as u32);
+                let out = &mut scratch.weights[slot * width..slot * width + len];
+                match comp.generator {
+                    Generator::Scaling => table.gather_phi(position, k_lo, out),
+                    Generator::Wavelet => table.gather_psi(position, k_lo, out),
+                }
+                for weight in out.iter_mut() {
+                    *weight *= comp.sqrt_scale;
                 }
             }
         }
-        // Pass 2: scatter the outer product of each level's two cached
-        // rows into the flattened slots, accumulating value and value².
         for level in &mut self.levels {
             level.version += 1;
-            let ax = self.axes[0][level.component[0]];
-            let ay = self.axes[1][level.component[1]];
-            let extent_y = ay.extent;
-            let cx_base = level.component[0] * rows_cap;
-            let cy_base = level.component[1] * rows_cap;
+            let inner = self.axes[inner_axis][level.component[inner_axis]];
+            let outer = if self.dims == 2 {
+                let first = level.component[0] * rows_cap;
+                OuterRows::Rows {
+                    spans: &scratch.spans[first..first + chunk.len()],
+                    weights: &scratch.weights[first * width..],
+                    width,
+                    extent: inner.extent,
+                }
+            } else {
+                OuterRows::Unit
+            };
+            let scatter = match inner.generator {
+                Generator::Scaling => WaveletTable::scatter_rows_phi,
+                Generator::Wavelet => WaveletTable::scatter_rows_psi,
+            };
             let squares = Arc::make_mut(&mut level.sum_squares);
-            for i in 0..chunk.len() {
-                let (off_x, len_x) = scratch.spans[0][cx_base + i];
-                let (off_y, len_y) = scratch.spans[1][cy_base + i];
-                if len_x == 0 || len_y == 0 {
-                    continue;
-                }
-                let base_x = (cx_base + i) * width;
-                let base_y = (cy_base + i) * width;
-                let row_x = &scratch.values[0][base_x..base_x + len_x as usize];
-                let row_y = &scratch.values[1][base_y..base_y + len_y as usize];
-                for (mx, &raw_x) in row_x.iter().enumerate() {
-                    let vx = ax.sqrt_scale * raw_x;
-                    if vx == 0.0 {
-                        continue;
-                    }
-                    let slot = (off_x as usize + mx) * extent_y + off_y as usize;
-                    let sums = &mut level.sums[slot..slot + len_y as usize];
-                    let sqs = &mut squares[slot..slot + len_y as usize];
-                    for ((sum, square), &raw_y) in sums.iter_mut().zip(sqs.iter_mut()).zip(row_y) {
-                        let value = vx * (ay.sqrt_scale * raw_y);
-                        *sum += value;
-                        *square += value * value;
-                    }
-                }
-            }
+            scatter(
+                table,
+                &scratch.inner,
+                outer,
+                inner.scale,
+                inner.sqrt_scale,
+                inner.k_start,
+                &mut scratch.fallback,
+                &mut level.sums,
+                squares,
+            );
         }
     }
 
@@ -1088,29 +1056,6 @@ fn component_index(selector: (Generator, i32), j0: i32) -> usize {
     match selector.0 {
         Generator::Scaling => 0,
         Generator::Wavelet => 1 + (selector.1 - j0) as usize,
-    }
-}
-
-/// The one 1-D scatter loop: runs `scatter` on every level of a 1-D
-/// sketch with the level's accumulator and slot arrays, advancing its
-/// stamp.
-fn scatter_1d(
-    basis: &WaveletBasis,
-    axis: &[AxisComponent],
-    levels: &mut [TensorLevel],
-    mut scatter: impl FnMut(&LevelAccumulator<'_>, &mut [f64], &mut [f64]),
-) {
-    for level in levels {
-        let component = axis[level.component[0]];
-        level.version += 1;
-        let accumulator = LevelAccumulator::new(
-            basis,
-            component.generator,
-            component.level,
-            component.k_start,
-        );
-        let squares = Arc::make_mut(&mut level.sum_squares);
-        scatter(&accumulator, &mut level.sums, squares);
     }
 }
 
@@ -1834,6 +1779,137 @@ mod tests {
                     (raw - expected).abs() <= 1e-12,
                     "k = {k}: {raw} vs {expected}"
                 );
+            }
+        }
+    }
+
+    /// `n` rows mixing uniform draws with the edge cases of the scatter:
+    /// the interval ends, exact dyadic points (whose windows take the
+    /// gather fallback), points just outside the interval, NaN and ±∞.
+    fn adversarial_rows(n: usize, seed: u64) -> Vec<[f64; 2]> {
+        const SPECIAL: [f64; 13] = [
+            0.0,
+            1.0,
+            0.5,
+            0.25,
+            0.375,
+            1.0 / 1024.0,
+            -1e-9,
+            1.0 + 1e-9,
+            -0.3,
+            1.3,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ];
+        let mut rng = seeded_rng(seed);
+        let mut coordinate = |i: usize| {
+            if i % 5 == 0 {
+                SPECIAL[(i / 5) % SPECIAL.len()]
+            } else {
+                rng.gen::<f64>()
+            }
+        };
+        (0..n).map(|i| [coordinate(i), coordinate(i + 3)]).collect()
+    }
+
+    /// The scatter's specification, computed the slow way: every axis
+    /// factor of every row is gathered with `WaveletTable::gather_{phi,psi}`
+    /// over its active translations and scaled by its `sqrt_scale`, and
+    /// the product of the factors (the second one is the unit for
+    /// `dims == 1`) is accumulated into each slot in observation order.
+    fn reference_scatter(sketch: &TensorSketch, rows: &[[f64; 2]]) -> Vec<(Vec<f64>, Vec<f64>)> {
+        let (table, support) = (sketch.basis.table(), sketch.basis.support_length());
+        let gather = |axis: &AxisComponent, x: f64| {
+            let position = axis.scale * x;
+            let range = active_translations(support, position, axis.k_start, axis.extent);
+            if range.is_empty() {
+                return (0, Vec::new());
+            }
+            let mut row = vec![0.0; (range.end() - range.start() + 1) as usize];
+            match axis.generator {
+                Generator::Scaling => table.gather_phi(position, *range.start(), &mut row),
+                Generator::Wavelet => table.gather_psi(position, *range.start(), &mut row),
+            }
+            let first = (range.start() - axis.k_start) as usize;
+            let values: Vec<f64> = row.iter().map(|raw| axis.sqrt_scale * raw).collect();
+            (first, values)
+        };
+        sketch
+            .levels
+            .iter()
+            .map(|level| {
+                let mut sums = vec![0.0; level.sums.len()];
+                let mut squares = vec![0.0; level.sums.len()];
+                let ax = &sketch.axes[0][level.component[0]];
+                for row in rows {
+                    let (first_x, fx) = gather(ax, row[0]);
+                    let (first_y, fy, extent_y) = if sketch.dims == 2 {
+                        let ay = &sketch.axes[1][level.component[1]];
+                        let (first, values) = gather(ay, row[1]);
+                        (first, values, ay.extent)
+                    } else {
+                        (0, vec![1.0], 1)
+                    };
+                    for (mx, vx) in fx.iter().enumerate() {
+                        for (my, vy) in fy.iter().enumerate() {
+                            let slot = (first_x + mx) * extent_y + first_y + my;
+                            let value = vx * vy;
+                            sums[slot] += value;
+                            squares[slot] += value * value;
+                        }
+                    }
+                }
+                (sums, squares)
+            })
+            .collect()
+    }
+
+    /// The production scatter of both dims is bitwise the reference
+    /// above, in every sum and sum of squares, across families, edge-case
+    /// rows and batch sizes on both sides of the chunk-size probe.
+    #[test]
+    fn scatter_is_bitwise_the_gathered_axis_product() {
+        let families = [
+            WaveletFamily::Haar,
+            WaveletFamily::Daubechies(4),
+            WaveletFamily::Symmlet(8),
+        ];
+        for family in families {
+            let basis = WaveletBasis::shared(family).unwrap();
+            for n in [1, 127, autotune::probe_rows() + 32] {
+                let rows = adversarial_rows(n, n as u64);
+                let mut one_d =
+                    TensorSketch::with_basis_1d(Arc::clone(&basis), (0.0, 1.0), 1, 5).unwrap();
+                let scalars: Vec<f64> = rows.iter().map(|row| row[0]).collect();
+                one_d.push_scalars(&scalars);
+                let mut two_d = TensorSketch::with_basis_2d(
+                    Arc::clone(&basis),
+                    (0.0, 1.0),
+                    (0.0, 1.0),
+                    1,
+                    4,
+                    5,
+                )
+                .unwrap();
+                let pairs: Vec<(f64, f64)> = rows.iter().map(|row| (row[0], row[1])).collect();
+                two_d.push_pairs(&pairs);
+                for sketch in [&one_d, &two_d] {
+                    let expected = reference_scatter(sketch, &rows);
+                    for (index, (level, (sums, squares))) in
+                        sketch.levels.iter().zip(&expected).enumerate()
+                    {
+                        let context =
+                            format!("{family:?} dims {} n {n} level {index}", sketch.dims);
+                        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                        assert_eq!(bits(&level.sums), bits(sums), "sums: {context}");
+                        assert_eq!(
+                            bits(&level.sum_squares),
+                            bits(squares),
+                            "squares: {context}"
+                        );
+                    }
+                }
             }
         }
     }

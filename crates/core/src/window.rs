@@ -402,7 +402,7 @@ impl<S: MergeableSketch> WindowedSketch<S> {
     /// sketch over the surviving rows; for
     /// [`WindowPolicy::ExponentialDecay`] each slice enters at `λᵃ`.
     pub fn merged_window(&self, policy: WindowPolicy) -> Result<S, EstimatorError> {
-        let mut merged = self.slices[self.head].clone();
+        let mut merged = self.slices[self.head].empty_like();
         self.merge_window_into(&mut merged, policy, true)?;
         Ok(merged)
     }

@@ -23,6 +23,7 @@ mod error_doc;
 mod float_cmp;
 mod locks;
 mod panic_decode;
+mod scatter_loop;
 mod threads;
 mod try_lock;
 mod unsafe_confined;
@@ -165,6 +166,22 @@ pub fn all_rules() -> &'static [Rule] {
                         on timing. Block on the lock (`lock()` with poison recovery) on the \
                         write side, and read the published snapshot on the read side.",
             check: try_lock::check,
+        },
+        Rule {
+            name: "one-scatter-loop",
+            summary:
+                "scatter_rows_phi/psi only from core::tensor, crates/wavelets, tests and benches",
+            rationale: "Every sketch of either dimension ingests through one level loop in \
+                        `crates/core/src/tensor.rs`: it slices a batch into autotuned chunks, \
+                        gathers the 2-D `x` factor rows once per chunk, and hands each level \
+                        to `WaveletTable::scatter_rows_phi`/`_psi` with an `OuterRows` (the \
+                        unit row for 1-D, the `x` rows for 2-D). Any other caller is a second \
+                        scatter loop, a per-dims fork with its own chunking, scratch and \
+                        version stamps to drift from the first. Ingest \
+                        through a sketch (`push_batch`, `push_pairs`, \
+                        `MergeableSketch::push_rows`); a new layout is a new outer row for the \
+                        one loop. The wavelets crate, tests and benches are exempt.",
+            check: scatter_loop::check,
         },
     ]
 }

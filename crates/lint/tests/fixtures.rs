@@ -293,6 +293,38 @@ fn basis_interned_accepts_shared_explicit_depths_and_exempt_code() {
 }
 
 #[test]
+fn one_scatter_loop_fires_outside_the_tensor_level_loop() {
+    let call = "fn f(t: &WaveletTable, xs: &[f64], s: &mut Sums) {\n\
+                \x20   t.scatter_rows_phi(xs, OuterRows::Unit, 4.0, 2.0, 0, s.r, s.s, s.q);\n}\n";
+    assert_eq!(
+        fired("crates/core/src/coefficients.rs", call),
+        ["one-scatter-loop"]
+    );
+    // Taking the method as a function value is a use too.
+    let pointer = "fn f() { let scatter = WaveletTable::scatter_rows_psi; }\n";
+    assert_eq!(
+        fired("crates/engine/src/sharded.rs", pointer),
+        ["one-scatter-loop"]
+    );
+}
+
+#[test]
+fn one_scatter_loop_accepts_the_level_loop_and_exempt_code() {
+    let call = "fn f(t: &WaveletTable, xs: &[f64], s: &mut Sums) {\n\
+                \x20   t.scatter_rows_psi(xs, OuterRows::Unit, 4.0, 2.0, 0, s.r, s.s, s.q);\n}\n";
+    assert_eq!(fired("crates/core/src/tensor.rs", call), [""; 0]);
+    assert_eq!(fired("crates/wavelets/src/cascade.rs", call), [""; 0]);
+    assert_eq!(fired("tests/kernel_equivalence.rs", call), [""; 0]);
+    assert_eq!(fired("crates/bench/benches/simd.rs", call), [""; 0]);
+    let in_test = format!("#[cfg(test)]\nmod tests {{\n    {call}}}\n");
+    assert_eq!(fired("crates/core/src/coefficients.rs", &in_test), [""; 0]);
+    // A mention in a comment or string is not a use.
+    let mentioned = "// the level loop calls scatter_rows_phi per level\n\
+                     fn f() -> &'static str { \"scatter_rows_psi(\" }\n";
+    assert_eq!(fired("crates/core/src/sketch.rs", mentioned), [""; 0]);
+}
+
+#[test]
 fn no_try_lock_fires_outside_tests_and_benches() {
     let method = "fn f(m: &std::sync::Mutex<u32>) -> bool { m.try_lock().is_ok() }\n";
     assert_eq!(

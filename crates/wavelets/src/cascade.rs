@@ -186,42 +186,34 @@ impl WaveletTable {
     /// the tabulated support yield 0, exactly as [`WaveletTable::phi`].
     #[inline]
     pub fn gather_phi(&self, position: f64, k_first: i64, out: &mut [f64]) {
-        gather_strided(
-            &self.phi,
-            &self.phi_poly,
-            self.poly_row,
-            self.levels,
-            position,
-            k_first,
-            out,
-        );
+        self.tabulated_phi().gather(position, k_first, out);
     }
 
     /// Gathers `ψ(position − (k_first + m))` into `out[m]`; the `ψ`
     /// counterpart of [`WaveletTable::gather_phi`].
     #[inline]
     pub fn gather_psi(&self, position: f64, k_first: i64, out: &mut [f64]) {
-        gather_strided(
-            &self.psi,
-            &self.psi_poly,
-            self.poly_row,
-            self.levels,
-            position,
-            k_first,
-            out,
-        );
+        self.tabulated_psi().gather(position, k_first, out);
     }
 
     /// Scatters a whole chunk of observations into one level's running
-    /// sums through the fused fast path: per observation the active
-    /// translation window is derived ([`active_translations`]), the fused
-    /// kernel accumulates `norm_scale`-normalised values and squares over
-    /// the interior window in one strided table read (bitwise the
+    /// sums: the one ingest loop of the workspace, for every dimension.
+    ///
+    /// The target is a slot matrix whose rows hold the level's
+    /// translations of the scattered axis, and `outer` says, per
+    /// observation, which rows it reaches and with which weights. For each
+    /// observation the active translation window is derived
+    /// ([`active_translations`]) and every outer row `r` with weight `w`
+    /// gains `v = w·(norm_scale·φ(2^j x − k))` and `v²` over the window:
+    /// the fused kernel reads the two interior polyphase runs and
+    /// accumulates in one sweep (bitwise the
     /// [`gather_phi`](Self::gather_phi)-then-accumulate chain, without
     /// materialising the row), and boundary windows gather into
-    /// `fallback_row` first. The backend is resolved **once per chunk**
-    /// and the row loop is compiled per backend, so on the AVX2 path the
-    /// vector kernel inlines straight into the loop.
+    /// `fallback_row` first. [`OuterRows::Unit`] (one row, `w = 1`) is the
+    /// 1-D scatter, bitwise the unweighted one since `1.0·v == v`. The
+    /// backend is resolved once per call and the row loop is compiled per
+    /// backend, so on the AVX2 path the vector kernel inlines straight
+    /// into the loop. Per-slot accumulation order is observation order.
     ///
     /// `level_scale` is `2^j` (observation → position), `norm_scale` the
     /// `2^{j/2}` normalisation; `fallback_row` must hold at least
@@ -231,6 +223,7 @@ impl WaveletTable {
     pub fn scatter_rows_phi(
         &self,
         xs: &[f64],
+        outer: OuterRows<'_>,
         level_scale: f64,
         norm_scale: f64,
         k_start: i64,
@@ -238,20 +231,17 @@ impl WaveletTable {
         sums: &mut [f64],
         squares: &mut [f64],
     ) {
-        scatter_rows_dispatch(
-            &self.phi,
-            &self.phi_poly,
-            self.poly_row,
-            self.levels,
+        scatter_rows_dispatch(RowScatter {
+            table: self.tabulated_phi(),
             xs,
+            outer,
             level_scale,
             norm_scale,
-            self.support_end(),
             k_start,
             fallback_row,
             sums,
             squares,
-        );
+        });
     }
 
     /// The `ψ` counterpart of [`WaveletTable::scatter_rows_phi`].
@@ -260,6 +250,7 @@ impl WaveletTable {
     pub fn scatter_rows_psi(
         &self,
         xs: &[f64],
+        outer: OuterRows<'_>,
         level_scale: f64,
         norm_scale: f64,
         k_start: i64,
@@ -267,21 +258,62 @@ impl WaveletTable {
         sums: &mut [f64],
         squares: &mut [f64],
     ) {
-        scatter_rows_dispatch(
-            &self.psi,
-            &self.psi_poly,
-            self.poly_row,
-            self.levels,
+        scatter_rows_dispatch(RowScatter {
+            table: self.tabulated_psi(),
             xs,
+            outer,
             level_scale,
             norm_scale,
-            self.support_end(),
             k_start,
             fallback_row,
             sums,
             squares,
-        );
+        });
     }
+
+    fn tabulated_phi(&self) -> Tabulated<'_> {
+        Tabulated {
+            values: &self.phi,
+            poly: &self.phi_poly,
+            poly_row: self.poly_row,
+            levels: self.levels,
+        }
+    }
+
+    fn tabulated_psi(&self) -> Tabulated<'_> {
+        Tabulated {
+            values: &self.psi,
+            poly: &self.psi_poly,
+            poly_row: self.poly_row,
+            levels: self.levels,
+        }
+    }
+}
+
+/// The outer factor of a whole-chunk scatter
+/// ([`WaveletTable::scatter_rows_phi`]): which rows of the level's slot
+/// matrix each observation reaches, and with which weights.
+#[derive(Debug, Clone, Copy)]
+pub enum OuterRows<'a> {
+    /// Every observation adds into the one row of the sums with weight 1:
+    /// the 1-D scatter.
+    Unit,
+    /// Observation `i` adds into row `spans[i].0 + m` with weight
+    /// `weights[i·width + m]`, for `m < spans[i].1`. For a 2-D tensor
+    /// level these are the `x`-axis factor values of the observation,
+    /// already scaled by their `2^{j/2}`, while the scatter itself walks
+    /// the `y` axis.
+    Rows {
+        /// Per observation, the first row reached and the number of rows.
+        spans: &'a [(u32, u32)],
+        /// The weights, `width` slots reserved per observation.
+        weights: &'a [f64],
+        /// Weight slots per observation.
+        width: usize,
+        /// Slots per row of the matrix: the translations of the scattered
+        /// axis.
+        extent: usize,
+    },
 }
 
 /// The clamped range of translations `k` with `δ_{j,k}(x) ≠ 0`:
@@ -312,58 +344,31 @@ pub fn active_translations(
     k_lo..=k_hi
 }
 
+/// One level's whole-chunk scatter, as [`WaveletTable::scatter_rows_phi`]
+/// hands it to the backend-specific row loop.
+pub(crate) struct RowScatter<'a> {
+    table: Tabulated<'a>,
+    xs: &'a [f64],
+    outer: OuterRows<'a>,
+    level_scale: f64,
+    norm_scale: f64,
+    k_start: i64,
+    fallback_row: &'a mut [f64],
+    sums: &'a mut [f64],
+    squares: &'a mut [f64],
+}
+
 /// Resolves the backend once for a whole chunk and hands the row loop a
 /// fused op the compiler can inline into it. The AVX2 arm re-enters
 /// through a `#[target_feature(enable = "avx2")]` wrapper in
 /// [`crate::kernels`] so the intrinsics body fuses into the loop instead
-/// of costing an opaque call per `(observation, level)` pair.
-#[allow(clippy::too_many_arguments)]
-fn scatter_rows_dispatch(
-    values: &[f64],
-    poly: &[f64],
-    poly_row: usize,
-    levels: u32,
-    xs: &[f64],
-    level_scale: f64,
-    norm_scale: f64,
-    support: f64,
-    k_start: i64,
-    fallback_row: &mut [f64],
-    sums: &mut [f64],
-    squares: &mut [f64],
-) {
+/// of costing an opaque call per `(observation, row)` pair.
+fn scatter_rows_dispatch(job: RowScatter<'_>) {
     use crate::kernels;
     match kernels::active_backend() {
         #[cfg(target_arch = "x86_64")]
-        kernels::Backend::Intrinsics => kernels::avx::scatter_rows(
-            values,
-            poly,
-            poly_row,
-            levels,
-            xs,
-            level_scale,
-            norm_scale,
-            support,
-            k_start,
-            fallback_row,
-            sums,
-            squares,
-        ),
-        _ => scatter_rows_impl(
-            &kernels::lerp_scaled_accumulate_scalar,
-            values,
-            poly,
-            poly_row,
-            levels,
-            xs,
-            level_scale,
-            norm_scale,
-            support,
-            k_start,
-            fallback_row,
-            sums,
-            squares,
-        ),
+        kernels::Backend::Intrinsics => kernels::avx::scatter_rows(job),
+        _ => scatter_rows_impl(&kernels::lerp_scaled_accumulate_scalar, job),
     }
 }
 
@@ -371,31 +376,61 @@ fn scatter_rows_dispatch(
 /// [`WaveletTable::scatter_rows_phi`]. Per-slot accumulation order is
 /// observation order, identical to scattering the rows one at a time.
 #[inline]
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn scatter_rows_impl(
+pub(crate) fn scatter_rows_impl(fused: &impl FusedOp, job: RowScatter<'_>) {
+    // One copy of the row loop per outer-row kind, so that the unit row
+    // of 1-D ingest folds away: its one weight is the constant 1.
+    match job.outer {
+        OuterRows::Unit => scatter_rows_loop(fused, job, |_| (0, &[1.0])),
+        OuterRows::Rows {
+            spans,
+            weights,
+            width,
+            ..
+        } => scatter_rows_loop(fused, job, |i| {
+            let (first, len) = spans[i];
+            (
+                first as usize,
+                &weights[i * width..i * width + len as usize],
+            )
+        }),
+    }
+}
+
+/// The row loop of [`scatter_rows_impl`], given the first row and the
+/// weights of each observation.
+#[inline(always)]
+fn scatter_rows_loop<'a>(
     fused: &impl FusedOp,
-    values: &[f64],
-    poly: &[f64],
-    poly_row: usize,
-    levels: u32,
-    xs: &[f64],
-    level_scale: f64,
-    norm_scale: f64,
-    support: f64,
-    k_start: i64,
-    fallback_row: &mut [f64],
-    sums: &mut [f64],
-    squares: &mut [f64],
+    job: RowScatter<'a>,
+    outer_row: impl Fn(usize) -> (usize, &'a [f64]),
 ) {
-    let window = sums.len();
+    let RowScatter {
+        table,
+        xs,
+        outer,
+        level_scale,
+        norm_scale,
+        k_start,
+        fallback_row,
+        sums,
+        squares,
+    } = job;
+    let extent = match outer {
+        OuterRows::Unit => sums.len(),
+        OuterRows::Rows { extent, .. } => extent,
+    };
+    let levels = table.levels;
     let stride = 1_i64 << levels;
     let scale = stride as f64;
     // `φ`/`ψ` supports are `[0, L−1]` with integer length, so the window
     // bounds reduce to integer arithmetic on `⌊position·2^J⌋` (see below).
-    let support_i = support as i64;
-    debug_assert_eq!(support_i as f64, support);
-    let k_last = k_start + window as i64 - 1;
-    for &x in xs {
+    let support_i = (table.poly_row - 1) as i64;
+    let k_last = k_start + extent as i64 - 1;
+    for (i, &x) in xs.iter().enumerate() {
+        let (first_row, weights) = outer_row(i);
+        if weights.is_empty() {
+            continue;
+        }
         let position = level_scale * x;
         // One floor of the exact power-of-two scaling `position·2^J`
         // replaces the floor/ceil pair of [`active_translations`]:
@@ -423,7 +458,7 @@ pub(crate) fn scatter_rows_impl(
         }
         debug_assert!(
             position.abs() >= 2f64.powi(48) || {
-                let r = active_translations(support, position, k_start, window);
+                let r = active_translations(support_i as f64, position, k_start, extent);
                 (k_lo, k_hi) == (*r.start(), *r.end())
             },
             "integer window derivation drifted from active_translations \
@@ -431,24 +466,51 @@ pub(crate) fn scatter_rows_impl(
         );
         let count = (k_hi - k_lo + 1) as usize;
         let offset = (k_lo - k_start) as usize;
-        let sums = &mut sums[offset..offset + count];
-        let squares = &mut squares[offset..offset + count];
-        if !scatter_strided(
-            fused, values, poly, poly_row, levels, position, k_lo, norm_scale, sums, squares,
-        ) {
+        let runs = table.interior_runs(position, k_lo, count);
+        if runs.is_none() {
+            // A window that could leave the table gathers once, scaled as
+            // the fused kernel scales its lerp, and every row reuses it.
             let row = &mut fallback_row[..count];
-            gather_strided(values, poly, poly_row, levels, position, k_lo, row);
-            crate::kernels::scaled_accumulate(norm_scale, row, sums, squares);
+            table.gather(position, k_lo, row);
+            for value in row.iter_mut() {
+                *value *= norm_scale;
+            }
+        }
+        for (m, &weight) in weights.iter().enumerate() {
+            if weight == 0.0 {
+                continue;
+            }
+            let base = (first_row + m) * extent + offset;
+            let sums = &mut sums[base..base + count];
+            let squares = &mut squares[base..base + count];
+            match runs {
+                Some((lo, hi, w0, w1)) => fused(lo, hi, w0, w1, norm_scale, weight, sums, squares),
+                None => {
+                    crate::kernels::scaled_accumulate(weight, &fallback_row[..count], sums, squares)
+                }
+            }
         }
     }
 }
+
+/// Signature of the fused per-window op: `(lo, hi, w0, w1, scale, weight,
+/// sums, squares)` with the semantics of
+/// `kernels::lerp_scaled_accumulate_scalar`. Passed as a closure so the
+/// row loop can take a backend-specific body that inlines into it (the
+/// AVX2 driver defines it inside a `#[target_feature]` function, which
+/// the closure inherits).
+pub(crate) trait FusedOp:
+    Fn(&[f64], &[f64], f64, f64, f64, f64, &mut [f64], &mut [f64])
+{
+}
+impl<F: Fn(&[f64], &[f64], f64, f64, f64, f64, &mut [f64], &mut [f64])> FusedOp for F {}
 
 /// Reorders a dyadic table into the phase-major, node-reversed polyphase
 /// layout `poly[p · (support + 1) + (support − q)] = values[q · 2^J + p]`
 /// (absent combinations — only phase 0 reaches node `support` — are
 /// zero-padded). A gather over consecutive (ascending) translations walks
 /// a row *forward*, so it reads rows `p` and `p + 1` as two contiguous
-/// forward runs; see [`gather_strided`].
+/// forward runs; see [`Tabulated::interior_runs`].
 fn polyphase(values: &[f64], levels: u32, support: usize) -> Vec<f64> {
     let phases = 1_usize << levels;
     let row = support + 1;
@@ -461,141 +523,108 @@ fn polyphase(values: &[f64], levels: u32, support: usize) -> Vec<f64> {
     out
 }
 
-/// Strided gather: `out[m] = table(position − k_first − m)`.
-///
-/// The table position of slot `m` is `(position − k_first − m)·2^J =
-/// base − m·2^J` with `base = (position − k_first)·2^J`. The power-of-two
-/// scaling is exact and the per-slot stride is pure integer work, so every
-/// slot shares one fractional weight computed from `base`; relative to the
-/// per-translation [`interpolate`] (which rounds `position − k` anew for
-/// each slot) the table argument differs by at most one rounding of the
-/// initial difference, i.e. the gathered values agree to ≈ 1e-12 relative.
-/// The boundary conventions (0 outside the support, last node at the
-/// right edge) are identical.
-///
-/// When every slot is interior to the table — the invariant for active
-/// translation windows — the per-slot stride `2^J` collapses in the
-/// polyphase layout to two contiguous row segments sharing the weights
-/// `(1 − frac, frac)`: a branch-free multiply–add sweep over ~2 cache
-/// lines. Windows touching a table edge (or a phase-`2^J − 1` base whose
-/// interpolation neighbour wraps to the next phase-0 node) fall back to
-/// the per-slot walk of the dense table, which handles every boundary
-/// case.
-#[allow(clippy::too_many_arguments)]
-#[inline]
-fn gather_strided(
-    values: &[f64],
-    poly: &[f64],
+/// One generator (`φ` or `ψ`) of a [`WaveletTable`] in both layouts: the
+/// dense values the boundary walk reads and the polyphase copy the
+/// interior fast paths read.
+#[derive(Clone, Copy)]
+pub(crate) struct Tabulated<'a> {
+    values: &'a [f64],
+    poly: &'a [f64],
+    /// Row length of the polyphase layout (`support + 1` nodes).
     poly_row: usize,
     levels: u32,
-    position: f64,
-    k_first: i64,
-    out: &mut [f64],
-) {
-    let stride = 1_i64 << levels;
-    let scale = stride as f64;
-    // `position · 2^J` is a power-of-two multiply — exact unless it
-    // overflows — so flooring it *before* subtracting the (integer)
-    // translation offset yields the identical fractional weight while
-    // keeping the floor off the critical path of the window derivation.
-    let pb = position * scale;
-    if !pb.is_finite() {
-        out.fill(0.0);
-        return;
-    }
-    let pbf = pb.floor();
-    let frac = pb - pbf;
-    let w0 = 1.0 - frac;
-    let w1 = frac;
-    let idx0 = (pbf as i64).saturating_sub(k_first.saturating_mul(stride));
-    let count = out.len();
-    let last = idx0.saturating_sub((count as i64 - 1).max(0) * stride);
-    let phase = idx0 & (stride - 1);
-    if last >= 0 && idx0 + 1 < values.len() as i64 && phase + 1 < stride {
-        // All slots interior: slot `m` reads node `q0 − m` of rows
-        // `phase` and `phase + 1`, which in the node-reversed layout is
-        // the *forward* run starting at `support − q0` — two contiguous
-        // ascending slices sharing the weights, a loop the vectoriser
-        // likes.
-        let q0 = (idx0 >> levels) as usize;
-        let support = poly_row - 1;
-        let start = phase as usize * poly_row + (support - q0);
-        let lo_run = &poly[start..start + count];
-        let hi_run = &poly[start + poly_row..start + poly_row + count];
-        crate::kernels::lerp_runs(lo_run, hi_run, w0, w1, out);
-        return;
-    }
-    let mut idx = idx0;
-    for slot in out.iter_mut() {
-        let i = idx as usize;
-        *slot = if idx < 0 || idx + 1 > values.len() as i64 {
-            0.0
-        } else if i + 1 == values.len() {
-            values[i]
-        } else {
-            values[i] * w0 + values[i + 1] * w1
-        };
-        idx = idx.saturating_sub(stride);
-    }
 }
 
-/// Fused strided gather + moment accumulation over the interior fast
-/// path of [`gather_strided`]: slot `m` accumulates
-/// `v = scale · table(position − k_first − m)` into `sums[m]` and `v²`
-/// into `squares[m]`. Interior-window detection, index arithmetic and the
-/// per-slot lerp are *identical* to [`gather_strided`] — the only change
-/// is that the lerped value feeds the moment update directly instead of a
-/// scratch row, skipping one store + reload per slot. Returns `false`
-/// without touching the accumulators when any slot could leave the table
-/// (edge, phase wrap, non-finite base); the caller falls back to
-/// gather-into-scratch, which owns every boundary convention.
-/// Signature of the fused per-window op: `(lo, hi, w0, w1, scale, sums,
-/// squares)` with [`crate::kernels::lerp_scaled_accumulate`] semantics.
-/// Passed as a closure so whole-chunk drivers can substitute a
-/// backend-specific body that inlines into the row loop (the AVX2 driver
-/// defines it inside a `#[target_feature]` function, which the closure
-/// inherits).
-pub(crate) trait FusedOp: Fn(&[f64], &[f64], f64, f64, f64, &mut [f64], &mut [f64]) {}
-impl<F: Fn(&[f64], &[f64], f64, f64, f64, &mut [f64], &mut [f64])> FusedOp for F {}
+impl<'a> Tabulated<'a> {
+    /// The interior fast path of a window of `count` translations from
+    /// `k_first`: the two polyphase runs and the shared interpolation
+    /// weights `(1 − frac, frac)`, so that slot `m` is
+    /// `lo[m]·w0 + hi[m]·w1 = table(position − k_first − m)`.
+    ///
+    /// The table position of slot `m` is `(position − k_first − m)·2^J =
+    /// base − m·2^J` with `base = (position − k_first)·2^J`. The
+    /// power-of-two scaling is exact and the per-slot stride is pure
+    /// integer work, so every slot shares one fractional weight computed
+    /// from `base`; relative to the per-translation [`interpolate`] (which
+    /// rounds `position − k` anew for each slot) the table argument
+    /// differs by at most one rounding of the initial difference, i.e. the
+    /// values agree to ≈ 1e-12 relative. When every slot is interior to
+    /// the table — the invariant for active translation windows — the
+    /// per-slot stride `2^J` collapses in the polyphase layout to two
+    /// contiguous row segments, a branch-free multiply–add sweep over ~2
+    /// cache lines. `None` when a slot could leave the table (edge, a
+    /// phase-`2^J − 1` base whose interpolation neighbour wraps to the next
+    /// phase-0 node, non-finite base).
+    #[inline]
+    fn interior_runs(
+        self,
+        position: f64,
+        k_first: i64,
+        count: usize,
+    ) -> Option<(&'a [f64], &'a [f64], f64, f64)> {
+        let stride = 1_i64 << self.levels;
+        // `position · 2^J` is a power-of-two multiply — exact unless it
+        // overflows — so flooring it *before* subtracting the (integer)
+        // translation offset yields the identical fractional weight while
+        // keeping the floor off the critical path of the window derivation.
+        let pb = position * stride as f64;
+        if !pb.is_finite() {
+            return None;
+        }
+        let pbf = pb.floor();
+        let frac = pb - pbf;
+        let idx0 = (pbf as i64).saturating_sub(k_first.saturating_mul(stride));
+        let last = idx0.saturating_sub((count as i64 - 1).max(0) * stride);
+        let phase = idx0 & (stride - 1);
+        // `idx0 < len − 1` rather than `idx0 + 1 < len`: a huge finite
+        // position saturates `idx0` at `i64::MAX`.
+        if last >= 0 && idx0 < self.values.len() as i64 - 1 && phase + 1 < stride {
+            // Slot `m` reads node `q0 − m` of rows `phase` and `phase + 1`,
+            // which in the node-reversed layout is the *forward* run
+            // starting at `support − q0`.
+            let q0 = (idx0 >> self.levels) as usize;
+            let start = phase as usize * self.poly_row + (self.poly_row - 1 - q0);
+            let lo = &self.poly[start..start + count];
+            let hi = &self.poly[start + self.poly_row..start + self.poly_row + count];
+            return Some((lo, hi, 1.0 - frac, frac));
+        }
+        None
+    }
 
-#[allow(clippy::too_many_arguments)]
-#[inline]
-fn scatter_strided(
-    fused: &impl FusedOp,
-    values: &[f64],
-    poly: &[f64],
-    poly_row: usize,
-    levels: u32,
-    position: f64,
-    k_first: i64,
-    scale: f64,
-    sums: &mut [f64],
-    squares: &mut [f64],
-) -> bool {
-    let stride = 1_i64 << levels;
-    // Same exact-scaling index derivation as [`gather_strided`]; the two
-    // must stay identical for the fused/unfused bitwise equivalence.
-    let pb = position * stride as f64;
-    if !pb.is_finite() {
-        return false;
+    /// Strided gather: `out[m] = table(position − k_first − m)`, through
+    /// the [interior runs](Self::interior_runs) when they exist and
+    /// otherwise by the per-slot walk of the dense table, which keeps the
+    /// boundary conventions of [`interpolate`] (0 outside the support, the
+    /// last node at the right edge).
+    #[inline]
+    fn gather(self, position: f64, k_first: i64, out: &mut [f64]) {
+        if let Some((lo, hi, w0, w1)) = self.interior_runs(position, k_first, out.len()) {
+            crate::kernels::lerp_runs(lo, hi, w0, w1, out);
+            return;
+        }
+        let stride = 1_i64 << self.levels;
+        let pb = position * stride as f64;
+        if !pb.is_finite() {
+            out.fill(0.0);
+            return;
+        }
+        let pbf = pb.floor();
+        let frac = pb - pbf;
+        let (w0, w1) = (1.0 - frac, frac);
+        let values = self.values;
+        let mut idx = (pbf as i64).saturating_sub(k_first.saturating_mul(stride));
+        for slot in out.iter_mut() {
+            let i = idx as usize;
+            *slot = if idx < 0 || idx >= values.len() as i64 {
+                0.0
+            } else if i + 1 == values.len() {
+                values[i]
+            } else {
+                values[i] * w0 + values[i + 1] * w1
+            };
+            idx = idx.saturating_sub(stride);
+        }
     }
-    let pbf = pb.floor();
-    let frac = pb - pbf;
-    let idx0 = (pbf as i64).saturating_sub(k_first.saturating_mul(stride));
-    let count = sums.len();
-    debug_assert_eq!(count, squares.len());
-    let last = idx0.saturating_sub((count as i64 - 1).max(0) * stride);
-    let phase = idx0 & (stride - 1);
-    if last >= 0 && idx0 + 1 < values.len() as i64 && phase + 1 < stride {
-        let q0 = (idx0 >> levels) as usize;
-        let support = poly_row - 1;
-        let start = phase as usize * poly_row + (support - q0);
-        let lo_run = &poly[start..start + count];
-        let hi_run = &poly[start + poly_row..start + poly_row + count];
-        fused(lo_run, hi_run, 1.0 - frac, frac, scale, sums, squares);
-        return true;
-    }
-    false
 }
 
 /// Strided linear interpolation: `out[i] += coeff · table(start + i·stride)`.
@@ -985,63 +1014,129 @@ mod tests {
         }
     }
 
-    /// The fused scatter must be bitwise the gather-into-scratch chain on
-    /// interior windows, and must decline (returning `false`, accumulators
-    /// untouched) exactly when the gather would take its boundary path.
+    /// The whole-chunk scatter, on every runnable backend and through
+    /// outer rows with weights other than 1, is bitwise the
+    /// gather-then-accumulate chain `v = w·(s·gather)` in observation
+    /// order: on interior windows (the fused kernel) and on the dyadic
+    /// and edge windows that take the fallback row alike. The unit outer
+    /// row is the same chain at `w = 1`.
     #[test]
     fn fused_scatter_matches_gather_then_accumulate() {
+        use crate::kernels::{set_backend_override, tests};
+        let _guard = tests::override_lock();
+        let xs = [
+            0.37,
+            0.5,
+            0.0,
+            1.0,
+            0.8125,
+            0.999_999,
+            -0.1,
+            1.2,
+            f64::NAN,
+            0.25,
+            0.61,
+            0.123,
+        ];
+        let (level_scale, norm_scale, rows, width) = (4.0, 2.0, 5, 3);
+        let weight = |i: usize, m: usize| [1.0, -0.75, 0.0, 1.3][(i + m) % 4];
+        let spans: Vec<(u32, u32)> = (0..xs.len())
+            .map(|i| ((i % 2) as u32, (1 + i % 3) as u32))
+            .collect();
+        let weights: Vec<f64> = (0..xs.len() * width)
+            .map(|slot| weight(slot / width, slot % width))
+            .collect();
         for fam in [
             WaveletFamily::Haar,
             WaveletFamily::Daubechies(4),
             WaveletFamily::Symmlet(8),
         ] {
             let t = table(fam);
-            for &(position, k_first) in &[
-                (0.37_f64, -14_i64),
-                (5.9, 0),
-                (3.0, -2),
-                (t.support_end(), 0),
-                (-4.2, -20),
-                (f64::NAN, 0),
-            ] {
-                let scale = 1.75_f64;
-                let kernel = crate::kernels::FusedKernel::resolve();
-                let mut row = vec![0.0_f64; 12];
-                t.gather_phi(position, k_first, &mut row);
-                let mut sums = vec![0.5_f64; 12];
-                let mut squares = vec![0.25_f64; 12];
-                let fused = scatter_strided(
-                    &|lo: &[f64], hi: &[f64], w0, w1, s, sums: &mut [f64], squares: &mut [f64]| {
-                        kernel.lerp_scaled_accumulate(lo, hi, w0, w1, s, sums, squares)
-                    },
-                    &t.phi,
-                    &t.phi_poly,
-                    t.poly_row,
-                    t.levels,
-                    position,
-                    k_first,
-                    scale,
-                    &mut sums,
-                    &mut squares,
-                );
-                if fused {
-                    for m in 0..12 {
-                        let v = scale * row[m];
-                        assert_eq!(sums[m], 0.5 + v, "{}: sums slot {m}", fam.name());
-                        assert_eq!(squares[m], 0.25 + v * v, "{}: squares slot {m}", fam.name());
+            let support = t.support_end();
+            let (k_start, extent) = (-(support as i64), 4 + support as usize);
+            for psi in [false, true] {
+                for unit in [true, false] {
+                    let outer = if unit {
+                        OuterRows::Unit
+                    } else {
+                        OuterRows::Rows {
+                            spans: &spans,
+                            weights: &weights,
+                            width,
+                            extent,
+                        }
+                    };
+                    let slots = if unit { extent } else { rows * extent };
+                    let mut expected = (vec![0.0; slots], vec![0.0; slots]);
+                    for (i, &x) in xs.iter().enumerate() {
+                        let position = level_scale * x;
+                        let range = active_translations(support, position, k_start, extent);
+                        if range.is_empty() {
+                            continue;
+                        }
+                        let mut row = vec![0.0; (range.end() - range.start() + 1) as usize];
+                        if psi {
+                            t.gather_psi(position, *range.start(), &mut row);
+                        } else {
+                            t.gather_phi(position, *range.start(), &mut row);
+                        }
+                        let (first, len) = if unit { (0, 1) } else { spans[i] };
+                        for m in 0..len as usize {
+                            let w = if unit { 1.0 } else { weight(i, m) };
+                            let base = (first as usize + m) * extent;
+                            for (k, raw) in range.clone().zip(&row) {
+                                let slot = base + (k - k_start) as usize;
+                                let v = w * (norm_scale * raw);
+                                expected.0[slot] += v;
+                                expected.1[slot] += v * v;
+                            }
+                        }
                     }
-                } else {
-                    assert!(
-                        sums.iter().all(|v| *v == 0.5),
-                        "{}: sums touched",
-                        fam.name()
-                    );
-                    assert!(
-                        squares.iter().all(|v| *v == 0.25),
-                        "{}: squares touched",
-                        fam.name()
-                    );
+                    for backend in tests::backends() {
+                        set_backend_override(Some(backend));
+                        let (mut sums, mut squares) = (vec![0.0; slots], vec![0.0; slots]);
+                        let mut fallback = vec![0.0; extent];
+                        let scatter = if psi {
+                            WaveletTable::scatter_rows_psi
+                        } else {
+                            WaveletTable::scatter_rows_phi
+                        };
+                        scatter(
+                            &t,
+                            &xs,
+                            outer,
+                            level_scale,
+                            norm_scale,
+                            k_start,
+                            &mut fallback,
+                            &mut sums,
+                            &mut squares,
+                        );
+                        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                        let context = format!("{} psi {psi} unit {unit} {backend:?}", fam.name());
+                        assert_eq!(bits(&sums), bits(&expected.0), "sums: {context}");
+                        assert_eq!(bits(&squares), bits(&expected.1), "squares: {context}");
+                    }
+                    set_backend_override(None);
                 }
+            }
+        }
+    }
+
+    /// A finite position so large that its table index saturates the
+    /// `i64` range gathers zeros instead of overflowing the index
+    /// arithmetic or reading past the table.
+    #[test]
+    fn gather_of_huge_finite_positions_is_zero() {
+        let t = table(WaveletFamily::Symmlet(8));
+        for position in [1e300, -1e300, 2f64.powi(62), f64::MAX] {
+            for k_first in [0, -5, 7] {
+                let mut out = vec![f64::NAN; 8];
+                t.gather_phi(position, k_first, &mut out);
+                assert!(out.iter().all(|v| *v == 0.0), "φ at {position}, {k_first}");
+                out.fill(f64::NAN);
+                t.gather_psi(position, k_first, &mut out);
+                assert!(out.iter().all(|v| *v == 0.0), "ψ at {position}, {k_first}");
             }
         }
     }

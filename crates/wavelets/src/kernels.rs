@@ -1,4 +1,4 @@
-//! Vector kernels for the three ingest/query hot loops.
+//! Vector kernels for the ingest and query hot loops.
 //!
 //! # The two-run polyphase invariant
 //!
@@ -24,6 +24,24 @@
 //! interpolation neighbour wraps to the next phase-0 node) never reach
 //! these kernels — [`crate::cascade`] routes them through the per-slot
 //! walk of the dense table.
+//!
+//! # The kernels
+//!
+//! * [`lerp_runs`] — the gather: `out[m] = lo[m]·w0 + hi[m]·w1`.
+//! * [`scaled_accumulate`] — moment accumulation of a gather row:
+//!   `v = scale·raw[m]; sums[m] += v; squares[m] += v²`.
+//! * The fused ingest kernel — both at once, times an outer weight:
+//!   `v = weight·(scale·(lo[m]·w0 + hi[m]·w1))`. The weight is what lets
+//!   one scatter loop serve both dims: a 1-D level passes 1 (bitwise the
+//!   unweighted update), a 2-D level passes each pre-scaled `x` factor
+//!   value while the kernel walks the `y` window. It has no public entry
+//!   point of its own: [`WaveletTable::scatter_rows_phi`] resolves the
+//!   backend once per call (once per level per chunk) and inlines the
+//!   scalar or AVX2 body into its row loop.
+//! * [`accumulate_lerp`] — the dense-evaluation sweep of one basis
+//!   function over a grid.
+//!
+//! [`WaveletTable::scatter_rows_phi`]: crate::cascade::WaveletTable::scatter_rows_phi
 //!
 //! # Backends
 //!
@@ -164,98 +182,43 @@ fn scaled_accumulate_scalar(scale: f64, raw: &[f64], sums: &mut [f64], squares: 
 }
 
 // ---------------------------------------------------------------------------
-// Kernel 2b — fused gather→scatter: v = scale·(lo[m]·w0 + hi[m]·w1);
-// sums[m] += v; squares[m] += v·v.
+// Kernel 2b — fused gather→scatter with an outer weight:
+// v = weight·(scale·(lo[m]·w0 + hi[m]·w1)); sums[m] += v; squares[m] += v·v.
 // ---------------------------------------------------------------------------
 
-/// The fused ingest kernel: interpolates the two polyphase runs and
-/// scatters the `scale`-normalised value and its square straight into the
-/// running sums, without materialising the gather row:
+/// The fused ingest kernel (scalar body): interpolates the two polyphase
+/// runs and scatters the `scale`-normalised value, times the outer row's
+/// `weight`, and its square straight into the running sums, without
+/// materialising the gather row:
 ///
 /// ```text
-/// v = scale · (lo[m]·w0 + hi[m]·w1);   sums[m] += v;   squares[m] += v²
+/// v = weight · (scale · (lo[m]·w0 + hi[m]·w1));   sums[m] += v;   squares[m] += v²
 /// ```
 ///
-/// Per slot this is exactly [`lerp_runs`] followed by
-/// [`scaled_accumulate`] — the same f64 expression sequence, so fusing is
-/// bitwise neutral — but it saves the round-trip of the gather row
-/// through a scratch buffer (one store plus one reload per slot), which
-/// on an L2-resident table is most of the remaining per-slot cost.
+/// Per slot this is exactly [`lerp_runs`], a multiply by `scale`, and
+/// [`scaled_accumulate`] at `weight` — the same f64 expression sequence,
+/// so fusing is bitwise neutral — but it saves the round-trip of the
+/// gather row through a scratch buffer. At `weight == 1` it is bitwise
+/// the unweighted update (`1.0·v == v`). Its one caller is the
+/// whole-chunk scatter of [`crate::cascade`], which resolves the backend
+/// once per call (`scatter_rows_dispatch`) and inlines this body, or the
+/// AVX2 one, into its row loop.
 ///
-/// `lo` and `hi` must be at least as long as `sums`; `squares` must match
-/// `sums`.
+/// `lo`, `hi` and `squares` must be at least as long as `sums`.
 #[inline]
-pub fn lerp_scaled_accumulate(
-    lo: &[f64],
-    hi: &[f64],
-    w0: f64,
-    w1: f64,
-    scale: f64,
-    sums: &mut [f64],
-    squares: &mut [f64],
-) {
-    FusedKernel::resolve().lerp_scaled_accumulate(lo, hi, w0, w1, scale, sums, squares);
-}
-
-/// Pre-resolved dispatch token for the fused ingest kernel.
-///
-/// [`lerp_scaled_accumulate`] re-reads the (atomic) backend state on every
-/// call, which is once per `(observation, level)` pair on the ingest hot
-/// path. A `FusedKernel` hoists that lookup: resolve it once per chunk and
-/// the per-row call reduces to a register-held match plus a direct call.
-#[derive(Debug, Clone, Copy)]
-pub struct FusedKernel {
-    backend: Backend,
-}
-
-impl FusedKernel {
-    /// Snapshots the active backend (override honoured, clamped to what
-    /// the CPU supports).
-    #[inline]
-    pub fn resolve() -> Self {
-        Self {
-            backend: active_backend(),
-        }
-    }
-
-    /// The fused kernel under the snapshotted backend; semantics of
-    /// [`lerp_scaled_accumulate`].
-    #[inline]
-    #[allow(clippy::too_many_arguments)]
-    pub fn lerp_scaled_accumulate(
-        self,
-        lo: &[f64],
-        hi: &[f64],
-        w0: f64,
-        w1: f64,
-        scale: f64,
-        sums: &mut [f64],
-        squares: &mut [f64],
-    ) {
-        let n = sums.len();
-        let (lo, hi, squares) = (&lo[..n], &hi[..n], &mut squares[..n]);
-        match self.backend {
-            #[cfg(target_arch = "x86_64")]
-            Backend::Intrinsics => {
-                avx::lerp_scaled_accumulate(lo, hi, w0, w1, scale, sums, squares)
-            }
-            _ => lerp_scaled_accumulate_scalar(lo, hi, w0, w1, scale, sums, squares),
-        }
-    }
-}
-
-#[inline]
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn lerp_scaled_accumulate_scalar(
     lo: &[f64],
     hi: &[f64],
     w0: f64,
     w1: f64,
     scale: f64,
+    weight: f64,
     sums: &mut [f64],
     squares: &mut [f64],
 ) {
     for (((sum, square), &a), &b) in sums.iter_mut().zip(squares.iter_mut()).zip(lo).zip(hi) {
-        let value = scale * (a * w0 + b * w1);
+        let value = weight * (scale * (a * w0 + b * w1));
         *sum += value;
         *square += value * value;
     }
@@ -433,101 +396,30 @@ pub(crate) mod avx {
     }
 
     /// Whole-chunk scatter row loop on the intrinsics backend: enters a
-    /// `#[target_feature(enable = "avx2")]` function *once per chunk* and
+    /// `#[target_feature(enable = "avx2")]` function *once per call* and
     /// runs [`crate::cascade::scatter_rows_impl`] inside it, so the AVX2
     /// fused kernel inlines into the row loop instead of costing an opaque
-    /// call per `(observation, level)` pair.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn scatter_rows(
-        values: &[f64],
-        poly: &[f64],
-        poly_row: usize,
-        levels: u32,
-        xs: &[f64],
-        level_scale: f64,
-        norm_scale: f64,
-        support: f64,
-        k_start: i64,
-        fallback_row: &mut [f64],
-        sums: &mut [f64],
-        squares: &mut [f64],
-    ) {
+    /// call per `(observation, row)` pair.
+    pub(crate) fn scatter_rows(job: crate::cascade::RowScatter<'_>) {
         // SAFETY: dispatch reaches this module only after
         // `is_x86_feature_detected!("avx2")` returned true.
-        unsafe {
-            scatter_rows_avx2(
-                values,
-                poly,
-                poly_row,
-                levels,
-                xs,
-                level_scale,
-                norm_scale,
-                support,
-                k_start,
-                fallback_row,
-                sums,
-                squares,
-            )
-        }
+        unsafe { scatter_rows_avx2(job) }
     }
 
     // SAFETY: callers must run only after runtime AVX2 detection; the
     // body delegates slice handling to the shared safe row loop.
     #[target_feature(enable = "avx2")]
-    #[allow(clippy::too_many_arguments)]
-    unsafe fn scatter_rows_avx2(
-        values: &[f64],
-        poly: &[f64],
-        poly_row: usize,
-        levels: u32,
-        xs: &[f64],
-        level_scale: f64,
-        norm_scale: f64,
-        support: f64,
-        k_start: i64,
-        fallback_row: &mut [f64],
-        sums: &mut [f64],
-        squares: &mut [f64],
-    ) {
+    unsafe fn scatter_rows_avx2(job: crate::cascade::RowScatter<'_>) {
         crate::cascade::scatter_rows_impl(
             // The closure inherits this function's AVX2 target feature, so
             // the intrinsics body inlines into the row loop.
-            &|lo: &[f64], hi: &[f64], w0, w1, scale, sums: &mut [f64], squares: &mut [f64]| {
+            &|lo: &[f64], hi, w0, w1, scale, weight, sums: &mut [f64], squares: &mut [f64]| {
                 // SAFETY: enclosing function runs only after runtime AVX2
-                // detection.
-                unsafe { lerp_scaled_accumulate_avx2(lo, hi, w0, w1, scale, sums, squares) }
+                // detection, and the row loop passes equal-length slices.
+                unsafe { lerp_scaled_accumulate_avx2(lo, hi, w0, w1, scale, weight, sums, squares) }
             },
-            values,
-            poly,
-            poly_row,
-            levels,
-            xs,
-            level_scale,
-            norm_scale,
-            support,
-            k_start,
-            fallback_row,
-            sums,
-            squares,
+            job,
         );
-    }
-
-    /// Caller guarantees equal lengths and AVX2 support.
-    #[inline]
-    #[allow(clippy::too_many_arguments)]
-    pub(super) fn lerp_scaled_accumulate(
-        lo: &[f64],
-        hi: &[f64],
-        w0: f64,
-        w1: f64,
-        scale: f64,
-        sums: &mut [f64],
-        squares: &mut [f64],
-    ) {
-        // SAFETY: dispatch reaches this module only after
-        // `is_x86_feature_detected!("avx2")` returned true.
-        unsafe { lerp_scaled_accumulate_avx2(lo, hi, w0, w1, scale, sums, squares) }
     }
 
     // SAFETY: callers must run only after runtime AVX2 detection and
@@ -541,6 +433,7 @@ pub(crate) mod avx {
         w0: f64,
         w1: f64,
         scale: f64,
+        weight: f64,
         sums: &mut [f64],
         squares: &mut [f64],
     ) {
@@ -548,6 +441,7 @@ pub(crate) mod avx {
         let vw0 = _mm256_set1_pd(w0);
         let vw1 = _mm256_set1_pd(w1);
         let vscale = _mm256_set1_pd(scale);
+        let vweight = _mm256_set1_pd(weight);
         let mut i = 0;
         while i + 4 <= n {
             // SAFETY: `i + 4 <= n` and the caller sliced all four
@@ -556,7 +450,7 @@ pub(crate) mod avx {
                 let a = _mm256_loadu_pd(lo.as_ptr().add(i));
                 let b = _mm256_loadu_pd(hi.as_ptr().add(i));
                 let raw = _mm256_add_pd(_mm256_mul_pd(a, vw0), _mm256_mul_pd(b, vw1));
-                let value = _mm256_mul_pd(vscale, raw);
+                let value = _mm256_mul_pd(vweight, _mm256_mul_pd(vscale, raw));
                 let s = _mm256_loadu_pd(sums.as_ptr().add(i));
                 let q = _mm256_loadu_pd(squares.as_ptr().add(i));
                 _mm256_storeu_pd(sums.as_mut_ptr().add(i), _mm256_add_pd(s, value));
@@ -575,7 +469,7 @@ pub(crate) mod avx {
                 let a = _mm256_maskload_pd(lo.as_ptr().add(i), mask);
                 let b = _mm256_maskload_pd(hi.as_ptr().add(i), mask);
                 let raw = _mm256_add_pd(_mm256_mul_pd(a, vw0), _mm256_mul_pd(b, vw1));
-                let value = _mm256_mul_pd(vscale, raw);
+                let value = _mm256_mul_pd(vweight, _mm256_mul_pd(vscale, raw));
                 let s = _mm256_maskload_pd(sums.as_ptr().add(i), mask);
                 let q = _mm256_maskload_pd(squares.as_ptr().add(i), mask);
                 _mm256_maskstore_pd(sums.as_mut_ptr().add(i), mask, _mm256_add_pd(s, value));
@@ -670,18 +564,18 @@ pub(crate) mod avx {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use std::sync::{Mutex, MutexGuard};
 
     /// The backend override is process-global; tests that touch it hold
     /// this lock so the parallel test harness cannot interleave them.
-    fn override_lock() -> MutexGuard<'static, ()> {
+    pub(crate) fn override_lock() -> MutexGuard<'static, ()> {
         static LOCK: Mutex<()> = Mutex::new(());
         LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
     }
 
-    fn backends() -> Vec<Backend> {
+    pub(crate) fn backends() -> Vec<Backend> {
         let mut all = vec![Backend::Scalar];
         if intrinsics_available() {
             all.push(Backend::Intrinsics);
@@ -727,27 +621,39 @@ mod tests {
         }
     }
 
+    /// The fused kernel is the unfused chain — gather, scale, accumulate
+    /// at the outer weight — slot for slot, and at weight 1 it is the
+    /// plain scaled accumulation. (Its AVX2 body is pinned against this
+    /// one through the scatter driver, in `cascade` and
+    /// `tests/kernel_equivalence.rs`.)
     #[test]
     fn fused_kernel_equals_gather_then_scatter() {
-        let _guard = override_lock();
         let lo: Vec<f64> = (0..21).map(|i| (i as f64 * 0.41).sin()).collect();
         let hi: Vec<f64> = (0..21).map(|i| (i as f64 * 0.77).cos()).collect();
         for n in [0, 1, 3, 4, 5, 8, 13, 16, 21] {
-            // Reference: the unfused pair of kernels on the scalar backend.
             let mut row = vec![0.0; n];
             lerp_runs_scalar(&lo[..n], &hi[..n], 0.375, 0.625, &mut row);
             let mut sums_ref = vec![0.5; n];
             let mut squares_ref = vec![0.25; n];
             scaled_accumulate_scalar(2.5, &row, &mut sums_ref, &mut squares_ref);
-            for backend in backends() {
-                set_backend_override(Some(backend));
-                let mut sums = vec![0.5; n];
-                let mut squares = vec![0.25; n];
-                lerp_scaled_accumulate(&lo, &hi, 0.375, 0.625, 2.5, &mut sums, &mut squares);
-                assert_eq!(sums, sums_ref, "{} sums n={n}", backend.name());
-                assert_eq!(squares, squares_ref, "{} squares n={n}", backend.name());
+            let scaled: Vec<f64> = row.iter().map(|r| 2.5 * r).collect();
+            scaled_accumulate_scalar(-0.75, &scaled, &mut sums_ref, &mut squares_ref);
+            let mut sums = vec![0.5; n];
+            let mut squares = vec![0.25; n];
+            for weight in [1.0, -0.75] {
+                lerp_scaled_accumulate_scalar(
+                    &lo,
+                    &hi,
+                    0.375,
+                    0.625,
+                    2.5,
+                    weight,
+                    &mut sums,
+                    &mut squares,
+                );
             }
-            set_backend_override(None);
+            assert_eq!(sums, sums_ref, "sums n={n}");
+            assert_eq!(squares, squares_ref, "squares n={n}");
         }
     }
 

@@ -16,13 +16,14 @@
 
 use proptest::prelude::*;
 use std::sync::{Mutex, MutexGuard};
-use wavedens::estimation::CoefficientSketch;
+use wavedens::estimation::{CoefficientSketch, TensorSketch};
 use wavedens::prelude::*;
 use wavedens::processes::seeded_rng;
+use wavedens::wavelets::cascade::OuterRows;
 use wavedens::wavelets::kernels::{
-    self, accumulate_lerp, intrinsics_available, lerp_runs, lerp_scaled_accumulate,
-    scaled_accumulate, Backend, FusedKernel,
+    self, accumulate_lerp, intrinsics_available, lerp_runs, scaled_accumulate, Backend,
 };
+use wavedens::wavelets::WaveletTable;
 
 use rand::Rng;
 
@@ -94,37 +95,76 @@ proptest! {
         kernels::set_backend_override(None);
     }
 
-    /// The accumulate kernel (`scaled_accumulate`) and the fused
-    /// gather-accumulate kernel (`lerp_scaled_accumulate`, plus its
-    /// pre-resolved `FusedKernel` form) are bitwise identical across
-    /// backends on the running sums *and* the sums of squares.
+    /// The accumulate kernel (`scaled_accumulate`) and the whole-chunk
+    /// scatter driver (`WaveletTable::scatter_rows_phi`/`_psi`, whose
+    /// interior windows run the fused gather-accumulate kernel) are
+    /// bitwise identical across backends on the running sums *and* the
+    /// sums of squares — with the unit outer row and with random outer
+    /// rows whose weights are mostly not 1, over rows inside, on the
+    /// edge of and outside the interval.
     #[test]
     fn fused_kernels_are_bitwise_identical_across_backends(
-        window in 1_usize..70,
+        family_idx in 0_usize..4,
+        level in 0_i32..5,
+        n in 1_usize..40,
         seed in 0_u64..1_000,
     ) {
         let _guard = backend_guard();
         let mut rng = seeded_rng(seed);
-        let lo = random_vec(&mut rng, window);
-        let hi = random_vec(&mut rng, window);
-        let raw = random_vec(&mut rng, window);
-        let base_sums = random_vec(&mut rng, window);
-        let base_squares: Vec<f64> = random_vec(&mut rng, window)
+        let basis = WaveletBasis::shared(family(family_idx)).unwrap();
+        let table = basis.table();
+        let support = table.support_end() as usize;
+        let (level_scale, k_start) = (f64::from(level).exp2(), -(support as i64));
+        let (extent, rows, width) = ((1 << level) + 2 * support, 5_usize, support + 1);
+        let xs: Vec<f64> = (0..n)
+            .map(|i| match i % 4 {
+                0 => f64::from(rng.gen_range(0..64_u32)) / 64.0,
+                _ => rng.gen::<f64>() * 1.4 - 0.2,
+            })
+            .collect();
+        let spans: Vec<(u32, u32)> = (0..n)
+            .map(|_| {
+                let first = rng.gen_range(0..rows);
+                (first as u32, rng.gen_range(0..=(rows - first).min(width)) as u32)
+            })
+            .collect();
+        let weights: Vec<f64> = (0..n * width)
+            .map(|slot| if slot % 7 == 0 { 1.0 } else { rng.gen::<f64>() * 4.0 - 2.0 })
+            .collect();
+        let raw = random_vec(&mut rng, extent);
+        let base_sums = random_vec(&mut rng, rows * extent);
+        let base_squares: Vec<f64> = random_vec(&mut rng, rows * extent)
             .iter()
             .map(|v| v.abs())
             .collect();
-        let frac = rng.gen::<f64>();
-        let (w0, w1) = (1.0 - frac, frac);
-        let scale = rng.gen::<f64>() * 4.0 + 0.25;
+        let norm_scale = level_scale.sqrt();
+        let outer = OuterRows::Rows { spans: &spans, weights: &weights, width, extent };
         let mut reference: Option<Vec<u64>> = None;
         for backend in runnable_backends() {
             kernels::set_backend_override(Some(backend));
             let mut sums = base_sums.clone();
             let mut squares = base_squares.clone();
-            scaled_accumulate(scale, &raw, &mut sums, &mut squares);
-            lerp_scaled_accumulate(&lo, &hi, w0, w1, scale, &mut sums, &mut squares);
-            FusedKernel::resolve()
-                .lerp_scaled_accumulate(&lo, &hi, w1, w0, scale, &mut sums, &mut squares);
+            let mut fallback = vec![0.0; width];
+            scaled_accumulate(norm_scale, &raw, &mut sums, &mut squares);
+            for scatter in [WaveletTable::scatter_rows_phi, WaveletTable::scatter_rows_psi] {
+                for outer in [OuterRows::Unit, outer] {
+                    let slots = match outer {
+                        OuterRows::Unit => extent,
+                        OuterRows::Rows { .. } => rows * extent,
+                    };
+                    scatter(
+                        table,
+                        &xs,
+                        outer,
+                        level_scale,
+                        norm_scale,
+                        k_start,
+                        &mut fallback,
+                        &mut sums[..slots],
+                        &mut squares[..slots],
+                    );
+                }
+            }
             let bits: Vec<u64> = sums
                 .iter()
                 .chain(&squares)
@@ -134,7 +174,7 @@ proptest! {
                 None => reference = Some(bits),
                 Some(expected) => prop_assert!(
                     *expected == bits,
-                    "{} diverges from scalar on window {window}",
+                    "{} diverges from scalar on {n} rows at level {level}",
                     backend.name()
                 ),
             }
@@ -236,16 +276,21 @@ proptest! {
     }
 }
 
-/// One pinned configuration asserted at full strength: backends agree
-/// **bitwise** on every accumulator after a realistic ingest. If a future
-/// kernel change breaks bit-identity without breaking the 1e-12 contract,
-/// this is the test that says so explicitly.
+/// One pinned configuration per dims asserted at full strength: backends
+/// agree **bitwise** on every accumulator after a realistic ingest, of a
+/// 1-D sketch and (through its dense frame, which carries every sum) of a
+/// 2-D one. If a future kernel change breaks bit-identity without
+/// breaking the 1e-12 contract, this is the test that says so explicitly.
 #[test]
 fn sketch_ingest_is_bitwise_identical_across_backends() {
     let _guard = backend_guard();
     let mut rng = seeded_rng(0xB17);
     let data: Vec<f64> = (0..2_000).map(|_| rng.gen::<f64>()).collect();
-    let mut states: Vec<(Backend, Vec<u64>)> = Vec::new();
+    let pairs: Vec<(f64, f64)> = data
+        .iter()
+        .map(|&x| (x, (x + 0.1 * rng.gen::<f64>()).rem_euclid(1.0)))
+        .collect();
+    let mut states: Vec<(Backend, Vec<u64>, Vec<u8>)> = Vec::new();
     for backend in runnable_backends() {
         kernels::set_backend_override(Some(backend));
         let mut sketch =
@@ -257,14 +302,21 @@ fn sketch_ingest_is_bitwise_identical_across_backends() {
             .flat_map(|level| level.values.iter().chain(level.sum_squares.iter()))
             .map(|v| v.to_bits())
             .collect();
-        states.push((backend, bits));
+        let mut joint = TensorSketch::sized_for_pairs(pairs.len()).unwrap();
+        joint.push_pairs(&pairs);
+        states.push((backend, bits, joint.to_bytes_dense()));
     }
     kernels::set_backend_override(None);
-    let (_, reference) = &states[0];
-    for (backend, bits) in &states[1..] {
+    let (_, reference, joint_reference) = &states[0];
+    for (backend, bits, joint) in &states[1..] {
         assert!(
             bits == reference,
             "{} ingest state is not bitwise identical to scalar",
+            backend.name()
+        );
+        assert!(
+            joint == joint_reference,
+            "{} 2-D ingest state is not bitwise identical to scalar",
             backend.name()
         );
     }
