@@ -17,6 +17,7 @@ use crate::coefficients::{EmpiricalCoefficients, LevelCoefficients};
 use crate::cv::{cross_validate, CrossValidationResult};
 use crate::error::EstimatorError;
 use crate::grid::Grid;
+use crate::tensor::max_level_within_cap;
 use crate::threshold::{ThresholdProfile, ThresholdRule, ThresholdSelection};
 use std::sync::Arc;
 use wavedens_wavelets::{WaveletBasis, WaveletFamily};
@@ -105,6 +106,11 @@ impl WaveletDensityEstimator {
     }
 
     /// Overrides the coarse level `j0` and/or the highest detail level.
+    /// Without an override the highest level is the selection's default
+    /// (`j* = ⌊log₂ n⌋` for cross-validation), lowered to the highest
+    /// level whose set fits under
+    /// [`MAX_COEFFICIENT_SLOTS`](crate::MAX_COEFFICIENT_SLOTS); an
+    /// explicit level whose set does not fit makes [`fit`](Self::fit) fail.
     pub fn with_levels(mut self, coarse: Option<i32>, max: Option<i32>) -> Self {
         self.coarse_level = coarse;
         self.max_level = max;
@@ -182,7 +188,12 @@ impl WaveletDensityEstimator {
             }
             _ => cv_max_level(n),
         };
-        let j_max = self.max_level.unwrap_or(j_max_default).max(j0);
+        // An explicit level is taken as given (and refused by the sketch
+        // if its set is too large); the default stops at the slot cap.
+        let j_max = match self.max_level {
+            Some(level) => level.max(j0),
+            None => max_level_within_cap(&basis, self.interval, j0, j_max_default.max(j0)),
+        };
 
         let coefficients =
             EmpiricalCoefficients::compute(Arc::clone(&basis), data, self.interval, j0, j_max)?;
@@ -773,6 +784,25 @@ mod tests {
         assert_eq!(theoretical_max_level(1024, 1.0, 1), 1);
         // For very large n it exceeds j0.
         assert!(theoretical_max_level(1 << 26, 1.0, 2) > 2);
+    }
+
+    #[test]
+    fn default_max_level_stops_at_the_slot_ceiling() {
+        // Haar on an interval of width w holds w·2^j slots at level j.
+        // With n = 16 (j0 = 2, j* = 4) and w just above 2^18 the levels
+        // 2..=3 fit under the 2^23-slot cap and 2..=4 do not: the default
+        // fit stops at level 3, an explicit level 4 is refused.
+        let data = uniform_sample(16, 3);
+        let width = f64::from((1 << 18) + 1);
+        let estimator = WaveletDensityEstimator::new(ThresholdRule::Hard, ThresholdSelection::None)
+            .with_family(WaveletFamily::Haar)
+            .with_interval(0.0, width);
+        let fit = estimator.fit(&data).unwrap();
+        assert_eq!((fit.coarse_level(), fit.highest_level()), (2, 3));
+        assert!(matches!(
+            estimator.with_levels(None, Some(4)).fit(&data).unwrap_err(),
+            EstimatorError::InvalidParameter { .. }
+        ));
     }
 
     #[test]

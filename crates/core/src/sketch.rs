@@ -116,13 +116,22 @@ impl CoefficientSketch {
 
     /// Creates an empty sketch on `[0, 1]` sized for roughly `expected_n`
     /// observations with the paper's defaults (Symmlet 8, level rules of
-    /// Theorem 3.1 / Section 5.1). Fails from `2^22` rows on, where the
-    /// level set outgrows [`MAX_COEFFICIENT_SLOTS`](crate::MAX_COEFFICIENT_SLOTS).
+    /// Theorem 3.1 / Section 5.1). The finest level is `j* = ⌊log₂ n⌋`
+    /// up to its ceiling, the highest level whose set still fits under
+    /// [`MAX_COEFFICIENT_SLOTS`](crate::MAX_COEFFICIENT_SLOTS): level 21,
+    /// reached from `2^22` rows on.
     pub fn sized_for(expected_n: usize) -> Result<Self, EstimatorError> {
         let n = expected_n.max(2);
+        let basis = WaveletBasis::shared(WaveletFamily::Symmlet(8))?;
+        let interval = (0.0, 1.0);
         let j0 = crate::estimator::default_coarse_level(n, 8);
-        let j_max = crate::estimator::cv_max_level(n);
-        Self::new(WaveletFamily::Symmlet(8), (0.0, 1.0), j0, j_max)
+        let j_max = crate::tensor::max_level_within_cap(
+            &basis,
+            interval,
+            j0,
+            crate::estimator::cv_max_level(n),
+        );
+        Self::with_basis(basis, interval, j0, j_max)
     }
 
     /// The wavelet basis the sketch accumulates in.
@@ -191,7 +200,13 @@ impl CoefficientSketch {
     /// `√(2^j)` are hoisted out of the per-translation loop, and value +
     /// value² scatter from the gather buffer in one sweep. Large batches
     /// are processed in cache-friendly chunks so the chunk of observations
-    /// stays resident while every level scatters it. Numerically identical
+    /// stays resident while every level scatters it. From 4096 rows on,
+    /// the fine levels (the detail levels from the first one holding more
+    /// than 2^13 slots up) are scattered instead one slot region at a
+    /// time, on the rows a stable bucketing lists for that region, so
+    /// their slot arrays are walked in cache-sized pieces; every slot
+    /// still receives its rows in batch order, so the sums are bitwise
+    /// those of the chunk loop. Numerically identical
     /// to pushing the values one by one, and within 1e-12 relative of the
     /// scalar reference path
     /// [`push_batch_scalar`](Self::push_batch_scalar) (whose table
@@ -1037,10 +1052,46 @@ mod tests {
             CoefficientSketch::from_bytes_with_window(&large.to_bytes_with_window(&meta)).unwrap();
         assert_eq!(window, Some(meta));
         assert_eq!(restored.to_bytes(), large.to_bytes());
-        // One row more and the sketch fails when it is built, not when a
-        // receiver decodes its frames.
+        // One row more and `j*` would outgrow the cap: `sized_for` stops
+        // at the same ceiling instead, so its frames still decode.
+        let clamped = CoefficientSketch::sized_for(1 << 22).unwrap();
+        assert_eq!((clamped.coarse_level(), clamped.max_level()), (2, 21));
+        assert_eq!(
+            CoefficientSketch::from_bytes(&clamped.to_bytes())
+                .unwrap()
+                .max_level(),
+            21
+        );
+    }
+
+    #[test]
+    fn default_sizing_stops_at_the_slot_ceiling() {
+        use crate::estimator::{cv_max_level, default_coarse_level};
+        // Below 2^22 rows every level set is the paper's `j0..=⌊log₂ n⌋`.
+        for bits in 1..22 {
+            for n in [(1_usize << bits) - 1, 1 << bits, (1 << bits) + 1] {
+                if n >= 1 << 22 {
+                    continue;
+                }
+                let sketch = CoefficientSketch::sized_for(n).unwrap();
+                let n = n.max(2);
+                assert_eq!(
+                    (sketch.coarse_level(), sketch.max_level()),
+                    (default_coarse_level(n, 8), cv_max_level(n)),
+                    "n = {n}"
+                );
+            }
+        }
+        // From 2^22 on the finest level stays at the ceiling, 21, and the
+        // set fits under the cap.
+        for n in [1 << 22, 1 << 24, usize::MAX] {
+            let sketch = CoefficientSketch::sized_for(n).unwrap();
+            assert_eq!(sketch.max_level(), 21, "n = {n}");
+            assert!(sketch.inner.total_slots() <= crate::MAX_COEFFICIENT_SLOTS);
+        }
+        // An explicit level set that does not fit is still refused.
         assert!(matches!(
-            CoefficientSketch::sized_for(1 << 22).unwrap_err(),
+            CoefficientSketch::new(WaveletFamily::Symmlet(8), (0.0, 1.0), 2, 22).unwrap_err(),
             EstimatorError::InvalidParameter { .. }
         ));
     }

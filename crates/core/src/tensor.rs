@@ -33,6 +33,20 @@
 //! matrix. Both are bitwise the product of the gathered, scaled axis
 //! factors accumulated in observation order.
 //!
+//! A 1-D batch of at least 4096 rows takes one more step for its fine
+//! levels, the detail levels from the first one holding more than 2^13
+//! slots up: their slot arrays outgrow the cache, and rows in batch order
+//! land on them at random. Each run of up to 2^17 rows is bucketed once,
+//! by a stable counting sort, by the slot region of 2^10 translations its
+//! window meets at the first fine level (twice as many translations per
+//! region at each finer level, so the regions split every fine level's
+//! slots alike). Each fine level then runs the same fused scatter region
+//! by region, on the region's rows and slots only. The bits do not
+//! change: a slot still receives exactly the rows whose window covers it,
+//! in batch order, and a window's values do not depend on where the
+//! region clips it. Coarse levels, smaller batches and 2-D sketches keep
+//! the chunk loop alone.
+//!
 //! Estimates come out of [`TensorSketch::thresholded`]: each non-scaling
 //! level is handed (flattened) to the level-wise cross-validation of the
 //! 1-D pipeline to pick its threshold `λ`, and the surviving coefficients
@@ -69,12 +83,36 @@ pub const MAX_TENSOR_SLOTS: usize = 1 << 22;
 
 /// Hard cap on the total number of coefficient slots a 1-D
 /// [`CoefficientSketch`](crate::CoefficientSketch) may hold, enforced
-/// like [`MAX_TENSOR_SLOTS`] at construction and decoding. At `2^23`
-/// slots (128 MB of sums and squares) it admits
-/// [`sized_for`](crate::CoefficientSketch::sized_for) up to `2^22 - 1`
-/// rows (levels 2..=21) and refuses larger sizes when the sketch is
-/// built, so every sketch that builds also decodes.
+/// like [`MAX_TENSOR_SLOTS`] at construction and decoding, so every
+/// sketch that builds also decodes. At `2^23` slots (128 MB of sums and
+/// squares) the default level sets stop at their ceiling instead of
+/// failing: [`sized_for`](crate::CoefficientSketch::sized_for) and a
+/// default [`fit`](crate::WaveletDensityEstimator::fit) on `[0, 1]` keep
+/// `j* = ⌊log₂ n⌋` up to `2^22 - 1` rows and detail level 21 from `2^22`
+/// rows on (see [`max_level_within_cap`]). An explicit level set that is
+/// too large is still refused when it is built.
 pub const MAX_COEFFICIENT_SLOTS: usize = 1 << 23;
+
+/// The highest detail level `≤ j_max` whose 1-D level set — the scaling
+/// level `j0` and the detail levels `j0..=level` on `interval` — holds
+/// at most [`MAX_COEFFICIENT_SLOTS`] slots; `j_max` itself when the whole
+/// set fits, and never below `j0`. The default level rules clamp to it.
+pub(crate) fn max_level_within_cap(
+    basis: &WaveletBasis,
+    interval: (f64, f64),
+    j0: i32,
+    j_max: i32,
+) -> i32 {
+    let slots = |level| basis.translation_count(level, interval.0, interval.1);
+    let mut total = slots(j0);
+    for level in j0..=j_max {
+        total = total.saturating_add(slots(level));
+        if total > MAX_COEFFICIENT_SLOTS {
+            return (level - 1).max(j0);
+        }
+    }
+    j_max
+}
 
 /// Untuned defaults for the observations per internal scatter chunk, of
 /// 1-D and of 2-D sketches: large batches are scattered in slices so the
@@ -84,6 +122,24 @@ pub const MAX_COEFFICIENT_SLOTS: usize = 1 << 23;
 /// data and caches the winner (see [`crate::autotune`]); these constants
 /// only serve batches too small to probe.
 const INGEST_CHUNK: [usize; 2] = [512, 128];
+
+/// Rows a 1-D batch must hold before its fine levels scatter region by
+/// region ([`TensorSketch::scatter_tiled`]): below it one bucketing pass
+/// costs more than the cache misses it saves.
+const TILE_GATE_ROWS: usize = 1 << 12;
+
+/// A detail level holding more than this many slots is a fine level, the
+/// first of which sets the regions. At `2^13` slots (128 KiB of sums and
+/// squares) a level still sits in L2 while the chunk loop sweeps it;
+/// tiling such levels measured slower, not faster.
+const TILE_MIN_SLOTS: usize = 1 << 13;
+
+/// A region spans `2^TILE_REGION_BITS` translations of the first fine
+/// level, and twice as many at every finer level.
+const TILE_REGION_BITS: u32 = 10;
+
+/// Rows bucketed at once, which bounds the region buffer of a batch.
+const TILE_SUPER_CHUNK: usize = 1 << 17;
 
 /// Frames whose total mass is below this floor answer zero selectivity
 /// (mirrors the 1-D `CumulativeEstimate` guard).
@@ -215,7 +271,8 @@ impl TensorLevel {
 /// `dims == 2`, the `x` factor rows of every observation — gathered
 /// **once** per chunk per `x` component and pre-scaled by its
 /// `sqrt_scale`, then shared as outer rows by every level with that `x`
-/// factor.
+/// factor. The region path of 1-D batches keeps its bucketed rows and
+/// bucket bounds here too.
 #[derive(Debug)]
 struct Scratch {
     rows: usize,
@@ -224,6 +281,8 @@ struct Scratch {
     spans: Vec<(u32, u32)>,
     weights: Vec<f64>,
     fallback: Vec<f64>,
+    tiled: Vec<f64>,
+    bucket_starts: Vec<usize>,
 }
 
 impl Scratch {
@@ -236,6 +295,8 @@ impl Scratch {
             spans: vec![(0, 0); outer_components * rows],
             weights: vec![0.0; outer_components * rows * width],
             fallback: vec![0.0; width],
+            tiled: Vec::new(),
+            bucket_starts: Vec::new(),
         }
     }
 }
@@ -509,7 +570,135 @@ impl TensorSketch {
     pub(crate) fn push_scalars(&mut self, values: &[f64]) {
         assert_eq!(self.dims, 1, "push_scalars requires a 1-D tensor sketch");
         self.count += values.iter().filter(|x| x.is_finite()).count();
-        self.push_rows(values, |&x| [x, x]);
+        let fine = self.first_fine_level(values.len());
+        self.push_rows(values, fine, |&x| [x, x]);
+        if fine < self.levels.len() {
+            for rows in values.chunks(TILE_SUPER_CHUNK) {
+                self.scatter_tiled(rows, fine);
+            }
+        }
+    }
+
+    /// The index of the first level a batch of `rows` scalars scatters
+    /// region by region: the first detail level of more than
+    /// [`TILE_MIN_SLOTS`] slots, once the batch holds at least
+    /// [`TILE_GATE_ROWS`] rows; `levels.len()` (none) otherwise.
+    fn first_fine_level(&self, rows: usize) -> usize {
+        if rows < TILE_GATE_ROWS {
+            return self.levels.len();
+        }
+        self.levels
+            .iter()
+            .skip(1)
+            .position(|level| level.sums.len() > TILE_MIN_SLOTS)
+            .map_or(self.levels.len(), |index| index + 1)
+    }
+
+    /// Scatters `rows` into the fine levels `levels[fine..]` of a 1-D
+    /// sketch, region by region.
+    ///
+    /// Region `r` covers translations `[r·2^{B+d}, (r+1)·2^{B+d})` of the
+    /// level `d` above the first fine level `L₀` (`B` is
+    /// [`TILE_REGION_BITS`]), so each level's slots split into regions
+    /// that fit in cache. One stable counting sort lists every row under
+    /// the regions its translation window at `L₀`, `[⌊2^{L₀}x⌋ − S + 1,
+    /// ⌊2^{L₀}x⌋]`, meets — two when it straddles an edge. Since
+    /// `⌊2^{L₀+d}x⌋ ∈ [2^d⌊2^{L₀}x⌋, 2^d⌊2^{L₀}x⌋ + 2^d − 1]`, the window of
+    /// any finer level meets only regions listed for the row. Every
+    /// level then runs the one scatter driver per region, on that
+    /// region's rows and slots, with `k_start` at the region's first
+    /// translation, so the driver's clamp clips each window to the region.
+    ///
+    /// The sums are bitwise the chunk loop's: a slot receives exactly the
+    /// rows whose window covers it, in batch order, since the sort is
+    /// stable; a row listed in a region its clipped window misses adds
+    /// nothing; and a window's values depend on its translations only,
+    /// not on where the clamp starts it.
+    fn scatter_tiled(&mut self, rows: &[f64], fine: usize) {
+        let first = self.axes[0][self.levels[fine].component[0]];
+        let region_range = |axis: &AxisComponent| {
+            let bits = TILE_REGION_BITS + (axis.level - first.level) as u32;
+            let k_last = axis.k_start + axis.extent as i64 - 1;
+            (axis.k_start >> bits, k_last >> bits, bits)
+        };
+        let (mut r_min, mut r_max) = (i64::MAX, i64::MIN);
+        for level in &self.levels[fine..] {
+            let (lo, hi, _) = region_range(&self.axes[0][level.component[0]]);
+            r_min = r_min.min(lo);
+            r_max = r_max.max(hi);
+        }
+        let reach = self.basis.support_length() as i64 - 1;
+        let regions = |x: f64| {
+            let position = first.scale * x;
+            if !position.is_finite() {
+                return 0..0;
+            }
+            let k_hi = position.floor() as i64;
+            let lo = (k_hi.saturating_sub(reach) >> TILE_REGION_BITS).max(r_min);
+            let hi = (k_hi >> TILE_REGION_BITS).min(r_max);
+            if lo > hi {
+                return 0..0;
+            }
+            (lo - r_min) as usize..(hi - r_min + 1) as usize
+        };
+
+        let scratch = self
+            .scratch
+            .get_or_insert_with(|| Scratch::new(&self.basis, 0, 0));
+        // Counting sort: bucket `b` is `tiled[starts[b]..starts[b + 1]]`.
+        let buckets = (r_max - r_min + 1) as usize;
+        let starts = &mut scratch.bucket_starts;
+        starts.clear();
+        starts.resize(buckets + 2, 0);
+        for &x in rows {
+            for bucket in regions(x) {
+                starts[bucket + 2] += 1;
+            }
+        }
+        for b in 2..starts.len() {
+            starts[b] += starts[b - 1];
+        }
+        scratch.tiled.resize(starts[buckets + 1], 0.0);
+        for &x in rows {
+            for bucket in regions(x) {
+                scratch.tiled[starts[bucket + 1]] = x;
+                starts[bucket + 1] += 1;
+            }
+        }
+
+        let table = self.basis.table();
+        for level in &mut self.levels[fine..] {
+            level.version += 1;
+            let axis = self.axes[0][level.component[0]];
+            let scatter = match axis.generator {
+                Generator::Scaling => WaveletTable::scatter_rows_phi,
+                Generator::Wavelet => WaveletTable::scatter_rows_psi,
+            };
+            let squares = Arc::make_mut(&mut level.sum_squares);
+            let (lo, hi, bits) = region_range(&axis);
+            let k_end = axis.k_start + axis.extent as i64;
+            for region in lo..=hi {
+                let bucket = (region - r_min) as usize;
+                let xs = &scratch.tiled[starts[bucket]..starts[bucket + 1]];
+                if xs.is_empty() {
+                    continue;
+                }
+                let k_first = (region << bits).max(axis.k_start);
+                let k_stop = ((region + 1) << bits).min(k_end);
+                let slots = (k_first - axis.k_start) as usize..(k_stop - axis.k_start) as usize;
+                scatter(
+                    table,
+                    xs,
+                    OuterRows::Unit,
+                    axis.scale,
+                    axis.sqrt_scale,
+                    k_first,
+                    &mut scratch.fallback,
+                    &mut level.sums[slots.clone()],
+                    &mut squares[slots],
+                );
+            }
+        }
     }
 
     /// The scalar reference path of [`push_scalars`](Self::push_scalars)
@@ -554,22 +743,28 @@ impl TensorSketch {
             .iter()
             .filter(|(x, y)| x.is_finite() && y.is_finite())
             .count();
-        self.push_rows(rows, |&(x, y)| [x, y]);
+        self.push_rows(rows, self.levels.len(), |&(x, y)| [x, y]);
     }
 
     /// The chunk loop of both dims: slices the batch into autotuned
-    /// chunks (keyed by dims, support and level count) and scatters each.
-    fn push_rows<T>(&mut self, rows: &[T], coordinates: impl Fn(&T) -> [f64; 2] + Copy) {
+    /// chunks (keyed by dims, support and level count) and scatters each
+    /// into the first `levels` levels.
+    fn push_rows<T>(
+        &mut self,
+        rows: &[T],
+        levels: usize,
+        coordinates: impl Fn(&T) -> [f64; 2] + Copy,
+    ) {
         if rows.is_empty() {
             return;
         }
         let key = autotune::ChunkKey {
             dims: self.dims as u32,
             support: self.basis.support_length() as u32,
-            levels: self.levels.len() as u32,
+            levels: levels as u32,
         };
         let default = INGEST_CHUNK[self.dims - 1];
-        let mut scatter = |chunk: &[T]| self.scatter_chunk(chunk, coordinates);
+        let mut scatter = |chunk: &[T]| self.scatter_chunk(chunk, levels, coordinates);
         let (chunk_size, rest) = autotune::tuned_chunk(key, default, rows, &mut scatter);
         for chunk in rest.chunks(chunk_size) {
             scatter(chunk);
@@ -577,10 +772,15 @@ impl TensorSketch {
     }
 
     /// The one level loop: for `dims == 2` gathers every `x` factor row of
-    /// the chunk once, then runs each level through the fused scatter of
-    /// its last axis, with the level's `x` rows (or, in 1-D, the unit row)
-    /// as outer weights.
-    fn scatter_chunk<T>(&mut self, chunk: &[T], coordinates: impl Fn(&T) -> [f64; 2]) {
+    /// the chunk once, then runs each of the first `levels` levels through
+    /// the fused scatter of its last axis, with the level's `x` rows (or,
+    /// in 1-D, the unit row) as outer weights.
+    fn scatter_chunk<T>(
+        &mut self,
+        chunk: &[T],
+        levels: usize,
+        coordinates: impl Fn(&T) -> [f64; 2],
+    ) {
         let inner_axis = self.dims - 1;
         let outer_components = if self.dims == 2 {
             self.axes[0].len()
@@ -620,7 +820,7 @@ impl TensorSketch {
                 }
             }
         }
-        for level in &mut self.levels {
+        for level in &mut self.levels[..levels] {
             level.version += 1;
             let inner = self.axes[inner_axis][level.component[inner_axis]];
             let outer = if self.dims == 2 {

@@ -25,9 +25,10 @@ pub struct SynopsisConfig {
     /// the paper's STCV).
     pub rule: ThresholdRule,
     /// Rough number of rows the sketch levels are sized for (the paper's
-    /// level rules need an anticipated sample size; default 4096). An
-    /// attribute synopsis fails to build from `2^22` rows on, where its
-    /// levels outgrow [`wavedens_core::MAX_COEFFICIENT_SLOTS`].
+    /// level rules need an anticipated sample size; default 4096). From
+    /// `2^22` rows on an attribute synopsis keeps detail level 21, the
+    /// highest whose level set fits under
+    /// [`wavedens_core::MAX_COEFFICIENT_SLOTS`].
     pub expected_rows: usize,
     /// Number of ingest shards (default: the machine's available
     /// parallelism).
@@ -621,16 +622,19 @@ pub(crate) mod tests {
         }
     }
 
-    /// A synopsis too large for its frames to decode fails when it is
-    /// configured: the sketch's slot cap is the decoder's, so a synopsis
-    /// that builds never ships a frame its receivers refuse.
+    /// A synopsis sized past the slot cap stops at the cap's ceiling
+    /// instead of failing, and the sketch's slot cap is the decoder's, so
+    /// the frames it ships still decode.
     #[test]
-    fn synopses_too_large_to_ship_fail_at_configuration() {
-        assert!(AttributeSynopsis::new(&config(1).with_expected_rows((1 << 22) - 1)).is_ok());
-        assert!(matches!(
-            AttributeSynopsis::new(&config(1).with_expected_rows(1 << 22)),
-            Err(EstimatorError::InvalidParameter { .. })
-        ));
+    fn synopses_sized_past_the_slot_cap_build_and_ship() {
+        for rows in [1 << 22, 1 << 24] {
+            let synopsis = AttributeSynopsis::new(&config(1).with_expected_rows(rows)).unwrap();
+            synopsis.ingest(&sample(64, 5));
+            let frame = synopsis.ship(CompactionPolicy::Dense).unwrap();
+            let restored = CoefficientSketch::from_bytes(&frame).unwrap();
+            assert_eq!(restored.max_level(), 21, "expected_rows = {rows}");
+            assert_eq!(restored.count(), 64);
+        }
     }
 
     #[test]

@@ -439,10 +439,13 @@ fn scatter_rows_loop<'a>(
         // integer (no sub-node fraction and a phase-0 node), and
         // `⌊position − support⌋ = ⌊position⌋ − support` because the
         // support length is an integer. Identical to the shared
-        // derivation wherever `position − support` is exact (always for
-        // |position| < 2^49; beyond that every touched slot value is 0,
-        // so the accumulators cannot differ). Non-finite positions fall
-        // out through the saturating cast: the clamps empty the window.
+        // derivation wherever `position − support` is exact. Where it
+        // rounds onto an integer (a position a few ulps below an integer,
+        // or |position| ≥ 2^49) the float floor drops the first
+        // translation, whose `position − k` lies a rounding error inside
+        // the support: the integer window keeps it. Non-finite positions
+        // fall out through the saturating cast: the clamps empty the
+        // window.
         let pb = position * scale;
         if !pb.is_finite() {
             continue;
@@ -457,10 +460,18 @@ fn scatter_rows_loop<'a>(
             continue;
         }
         debug_assert!(
-            position.abs() >= 2f64.powi(48) || {
-                let r = active_translations(support_i as f64, position, k_start, extent);
-                (k_lo, k_hi) == (*r.start(), *r.end())
-            },
+            position.abs() >= 2f64.powi(48)
+                || {
+                    // TwoSum: the rounding error of `position − support`.
+                    let (a, b) = (position, -(support_i as f64));
+                    let s = a + b;
+                    let bv = s - a;
+                    (a - (s - bv)) + (b - bv) != 0.0
+                }
+                || {
+                    let r = active_translations(support_i as f64, position, k_start, extent);
+                    (k_lo, k_hi) == (*r.start(), *r.end())
+                },
             "integer window derivation drifted from active_translations \
              (position = {position}, got {k_lo}..={k_hi})"
         );
