@@ -576,6 +576,12 @@ impl TensorSketch {
             for rows in values.chunks(TILE_SUPER_CHUNK) {
                 self.scatter_tiled(rows, fine);
             }
+            // The bucketed rows (up to 1 MiB) live for one batch only:
+            // kept in the scratch of every live shard sketch, they added
+            // 7 % to `bulk_load`'s peak RSS.
+            if let Some(scratch) = &mut self.scratch {
+                scratch.tiled = Vec::new();
+            }
         }
     }
 
