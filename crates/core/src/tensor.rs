@@ -125,7 +125,10 @@ const INGEST_CHUNK: [usize; 2] = [512, 128];
 
 /// Rows a 1-D batch must hold before its fine levels scatter region by
 /// region ([`TensorSketch::scatter_tiled`]): below it one bucketing pass
-/// costs more than the cache misses it saves.
+/// costs more than the cache misses it saves. Pushing 2^17 rows into
+/// `sized_for(2^18)` in batches of 16, 256 or 1024 rows, tiling every
+/// batch was 28 %, 6 % and 6 % slower than the chunk loop alone; from
+/// 2048 rows on it was faster.
 const TILE_GATE_ROWS: usize = 1 << 12;
 
 /// A detail level holding more than this many slots is a fine level, the
@@ -135,10 +138,12 @@ const TILE_GATE_ROWS: usize = 1 << 12;
 const TILE_MIN_SLOTS: usize = 1 << 13;
 
 /// A region spans `2^TILE_REGION_BITS` translations of the first fine
-/// level, and twice as many at every finer level.
+/// level, and twice as many at every finer level. Regions of 2^8 to
+/// 2^12 translations measured alike.
 const TILE_REGION_BITS: u32 = 10;
 
 /// Rows bucketed at once, which bounds the region buffer of a batch.
+/// Runs of 2^14 and 2^15 rows measured 15 % and 6 % slower than 2^17.
 const TILE_SUPER_CHUNK: usize = 1 << 17;
 
 /// Frames whose total mass is below this floor answer zero selectivity
@@ -576,7 +581,7 @@ impl TensorSketch {
             for rows in values.chunks(TILE_SUPER_CHUNK) {
                 self.scatter_tiled(rows, fine);
             }
-            // The bucketed rows (up to 1 MiB) live for one batch only:
+            // The bucketed rows (about 1 MiB) live for one batch only:
             // kept in the scratch of every live shard sketch, they added
             // 7 % to `bulk_load`'s peak RSS.
             if let Some(scratch) = &mut self.scratch {

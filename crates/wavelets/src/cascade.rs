@@ -320,6 +320,11 @@ pub enum OuterRows<'a> {
 /// `δ_{j,k}(x) ≠ 0` requires `0 < position − k < support` (with
 /// `position = 2^j x`), i.e. `position − support < k < position`,
 /// intersected with the stored window `[k_start, k_start + count)`.
+/// `support` is the integer length of the `φ`/`ψ` support, so the first
+/// translation is `⌊position⌋ − support + 1`, taken from the exact floor
+/// of `position`: the float floor of `position − support` would drop it
+/// for a position a few ulps below an integer, where the subtraction
+/// rounds onto that integer.
 ///
 /// This derivation is shared by the whole-chunk scatter driver here, the
 /// batch coefficient accumulation, the streaming running sums and the
@@ -335,7 +340,7 @@ pub fn active_translations(
     k_start: i64,
     count: usize,
 ) -> std::ops::RangeInclusive<i64> {
-    let k_lo = ((position - support).floor() as i64)
+    let k_lo = ((position.floor() - support) as i64)
         .saturating_add(1)
         .max(k_start);
     let k_hi = (position.ceil() as i64)
@@ -437,15 +442,11 @@ fn scatter_rows_loop<'a>(
         // `⌊position⌋ = pbf_i >> J` (arithmetic shift = floor division),
         // `⌈position⌉ − 1` differs from it only when `position` is an
         // integer (no sub-node fraction and a phase-0 node), and
-        // `⌊position − support⌋ = ⌊position⌋ − support` because the
-        // support length is an integer. Identical to the shared
-        // derivation wherever `position − support` is exact. Where it
-        // rounds onto an integer (a position a few ulps below an integer,
-        // or |position| ≥ 2^49) the float floor drops the first
-        // translation, whose `position − k` lies a rounding error inside
-        // the support: the integer window keeps it. Non-finite positions
-        // fall out through the saturating cast: the clamps empty the
-        // window.
+        // the first translation is `⌊position⌋ − support + 1`, from the
+        // same exact floor as there. Identical to the shared derivation
+        // for |position| < 2^48; beyond that every touched slot value is
+        // 0, so the accumulators cannot differ. Non-finite positions fall
+        // out through the saturating cast: the clamps empty the window.
         let pb = position * scale;
         if !pb.is_finite() {
             continue;
@@ -460,18 +461,10 @@ fn scatter_rows_loop<'a>(
             continue;
         }
         debug_assert!(
-            position.abs() >= 2f64.powi(48)
-                || {
-                    // TwoSum: the rounding error of `position − support`.
-                    let (a, b) = (position, -(support_i as f64));
-                    let s = a + b;
-                    let bv = s - a;
-                    (a - (s - bv)) + (b - bv) != 0.0
-                }
-                || {
-                    let r = active_translations(support_i as f64, position, k_start, extent);
-                    (k_lo, k_hi) == (*r.start(), *r.end())
-                },
+            position.abs() >= 2f64.powi(48) || {
+                let r = active_translations(support_i as f64, position, k_start, extent);
+                (k_lo, k_hi) == (*r.start(), *r.end())
+            },
             "integer window derivation drifted from active_translations \
              (position = {position}, got {k_lo}..={k_hi})"
         );
@@ -1181,6 +1174,18 @@ mod tests {
             assert!(window.is_empty(), "position {position}: {window:?}");
         }
         assert_eq!(active_translations(15.0, 3.5, -14, 64), -11..=3);
+    }
+
+    #[test]
+    fn active_translations_keep_the_first_translation_below_an_integer() {
+        // `position − 7` rounds onto -9.0 here, whose float floor would
+        // start the window at -8; yet `position − (-9)` lies inside the
+        // support, so -9 is active.
+        let position = -2.000000000000001;
+        assert_eq!(position - 7.0, -9.0);
+        assert_eq!(active_translations(7.0, position, -20, 64), -9..=-3);
+        assert_eq!(active_translations(7.0, -2.0, -20, 64), -8..=-3);
+        assert_eq!(active_translations(7.0, 2.5, -20, 64), -4..=2);
     }
 
     #[test]
