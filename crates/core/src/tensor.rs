@@ -89,8 +89,8 @@ pub const MAX_TENSOR_SLOTS: usize = 1 << 22;
 /// failing: [`sized_for`](crate::CoefficientSketch::sized_for) and a
 /// default [`fit`](crate::WaveletDensityEstimator::fit) on `[0, 1]` keep
 /// `j* = ⌊log₂ n⌋` up to `2^22 - 1` rows and detail level 21 from `2^22`
-/// rows on (see [`max_level_within_cap`]). An explicit level set that is
-/// too large is still refused when it is built.
+/// rows on. An explicit level set that is too large is still refused
+/// when it is built.
 pub const MAX_COEFFICIENT_SLOTS: usize = 1 << 23;
 
 /// The highest detail level `≤ j_max` whose 1-D level set — the scaling
